@@ -6,8 +6,13 @@
     dalc oracle KB.dkb [-q AXIOM] [--max-domain N]
                                 bounded model / countermodel search
 
+Every command runs one pipeline: load the KB, parse the query, and (except
+``oracle``) rank the KB once with one tableau budget and one stats object;
+a renderer per command then turns the result into JSON or text lines.
+
 Verdicts go to stdout as data; the exit status only reports errors
-(1 = parse error, 2 = resource limit, 0 otherwise).
+(1 = parse error, bad flag value or unreadable path, 2 = resource limit,
+0 otherwise).
 """
 
 from __future__ import annotations
@@ -17,25 +22,15 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
-from .closure import compute_ranking, rationally_deducible, tstar_inconsistent
-from .concepts import Atom, BOTTOM, GCI, KnowledgeBase
+from .closure import Ranking, compute_ranking, rationally_deducible, tstar_inconsistent
+from .concepts import Atom, Axiom, BOTTOM, GCI, KnowledgeBase, atom_names
 from .parser import ParseError, axiom_to_json, parse_kb, parse_query, render_axiom
 from .semantics import search_countermodel, search_model
 from .tableau import EntailmentStats, ResourceLimitError, TableauConfig, entails
 
-
-@dataclass
-class CliConfig:
-    command: str
-    path: str
-    query: Optional[str]
-    json_out: bool
-    max_nodes: int
-    max_depth: int
-    max_domain: int
-    seed: int
+Output = Union[dict, list[str]]  # a JSON document, or lines of text
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -51,215 +46,180 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("path", help="knowledge base file (.dkb)")
-        p.add_argument("-q", "--query", default=None, help="axiom to query")
+        if name in ("query", "oracle"):
+            p.add_argument("-q", "--query", default=None, help="axiom to query")
         p.add_argument("--json", action="store_true", dest="json_out")
-        p.add_argument("--max-nodes", type=int, default=100_000)
-        p.add_argument("--max-depth", type=int, default=512)
-        p.add_argument("--max-domain", type=int, default=4)
-        p.add_argument(
-            "--seed", type=int, default=0, help="reserved for sampling diagnostics"
-        )
+        if name == "oracle":
+            p.add_argument("--max-domain", type=int, default=4)
+        else:
+            p.add_argument("--max-nodes", type=int, default=100_000)
+            p.add_argument("--max-depth", type=int, default=512)
     return ap
 
 
-def _load(cfg: CliConfig) -> KnowledgeBase:
-    text = Path(cfg.path).read_text(encoding="utf-8")
-    return parse_kb(text, cfg.path).kb
+@dataclass
+class _Ranked:
+    """The inputs of rank, query and check, and the tableau work they share."""
+
+    kb: KnowledgeBase
+    query: Optional[Axiom]
+    ranking: Ranking
+    cfg: TableauConfig
+    stats: EntailmentStats
+    ranking_checks: int
+    inconsistent: bool
 
 
-def cmd_rank(cfg: CliConfig) -> int:
-    kb = _load(cfg)
-    tableau_cfg = TableauConfig(cfg.max_nodes, cfg.max_depth)
-    stats = EntailmentStats()
-    ranking = compute_ranking(kb, tableau_cfg, stats)
-    ranking_checks = stats.checks
-    tstar_inconsistent(ranking, tableau_cfg, stats)
-    if cfg.json_out:
-        print(
-            json.dumps(
-                {
-                    "tstar": [axiom_to_json(a) for a in ranking.tstar],
-                    "promoted": [axiom_to_json(d) for d in ranking.moved_to_tbox],
-                    "partition": [
-                        [axiom_to_json(d) for d in part] for part in ranking.partition
-                    ],
-                    "stats": {"entailment_checks": ranking_checks},
-                }
-            )
-        )
-        return 0
+def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
+    ranking = r.ranking
+    if ns.json_out:
+        return {
+            "tstar": [axiom_to_json(a) for a in ranking.tstar],
+            "promoted": [axiom_to_json(d) for d in ranking.moved_to_tbox],
+            "partition": [
+                [axiom_to_json(d) for d in part] for part in ranking.partition
+            ],
+            "stats": {"entailment_checks": r.ranking_checks},
+        }
     promoted = {GCI(d.lhs, d.rhs) for d in ranking.moved_to_tbox}
-    print("T* (normalized TBox):")
+    lines = ["T* (normalized TBox):"]
     if not ranking.tstar:
-        print("  (empty)")
+        lines.append("  (empty)")
     for a in ranking.tstar:
         marker = "   [promoted from DTBox]" if a in promoted else ""
-        print(f"  {render_axiom(a)}{marker}")
-    print("Partition of D*:")
+        lines.append(f"  {render_axiom(a)}{marker}")
+    lines.append("Partition of D*:")
     if not ranking.partition:
-        print("  (empty)")
+        lines.append("  (empty)")
     for i, part in enumerate(ranking.partition):
-        print(f"  D{i} (rank {i}):")
-        for d in part:
-            print(f"    {render_axiom(d)}")
-    print(
+        lines.append(f"  D{i} (rank {i}):")
+        lines.extend(f"    {render_axiom(d)}" for d in part)
+    lines.append(
         "Entailment checks: ranking=%d, diagnostics=%d"
-        % (ranking_checks, stats.checks - ranking_checks)
+        % (r.ranking_checks, r.stats.checks - r.ranking_checks)
     )
-    return 0
+    return lines
 
 
-def cmd_query(cfg: CliConfig) -> int:
-    kb = _load(cfg)
-    q = parse_query(cfg.query)
-    tableau_cfg = TableauConfig(cfg.max_nodes, cfg.max_depth)
-    stats = EntailmentStats()
-    ranking = compute_ranking(kb, tableau_cfg, stats)
-    tstar_inconsistent(ranking, tableau_cfg, stats)
-    result = rationally_deducible(ranking, q, tableau_cfg, stats)
-    if cfg.json_out:
-        decided = (
-            "infinity" if result.decided_at.is_infinite else result.decided_at.value
-        )
-        print(
-            json.dumps(
-                {
-                    "verdict": result.verdict,
-                    "decided_at": decided,
-                    "checks": result.checks_spent,
-                    "kb_inconsistent": result.kb_inconsistent,
-                }
-            )
-        )
-        return 0
-    print("IN rational closure" if result.verdict else "NOT IN rational closure")
+def _query(ns: argparse.Namespace, r: _Ranked) -> Output:
+    result = rationally_deducible(r.ranking, r.query, r.cfg, r.stats)
+    if ns.json_out:
+        return {
+            "verdict": result.verdict,
+            "decided_at": (
+                "infinity" if result.decided_at.is_infinite else result.decided_at.value
+            ),
+            "checks": result.checks_spent,
+            "kb_inconsistent": result.kb_inconsistent,
+        }
+    lines = ["IN rational closure" if result.verdict else "NOT IN rational closure"]
     if result.decided_at.is_infinite:
-        print("decided at rank: infinity (TBox fallback)")
+        lines.append("decided at rank: infinity (TBox fallback)")
     else:
-        print(f"decided at rank: {result.decided_at.value}")
-    print(f"checks spent: {result.checks_spent}")
+        lines.append(f"decided at rank: {result.decided_at.value}")
+    lines.append(f"checks spent: {result.checks_spent}")
     if result.kb_inconsistent:
-        print("normalized TBox inconsistent: every query is trivially true")
-    return 0
+        lines.append("normalized TBox inconsistent: every query is trivially true")
+    return lines
 
 
-def cmd_check(cfg: CliConfig) -> int:
-    kb = _load(cfg)
-    tableau_cfg = TableauConfig(cfg.max_nodes, cfg.max_depth)
-    stats = EntailmentStats()
-    ranking = compute_ranking(kb, tableau_cfg, stats)
-    inconsistent = tstar_inconsistent(ranking, tableau_cfg, stats)
-    atoms = sorted(
-        {a.name for ax in kb.axioms for a in _atoms_of(ax)}
-    )
+def _check(ns: argparse.Namespace, r: _Ranked) -> Output:
     unsat = [
         a
-        for a in atoms
-        if entails(ranking.tstar, GCI(Atom(a), BOTTOM), tableau_cfg, stats)
+        for a in sorted(atom_names(r.kb.axioms))
+        if entails(r.ranking.tstar, GCI(Atom(a), BOTTOM), r.cfg, r.stats)
     ]
-    if cfg.json_out:
-        print(
-            json.dumps(
-                {
-                    "consistent": not inconsistent,
-                    "infinite_rank": [axiom_to_json(d) for d in ranking.moved_to_tbox],
-                    "unsatisfiable_atoms": unsat,
-                }
-            )
-        )
-        return 0
-    print("normalized TBox consistent: %s" % ("no" if inconsistent else "yes"))
-    print("DCIs of infinite rank:")
-    if not ranking.moved_to_tbox:
-        print("  (none)")
-    for d in ranking.moved_to_tbox:
-        print(f"  {render_axiom(d)}")
-    print("unsatisfiable concept names:")
-    if not unsat:
-        print("  (none)")
-    for a in unsat:
-        print(f"  {a}")
-    return 0
+    infinite = r.ranking.moved_to_tbox
+    if ns.json_out:
+        return {
+            "consistent": not r.inconsistent,
+            "infinite_rank": [axiom_to_json(d) for d in infinite],
+            "unsatisfiable_atoms": unsat,
+        }
+    lines = ["normalized TBox consistent: %s" % ("no" if r.inconsistent else "yes")]
+    lines.append("DCIs of infinite rank:")
+    lines.extend([f"  {render_axiom(d)}" for d in infinite] or ["  (none)"])
+    lines.append("unsatisfiable concept names:")
+    lines.extend([f"  {a}" for a in unsat] or ["  (none)"])
+    return lines
 
 
-def _atoms_of(ax):
-    from .concepts import _walk
-
-    for c in _walk(ax):
-        if isinstance(c, Atom):
-            yield c
-
-
-def cmd_oracle(cfg: CliConfig) -> int:
-    kb = _load(cfg)
-    if cfg.query is not None:
-        q = parse_query(cfg.query)
-        result = search_countermodel(kb, q, cfg.max_domain)
+def _oracle(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
+    if q is not None:
+        result = search_countermodel(kb, q, ns.max_domain)
         kind = "countermodel"
     else:
-        result = search_model(kb, cfg.max_domain)
+        result = search_model(kb, ns.max_domain)
         kind = "model"
-    if cfg.json_out:
-        print(
-            json.dumps(
-                {
-                    "found": result.found,
-                    "kind": kind,
-                    "interpretation": (
-                        result.interpretation.to_json_dict() if result.found else None
-                    ),
-                    "enumerated": result.enumerated,
-                    "one_sided": True,
-                }
-            )
-        )
-        return 0
+    interp = result.interpretation.to_json_dict() if result.found else None
+    if ns.json_out:
+        return {
+            "found": result.found,
+            "kind": kind,
+            "interpretation": interp,
+            "enumerated": result.enumerated,
+            "one_sided": True,
+        }
     if result.found:
-        print(f"{kind} found within domain bound {cfg.max_domain}:")
-        print(json.dumps(result.interpretation.to_json_dict()))
+        lines = [
+            f"{kind} found within domain bound {ns.max_domain}:",
+            json.dumps(interp),
+        ]
     else:
-        print(
-            f"no {kind} within domain bound {cfg.max_domain} "
+        lines = [
+            f"no {kind} within domain bound {ns.max_domain} "
             "(one-sided: larger models may exist)"
-        )
-    print(f"configurations examined: {result.enumerated}")
-    return 0
+        ]
+    lines.append(f"configurations examined: {result.enumerated}")
+    return lines
 
 
-COMMANDS = {
-    "rank": cmd_rank,
-    "query": cmd_query,
-    "check": cmd_check,
-    "oracle": cmd_oracle,
-}
+RENDERERS = {"rank": _rank, "query": _query, "check": _check}
+
+
+def _bad_flag(ns: argparse.Namespace) -> Optional[str]:
+    if ns.command == "query" and ns.query is None:
+        return "query command requires -q"
+    for flag in ("max_nodes", "max_depth", "max_domain"):
+        value = getattr(ns, flag, 1)
+        if value < 1:
+            return f"--{flag.replace('_', '-')} must be positive, got {value}"
+    return None
+
+
+def _fail(message: str, code: int = 1) -> int:
+    print(message, file=sys.stderr)
+    return code
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     ns = build_arg_parser().parse_args(argv)
-    if ns.command == "query" and ns.query is None:
-        print("error: query command requires -q", file=sys.stderr)
-        return 1
-    cfg = CliConfig(
-        command=ns.command,
-        path=ns.path,
-        query=ns.query,
-        json_out=ns.json_out,
-        max_nodes=ns.max_nodes,
-        max_depth=ns.max_depth,
-        max_domain=ns.max_domain,
-        seed=ns.seed,
-    )
+    bad = _bad_flag(ns)
+    if bad is not None:
+        return _fail(f"error: {bad}")
     try:
-        return COMMANDS[cfg.command](cfg)
+        text = Path(ns.path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        return _fail(f"error: {e}")
+    try:
+        kb = parse_kb(text, ns.path).kb
+        q = parse_query(ns.query) if getattr(ns, "query", None) is not None else None
+        if ns.command == "oracle":
+            out = _oracle(ns, kb, q)
+        else:
+            cfg = TableauConfig(ns.max_nodes, ns.max_depth)
+            stats = EntailmentStats()
+            ranking = compute_ranking(kb, cfg, stats)
+            ranking_checks = stats.checks
+            inconsistent = tstar_inconsistent(ranking, cfg, stats)
+            ranked = _Ranked(kb, q, ranking, cfg, stats, ranking_checks, inconsistent)
+            out = RENDERERS[ns.command](ns, ranked)
     except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 1
+        return _fail(f"parse error: {e}")
     except ResourceLimitError as e:
-        print(f"resource limit: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _fail(f"resource limit: {e}", 2)
+    print(json.dumps(out) if ns.json_out else "\n".join(out))
+    return 0
 
 
 if __name__ == "__main__":

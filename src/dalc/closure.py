@@ -38,7 +38,8 @@ class Ranking:
     normalisation pass (the empty fixpoint beyond it is left implicit), and
     ``partition`` its consecutive differences D0, .., Dn.  ``moved_to_tbox``
     collects the infinite-rank DCIs whose strict versions were promoted into
-    ``tstar``.
+    ``tstar``.  ``materialisations`` holds the conjoined materialisation of
+    each level of ``e_seq``, in the same order.
     """
 
     tstar: tuple[GCI, ...]
@@ -46,7 +47,9 @@ class Ranking:
     e_seq: tuple[tuple[DCI, ...], ...]
     partition: tuple[tuple[DCI, ...], ...]
     moved_to_tbox: tuple[DCI, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    materialisations: tuple[Concept, ...]
+    # memo of tstar_inconsistent: None until computed
+    _inconsistent: Optional[bool] = field(default=None, repr=False, compare=False)
 
     @property
     def levels(self) -> int:
@@ -106,10 +109,8 @@ def compute_ranking(
         infinite = set(fixpoint)
         dstar = [d for d in dstar if d not in infinite]
     partition = tuple(
-        tuple(d for d in e_seq[j] if d not in set(e_seq[j + 1]))
-        if j + 1 < len(e_seq)
-        else e_seq[j]
-        for j in range(len(e_seq))
+        tuple(d for d in e if d not in set(nxt))
+        for e, nxt in zip(e_seq, e_seq[1:] + ((),))
     )
     return Ranking(
         tstar=tuple(tstar),
@@ -117,14 +118,20 @@ def compute_ranking(
         e_seq=e_seq,
         partition=partition,
         moved_to_tbox=tuple(moved),
+        materialisations=tuple(conjoin(materialise(list(e))) for e in e_seq),
     )
 
 
-def _level_materialisation(r: Ranking, i: int) -> Concept:
-    mats = r._cache.setdefault("materialisations", {})
-    if i not in mats:
-        mats[i] = conjoin(materialise(list(r.e_seq[i])))
-    return mats[i]
+def _compatible_level(
+    r: Ranking, c: Concept, cfg: TableauConfig, stats: Optional[EntailmentStats]
+) -> Optional[int]:
+    """The least level whose materialisation is compatible with ``c`` under
+    the normalized TBox, or None when every level is incompatible; one
+    classical check per level scanned."""
+    for i, mat in enumerate(r.materialisations):
+        if not entails(r.tstar, GCI(mat, Not(c)), cfg, stats):
+            return i
+    return None
 
 
 def concept_rank(
@@ -143,12 +150,11 @@ def concept_rank(
     what makes the rank-comparison form of rational closure agree with the
     query procedure on every input.
     """
-    for i in range(len(r.e_seq)):
-        mat = _level_materialisation(r, i)
-        if not entails(r.tstar, GCI(And(mat, c), BOTTOM), cfg, stats):
-            return Rank.finite(i)
+    i = _compatible_level(r, c, cfg, stats)
+    if i is not None:
+        return Rank.finite(i)
     if not entails(r.tstar, GCI(c, BOTTOM), cfg, stats):
-        return Rank.finite(len(r.e_seq))
+        return Rank.finite(r.levels)
     return Rank.infinite()
 
 
@@ -175,9 +181,11 @@ def tstar_inconsistent(
     Computed once per Ranking and cached; a diagnostic, not part of the
     per-query check budget.
     """
-    if "inconsistent" not in r._cache:
-        r._cache["inconsistent"] = entails(r.tstar, GCI(TOP, BOTTOM), cfg, stats)
-    return r._cache["inconsistent"]
+    if r._inconsistent is None:
+        object.__setattr__(
+            r, "_inconsistent", entails(r.tstar, GCI(TOP, BOTTOM), cfg, stats)
+        )
+    return r._inconsistent
 
 
 def rationally_deducible(
@@ -197,17 +205,12 @@ def rationally_deducible(
         stats = EntailmentStats()
     inconsistent = tstar_inconsistent(r, cfg, stats)
     start = stats.checks
-    if isinstance(q, GCI):
-        verdict = entails(r.tstar, q, cfg, stats)
+    i = None if isinstance(q, GCI) else _compatible_level(r, q.lhs, cfg, stats)
+    if i is None:
+        verdict = entails(r.tstar, GCI(q.lhs, q.rhs), cfg, stats)
         decided = Rank.infinite()
     else:
-        for i in range(len(r.e_seq)):
-            mat = _level_materialisation(r, i)
-            if not entails(r.tstar, GCI(mat, Not(q.lhs)), cfg, stats):
-                verdict = entails(r.tstar, GCI(And(mat, q.lhs), q.rhs), cfg, stats)
-                decided = Rank.finite(i)
-                break
-        else:
-            verdict = entails(r.tstar, GCI(q.lhs, q.rhs), cfg, stats)
-            decided = Rank.infinite()
+        mat = r.materialisations[i]
+        verdict = entails(r.tstar, GCI(And(mat, q.lhs), q.rhs), cfg, stats)
+        decided = Rank.finite(i)
     return QueryResult(verdict, decided, stats.checks - start, inconsistent)

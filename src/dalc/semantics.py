@@ -167,13 +167,7 @@ class RankedInterpretation:
         return [_bits(m) for m in self.layer_masks]
 
     def as_preferential(self) -> PreferentialInterpretation:
-        order = frozenset(
-            (x, y)
-            for x in range(self.base.domain_size)
-            for y in range(self.base.domain_size)
-            if self.heights[x] < self.heights[y]
-        )
-        return PreferentialInterpretation(self.base, order)
+        return PreferentialInterpretation(self.base, order_from_heights(self.heights))
 
     def to_json_dict(self) -> dict:
         return {
@@ -274,13 +268,10 @@ def min_elements(i: Union[PreferentialInterpretation, RankedInterpretation], c: 
 
 def height_of_concept(i: RankedInterpretation, c: Concept) -> Rank:
     """The layer index of the minimal instances of ``c``; infinite iff empty."""
-    ext = _ext_mask(i.base, c)
-    if ext == 0:
+    m = _min_mask_ranked(i, c)
+    if m == 0:
         return Rank.infinite()
-    for h, layer in enumerate(i.layer_masks):
-        if ext & layer:
-            return Rank.finite(h)
-    raise AssertionError("unreachable")
+    return Rank.finite(i.heights[(m & -m).bit_length() - 1])
 
 
 def satisfies(i: Union[PreferentialInterpretation, RankedInterpretation], a: Axiom) -> bool:
@@ -371,31 +362,34 @@ def order_from_heights(heights: Sequence[int]) -> frozenset[tuple[int, int]]:
 # Unions
 
 
+def _union_base(
+    bases: Sequence[FiniteInterpretation],
+) -> tuple[FiniteInterpretation, list[int]]:
+    """Disjoint union of classical interpretations: component ``s`` element
+    ``x`` becomes ``offset_s + x``; atoms and roles stay within components.
+    Returns the union and the offsets."""
+    offsets: list[int] = []
+    total = 0
+    atoms: dict[str, set[int]] = {}
+    roles: dict[str, set[tuple[int, int]]] = {}
+    for b in bases:
+        offsets.append(total)
+        for a, e in b.atom_ext.items():
+            atoms.setdefault(a, set()).update(total + x for x in e)
+        for r, e in b.role_ext.items():
+            roles.setdefault(r, set()).update((total + x, total + y) for x, y in e)
+        total += b.domain_size
+    return FiniteInterpretation(total, atoms, roles), offsets
+
+
 def disjoint_union(interps: Sequence[PreferentialInterpretation]) -> PreferentialInterpretation:
     """Tagged union of preferential interpretations: component ``s`` element
     ``x`` becomes ``offset_s + x``; atoms, roles and the order stay within
     components."""
     if not interps:
         raise ValueError("disjoint union of an empty collection")
-    offsets = []
-    total = 0
-    for p in interps:
-        offsets.append(total)
-        total += p.base.domain_size
-    atoms: dict[str, set[int]] = {}
-    roles: dict[str, set[tuple[int, int]]] = {}
-    order: set[tuple[int, int]] = set()
-    for off, p in zip(offsets, interps):
-        for a, e in p.base.atom_ext.items():
-            atoms.setdefault(a, set()).update(off + x for x in e)
-        for r, e in p.base.role_ext.items():
-            roles.setdefault(r, set()).update((off + x, off + y) for x, y in e)
-        order.update((off + x, off + y) for x, y in p.order)
-    base = FiniteInterpretation(
-        total,
-        {a: frozenset(e) for a, e in atoms.items()},
-        {r: frozenset(e) for r, e in roles.items()},
-    )
+    base, offsets = _union_base([p.base for p in interps])
+    order = {(off + x, off + y) for off, p in zip(offsets, interps) for x, y in p.order}
     return PreferentialInterpretation(base, frozenset(order))
 
 
@@ -404,26 +398,8 @@ def ranked_union(interps: Sequence[RankedInterpretation]) -> RankedInterpretatio
     layers of equal index are merged."""
     if not interps:
         raise ValueError("ranked union of an empty collection")
-    offsets = []
-    total = 0
-    for r in interps:
-        offsets.append(total)
-        total += r.base.domain_size
-    atoms: dict[str, set[int]] = {}
-    roles: dict[str, set[tuple[int, int]]] = {}
-    heights: list[int] = []
-    for off, r in zip(offsets, interps):
-        for a, e in r.base.atom_ext.items():
-            atoms.setdefault(a, set()).update(off + x for x in e)
-        for ro, e in r.base.role_ext.items():
-            roles.setdefault(ro, set()).update((off + x, off + y) for x, y in e)
-        heights.extend(r.heights)
-    base = FiniteInterpretation(
-        total,
-        {a: frozenset(e) for a, e in atoms.items()},
-        {r: frozenset(e) for r, e in roles.items()},
-    )
-    return RankedInterpretation(base, tuple(heights))
+    base, _ = _union_base([r.base for r in interps])
+    return RankedInterpretation(base, tuple(h for r in interps for h in r.heights))
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +516,13 @@ class _ConfigSpace:
         masks[c] = v
         return v
 
-    def realizable(self, masks: dict) -> np.ndarray:
-        """Rows for which some role graph yields exactly the quantifier bits."""
-        nrows = len(next(iter(masks.values()))) if masks else 1
-        ok = np.ones(nrows, dtype=bool)
+    def _demands(self, masks: dict):
+        """Yield ``(role, i, demanded, target)`` for every role, element ``i``
+        and quantified concept of that role.  ``demanded`` marks the rows
+        where the concept's bit at ``i`` needs a ``role``-successor (an
+        existential that holds, a universal that fails); ``target`` masks the
+        successors that meet that need and that every quantifier bit of ``i``
+        allows.  This is the one place allowed successor sets are computed."""
         by_role: dict[str, list[Concept]] = {}
         for q in self.quantified:
             by_role.setdefault(q.role, []).append(q)
@@ -551,7 +530,7 @@ class _ConfigSpace:
             fillers = [(q, self.eval(masks, q.filler)) for q in qs]
             for i in range(self.n):
                 bit = 1 << i
-                allowed = np.full(nrows, self.full, dtype=np.int64)
+                allowed = self.full
                 for q, fm in fillers:
                     has = (masks[q] & bit) != 0
                     if isinstance(q, Forall):
@@ -561,67 +540,32 @@ class _ConfigSpace:
                 for q, fm in fillers:
                     has = (masks[q] & bit) != 0
                     if isinstance(q, Exists):
-                        ok &= ~has | ((allowed & fm) != 0)
+                        yield role, i, has, allowed & fm
                     else:
-                        ok &= has | ((allowed & (self.full & ~fm)) != 0)
+                        yield role, i, ~has, allowed & (self.full & ~fm)
+
+    def realizable(self, masks: dict) -> np.ndarray:
+        """Rows for which some role graph yields exactly the quantifier bits."""
+        ok = np.ones(len(next(iter(masks.values()))) if masks else 1, dtype=bool)
+        for _, _, demanded, target in self._demands(masks):
+            ok &= ~demanded | (target != 0)
         return ok
 
     def materialize(
-        self, acfg: int, qcfg: int, heights: tuple[int, ...], roles: Sequence[str]
+        self, row: int, heights: tuple[int, ...], roles: Sequence[str]
     ) -> RankedInterpretation:
-        """Reconstruct a concrete witness from one abstract configuration."""
-        n, full = self.n, self.full
-        atom_ext = {
-            a: _bits((acfg >> (k * n)) & full) for k, a in enumerate(self.atoms)
-        }
-        qmask = {
-            q: (qcfg >> (m * n)) & full for m, q in enumerate(self.quantified)
-        }
-
-        def ev(c: Concept) -> int:
-            if isinstance(c, Top):
-                return full
-            if isinstance(c, Bottom):
-                return 0
-            if isinstance(c, Atom):
-                m = 0
-                for x in atom_ext.get(c.name, ()):
-                    m |= 1 << x
-                return m
-            if isinstance(c, Not):
-                return full & ~ev(c.operand)
-            if isinstance(c, And):
-                return ev(c.left) & ev(c.right)
-            if isinstance(c, Or):
-                return ev(c.left) | ev(c.right)
-            return qmask[c]
-
+        """Reconstruct a concrete witness from one abstract configuration:
+        each demanded successor is the lowest element of its target."""
+        masks = self.build(row, row + 1)
+        atom_ext = {a: _bits(int(masks[Atom(a)][0])) for a in self.atoms}
         role_ext: dict[str, set[tuple[int, int]]] = {r: set() for r in roles}
-        by_role: dict[str, list[Concept]] = {}
-        for q in self.quantified:
-            by_role.setdefault(q.role, []).append(q)
-        for role, qs in by_role.items():
-            for i in range(n):
-                bit = 1 << i
-                allowed = full
-                for q in qs:
-                    if isinstance(q, Forall) and qmask[q] & bit:
-                        allowed &= ev(q.filler)
-                    if isinstance(q, Exists) and not qmask[q] & bit:
-                        allowed &= full & ~ev(q.filler)
-                for q in qs:
-                    if isinstance(q, Exists) and qmask[q] & bit:
-                        target = allowed & ev(q.filler)
-                    elif isinstance(q, Forall) and not qmask[q] & bit:
-                        target = allowed & (full & ~ev(q.filler))
-                    else:
-                        continue
-                    if target == 0:
-                        raise AssertionError("materializing an unrealizable row")
-                    role_ext[role].add((i, (target & -target).bit_length() - 1))
-        base = FiniteInterpretation(
-            n, atom_ext, {r: frozenset(e) for r, e in role_ext.items()}
-        )
+        for role, i, demanded, target in self._demands(masks):
+            if demanded[0]:
+                t = int(target[0])
+                if t == 0:
+                    raise AssertionError("materializing an unrealizable row")
+                role_ext[role].add((i, (t & -t).bit_length() - 1))
+        base = FiniteInterpretation(self.n, atom_ext, role_ext)
         return RankedInterpretation(base, heights)
 
 
@@ -685,10 +629,7 @@ def _search(
                     examined += hi - lo
                     continue
                 for idx in hits:
-                    row = lo + int(idx)
-                    qcfg = row & ((1 << space.qbits) - 1)
-                    acfg = row >> space.qbits
-                    witness = space.materialize(acfg, qcfg, hv, roles)
+                    witness = space.materialize(lo + int(idx), hv, roles)
                     if not satisfies_all(witness, must_hold):
                         raise AssertionError("materialized witness fails the axioms")
                     if must_fail is not None and satisfies(witness, must_fail):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dalc.cli import main
 from dalc.parser import axiom_from_json
 from dalc.concepts import DCI, GCI, Atom, Exists
@@ -209,6 +211,46 @@ def test_resource_limit_exit_code(capsys):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "rank", f"{KB}/does-not-exist.dkb")
     assert code == 1
+
+
+def test_non_positive_limits_rejected(capsys):
+    for argv in (
+        ("rank", f"{KB}/student.dkb", "--max-nodes", "0"),
+        ("check", f"{KB}/student.dkb", "--max-depth", "-1"),
+        ("oracle", f"{KB}/student.dkb", "--max-domain", "0"),
+        ("oracle", f"{KB}/student.dkb", "-q", "Student ~[= B", "--max-domain", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: --max-") and "must be positive" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unreadable_path(capsys, tmp_path):
+    binary = tmp_path / "binary.dkb"
+    binary.write_bytes(b"\xff\xfe\n")
+    for path in (KB, str(binary)):
+        code, out, err = run(capsys, "rank", path)
+        assert code == 1, path
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_flags_a_command_does_not_read_are_rejected(capsys):
+    path = f"{KB}/student.dkb"
+    for argv in (
+        ("rank", path, "--seed", "0"),
+        ("rank", path, "-q", "Student ~[= Parent"),
+        ("check", path, "--max-domain", "3"),
+        ("query", path, "-q", "Student ~[= Parent", "--max-domain", "3"),
+        ("oracle", path, "--max-nodes", "5"),
+        ("oracle", path, "--max-depth", "5"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

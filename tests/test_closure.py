@@ -440,3 +440,35 @@ def test_query_result_shape():
     assert isinstance(res, QueryResult)
     assert res.checks_spent >= 1
     assert not res.kb_inconsistent
+
+
+def _exception_chain(n):
+    """A{i+1} [= A{i}, with A{i} ~[= B for even i and A{i} ~[= !B for odd i."""
+    b = Atom("B")
+    return KnowledgeBase(
+        tbox=tuple(GCI(Atom(f"A{i + 1}"), Atom(f"A{i}")) for i in range(n - 1)),
+        dtbox=tuple(DCI(Atom(f"A{i}"), b if i % 2 == 0 else Not(b)) for i in range(n)),
+    )
+
+
+def test_exception_chain_exact_check_counts():
+    n = 6
+    stats = EntailmentStats()
+    r = compute_ranking(_exception_chain(n), stats=stats)
+    assert stats.checks == n * (n + 1) // 2
+    assert r.partition == tuple((d,) for d in _exception_chain(n).dtbox)
+    tstar_inconsistent(r)  # memoised: no query below pays for it
+    for i in range(n):
+        a = Atom(f"A{i}")
+        stats = EntailmentStats()
+        assert concept_rank(r, a, stats=stats) == Rank.finite(i)
+        assert stats.checks == i + 1
+        stats = EntailmentStats()
+        res = rationally_deducible(r, DCI(a, Atom("B")), stats=stats)
+        assert res.verdict == (i % 2 == 0)
+        assert res.decided_at == Rank.finite(i)
+        assert res.checks_spent == stats.checks == i + 2
+    stats = EntailmentStats()
+    res = rationally_deducible(r, GCI(Atom("A3"), Atom("A1")), stats=stats)
+    assert (res.verdict, res.decided_at) == (True, Rank.infinite())
+    assert res.checks_spent == stats.checks == 1
