@@ -11,7 +11,8 @@ Every command runs one pipeline: load the KB, parse the query, and (except
 a renderer per command then turns the result into JSON or text lines.
 
 Verdicts go to stdout as data; the exit status only reports errors
-(1 = parse error, bad flag value or unreadable path, 2 = resource limit,
+(1 = parse error, bad flag value or unreadable path, 2 = resource limit:
+an exhausted tableau budget or nesting too deep to recurse through,
 0 otherwise).
 """
 
@@ -218,6 +219,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(f"parse error: {e}")
     except ResourceLimitError as e:
         return _fail(f"resource limit: {e}", 2)
+    except RecursionError:
+        # The tableau and the parser recurse once per nesting level.
+        limit = sys.getrecursionlimit()
+        return _fail(f"resource limit: nesting too deep (recursion limit {limit})", 2)
     print(json.dumps(out) if ns.json_out else "\n".join(out))
     return 0
 

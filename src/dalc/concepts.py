@@ -2,58 +2,100 @@
 purely syntactic transformations (negation normal form, subconcept closure,
 materialisation) everything else is built on.
 
-Concepts are immutable trees compared structurally; they are safe to use as
-dict keys and set members, and safe to share across threads.
+Concepts are immutable, hash-consed trees: every constructor call returns the
+one live instance with those fields, so structurally equal concepts are the
+same object, and equality and hashing are identity, O(1) with no recursion.
+They are safe to use as dict keys and set members, to pickle and copy (the
+result is the canonical instance), and to share and build across threads.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+# (class, *fields) -> the live concept with those fields.  Children in a key
+# are themselves interned, so hashing and comparing a key never recurses.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
-class Top:
+
+class _Interned:
+    """Shared constructor of the concept classes.  It runs instead of a
+    dataclass ``__init__`` (the classes set ``init=False``), so building an
+    existing concept only looks it up."""
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls.__match_args__
+        if kwargs:  # keyword construction, as in dataclasses.replace
+            args += tuple(kwargs.pop(n) for n in fields[len(args):] if n in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{cls.__name__} takes fields {fields}")
+        key = (cls, *args)
+        self = _INTERNED.get(key)
+        if self is not None:
+            return self
+        with _INTERN_LOCK:  # two equal concepts must never both exist
+            self = _INTERNED.get(key)
+            if self is None:
+                self = object.__new__(cls)
+                for name, value in zip(fields, args):
+                    object.__setattr__(self, name, value)
+                _INTERNED[key] = self
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+# Identity equality and hashing (eq=False); fields set by _Interned.__new__.
+_concept = dataclass(frozen=True, eq=False, init=False)
+
+
+@_concept
+class Top(_Interned):
     def __repr__(self) -> str:
         return "Top"
 
 
-@dataclass(frozen=True)
-class Bottom:
+@_concept
+class Bottom(_Interned):
     def __repr__(self) -> str:
         return "Bottom"
 
 
-@dataclass(frozen=True)
-class Atom:
+@_concept
+class Atom(_Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+@_concept
+class Not(_Interned):
     operand: "Concept"
 
 
-@dataclass(frozen=True)
-class And:
+@_concept
+class And(_Interned):
     left: "Concept"
     right: "Concept"
 
 
-@dataclass(frozen=True)
-class Or:
+@_concept
+class Or(_Interned):
     left: "Concept"
     right: "Concept"
 
 
-@dataclass(frozen=True)
-class Exists:
+@_concept
+class Exists(_Interned):
     role: str
     filler: "Concept"
 
 
-@dataclass(frozen=True)
-class Forall:
+@_concept
+class Forall(_Interned):
     role: str
     filler: "Concept"
 

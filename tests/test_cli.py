@@ -262,3 +262,14 @@ def test_console_script_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["verdict"] is True
+
+
+def test_nesting_too_deep_is_a_resource_limit(capsys, tmp_path):
+    # 45 nested successors exceed Python's recursion limit in the tableau;
+    # the CLI reports that as a resource limit, not a traceback.
+    kb = tmp_path / "role_chain45.dkb"
+    kb.write_text("".join(f"A{i} [= exists r.A{i + 1}\n" for i in range(45)))
+    code, out, err = run(capsys, "check", str(kb))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1

@@ -1,6 +1,12 @@
+import copy
+import dataclasses
+import pickle
 import random
+import sys
+import threading
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from dalc.concepts import (
@@ -21,6 +27,7 @@ from dalc.concepts import (
     role_names,
     subconcept_closure,
 )
+from dalc.parser import parse_concept
 from dalc.semantics import extension, random_ranked_interpretation
 from dalc.tableau import entails
 from dalc.concepts import GCI
@@ -149,3 +156,74 @@ def test_vocabulary_helpers():
     ax = GCI(And(A, Exists("r", B)), Forall("s", C))
     assert atom_names([ax]) == {"A", "B", "C"}
     assert role_names([ax]) == {"r", "s"}
+
+
+def _rebuild(c):
+    """A structurally equal copy of ``c``, built bottom-up by the constructors."""
+    args = [getattr(c, f.name) for f in dataclasses.fields(c)]
+    return type(c)(*[a if isinstance(a, str) else _rebuild(a) for a in args])
+
+
+@given(concepts_strategy())
+def test_equal_trees_are_one_object(c):
+    twin = _rebuild(c)
+    assert twin is c
+    assert hash(twin) == hash(c)
+
+
+def test_parsed_concept_is_the_hand_built_one():
+    built = And(Exists("r", Not(A)), Or(Forall("s", B), C))
+    assert parse_concept("exists r.!A & (forall s.B | C)") is built
+
+
+def test_keyword_construction_and_replace():
+    assert Atom(name="A") is A
+    assert And(A, right=B) is And(left=A, right=B) is And(A, B)
+    assert dataclasses.replace(Exists("r", A), filler=B) is Exists("r", B)
+    bad_calls = (
+        lambda: And(A),
+        lambda: And(A, B, C),
+        lambda: Atom(nom="A"),
+        lambda: Atom("A", name="A"),
+    )
+    for bad in bad_calls:
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_pickle_and_copy_return_the_canonical_instance():
+    c = Forall("r", And(Not(A), Exists("s", TOP)))
+    assert pickle.loads(pickle.dumps(c)) is c
+    assert copy.copy(c) is c
+    assert copy.deepcopy(c) is c
+    g = copy.deepcopy(GCI(c, BOTTOM))
+    assert g.lhs is c and g.rhs is BOTTOM
+
+
+def test_threads_building_the_same_concept_get_one_object():
+    def build():
+        c = Atom("threaded")
+        for i in range(300):
+            c = And(Exists(f"r{i % 3}", c), Not(Atom(f"T{i}")))
+        return c
+
+    workers, results = 4, []
+    barrier = threading.Barrier(workers)
+
+    def work():
+        barrier.wait(timeout=10)
+        results.append(build())
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == workers
+    assert all(r is results[0] for r in results)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dalc.closure import compute_ranking
 from dalc.concepts import (
     And,
     Atom,
@@ -14,6 +15,7 @@ from dalc.concepts import (
     Exists,
     conjoin,
 )
+from dalc.parser import parse_kb
 from dalc.semantics import random_concept, search_countermodel
 from dalc.tableau import (
     EntailmentStats,
@@ -176,3 +178,55 @@ def test_config_validation():
         TableauConfig(max_nodes=0)
     with pytest.raises(ValueError):
         TableauConfig(max_depth=-1)
+
+
+# The chain(6), flat(4) and roles(3) families of the benchmark, written out.
+# Their check and node counts pin the tableau's search: an optimisation of
+# the reasoner must not change which nodes it expands.
+CHAIN6 = """
+A1 [= A0
+A2 [= A1
+A3 [= A2
+A4 [= A3
+A5 [= A4
+A0 ~[= B
+A1 ~[= !B
+A2 ~[= B
+A3 ~[= !B
+A4 ~[= B
+A5 ~[= !B
+"""
+FLAT4 = """
+C0 [= D
+C1 [= D
+C2 [= D
+C3 [= D
+D ~[= P0
+D ~[= P1
+D ~[= P2
+D ~[= P3
+C0 ~[= !P0
+C1 ~[= !P1
+C2 ~[= !P2
+C3 ~[= !P3
+"""
+ROLES3 = """
+A0 ~[= exists r.A1
+A0 ~[= forall r.!B
+A1 ~[= exists r.A2
+A1 ~[= forall r.!B
+A2 ~[= exists r.A3
+A2 ~[= forall r.!B
+A3 [= B
+"""
+
+
+@pytest.mark.parametrize(
+    "text, checks, nodes",
+    [(CHAIN6, 21, 528), (FLAT4, 12, 228), (ROLES3, 16, 1408)],
+    ids=["chain6", "flat4", "roles3"],
+)
+def test_ranking_search_is_pinned(text, checks, nodes):
+    stats = EntailmentStats()
+    compute_ranking(parse_kb(text).kb, stats=stats)
+    assert (stats.checks, stats.nodes_expanded) == (checks, nodes)
