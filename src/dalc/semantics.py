@@ -31,6 +31,16 @@ The enumeration order is deterministic: domain size ascending, bit patterns
 (atom extensions then quantifier bits, as one ascending integer) in blocks,
 and height vectors in lexicographic order within each block.  The first
 witness found is reproducible across runs.
+
+Each block is tested against 64 height vectors per pass.  A DCI reduces,
+per row, to one small index ``good | bad << n`` (its lhs-instances inside
+and outside its rhs), and a table built per word of 64 height vectors maps
+that index to the bitset of vectors under which the DCI holds; a row
+survives the pass under the vectors in the AND of its axioms' bitsets.
+Witnesses are still taken in the order above, so the first witness,
+``enumerate_models`` and the count of examined configurations
+(``SearchResult.enumerated``) are those of a scan one height vector at a
+time, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ from .concepts import (
 from .ranks import Rank
 
 _CHUNK_BITS = 20  # rows are enumerated in blocks of at most 2**_CHUNK_BITS
+_WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +453,20 @@ def _min_height_tables(n: int) -> np.ndarray:
     return tables
 
 
+def _dci_hold_words(minima: np.ndarray, n: int) -> np.ndarray:
+    """words[good | bad << n] has bit j set iff a DCI holds under the height
+    vector of ``minima[j]`` (at most 64 rows of ``_min_height_tables(n)``)
+    when its lhs-instances split into ``good`` (in the rhs) and ``bad`` (not
+    in the rhs): there is no bad instance, or the least good height lies
+    strictly below the least bad one."""
+    index = np.arange(1 << (2 * n))
+    good, bad = index & ((1 << n) - 1), index >> n
+    holds = (bad == 0) | (minima[:, good] < minima[:, bad])
+    shifts = np.arange(len(minima), dtype=np.uint64)[:, None]
+    return np.bitwise_or.reduce(holds.astype(np.uint64) << shifts, axis=0)
+
+
 def _quantified_subconcepts(axioms: Sequence[Axiom]) -> list[Concept]:
-    seen = []
     stack = []
     for a in axioms:
         stack.extend([a.lhs, a.rhs])
@@ -515,6 +538,15 @@ class _ConfigSpace:
             )
         masks[c] = v
         return v
+
+    def dci_index(self, masks: dict, d: Axiom) -> np.ndarray:
+        """Per row, ``good | bad << n``: the lhs-instances of ``d`` in its rhs
+        (``good``) and outside it (``bad``), the index ``_dci_hold_words``
+        reads."""
+        lhs = self.eval(masks, d.lhs)
+        rhs = self.eval(masks, d.rhs)
+        index = (lhs & rhs) | ((lhs & ~rhs & self.full) << self.n)
+        return index.astype(np.min_scalar_type((1 << (2 * self.n)) - 1))
 
     def _demands(self, masks: dict):
         """Yield ``(role, i, demanded, target)`` for every role, element ``i``
@@ -603,42 +635,35 @@ def _search(
                     & ~space.eval(masks, must_fail.rhs)
                     & space.full
                 ) != 0
-            dci_parts = []
-            for d in dcis:
-                lhs = space.eval(masks, d.lhs)
-                rhs = space.eval(masks, d.rhs)
-                dci_parts.append((lhs & rhs, lhs & ~rhs & space.full))
-            fail_parts = None
-            if must_fail is not None and isinstance(must_fail, DCI):
-                lhs = space.eval(masks, must_fail.lhs)
-                rhs = space.eval(masks, must_fail.rhs)
-                fail_parts = (lhs & rhs, lhs & ~rhs & space.full)
             if not alive.any():
                 examined += (hi - lo) * len(hvs)
                 continue
-            for k, hv in enumerate(hvs):
-                tbl = tables[k]
-                sat = alive.copy()
-                for good, bad in dci_parts:
-                    sat &= (bad == 0) | (tbl[good] < tbl[bad])
-                if fail_parts is not None:
-                    good, bad = fail_parts
-                    sat &= (bad != 0) & (tbl[bad] <= tbl[good])
-                hits = np.flatnonzero(sat)
-                if hits.size == 0:
-                    examined += hi - lo
-                    continue
-                for idx in hits:
-                    witness = space.materialize(lo + int(idx), hv, roles)
-                    if not satisfies_all(witness, must_hold):
-                        raise AssertionError("materialized witness fails the axioms")
-                    if must_fail is not None and satisfies(witness, must_fail):
-                        raise AssertionError("materialized witness satisfies the query")
-                    found.append(witness)
-                    if len(found) >= limit:
-                        examined += int(idx) + 1
-                        return found, examined
-                examined += hi - lo
+            holds = [space.dci_index(masks, d) for d in dcis]
+            fails = space.dci_index(masks, must_fail) if isinstance(must_fail, DCI) else None
+            for start in range(0, len(hvs), _WORD):
+                word = hvs[start : start + _WORD]
+                every = np.uint64((1 << len(word)) - 1)
+                table = _dci_hold_words(tables[start : start + _WORD], n)
+                sat = np.where(alive, every, np.uint64(0))
+                for index in holds:
+                    sat &= table[index]
+                if fails is not None:
+                    sat &= table[fails] ^ every
+                bits = int(np.bitwise_or.reduce(sat))
+                for j, hv in enumerate(word):
+                    if not bits >> j & 1:
+                        continue
+                    for idx in np.flatnonzero(sat >> np.uint64(j) & np.uint64(1)):
+                        witness = space.materialize(lo + int(idx), hv, roles)
+                        if not satisfies_all(witness, must_hold):
+                            raise AssertionError("materialized witness fails the axioms")
+                        if must_fail is not None and satisfies(witness, must_fail):
+                            raise AssertionError("materialized witness satisfies the query")
+                        found.append(witness)
+                        if len(found) >= limit:
+                            examined += (hi - lo) * j + int(idx) + 1
+                            return found, examined
+                examined += (hi - lo) * len(word)
     return found, examined
 
 

@@ -67,16 +67,19 @@ class _Tableau:
 
         items: list[Concept] = []
         seen: set[Concept] = set()
+        neg: set[Concept] = set()  # operands of the negations in ``seen``
 
         def add(c: Concept) -> bool:
             if c in seen:
                 return True
             if isinstance(c, Bottom):
                 return False
-            if isinstance(c, Atom) and Not(c) in seen:
+            if isinstance(c, Atom) and c in neg:
                 return False
-            if isinstance(c, Not) and c.operand in seen:
-                return False
+            if isinstance(c, Not):
+                if c.operand in seen:
+                    return False
+                neg.add(c.operand)
             seen.add(c)
             items.append(c)
             return True

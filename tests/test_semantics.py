@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from dalc.concepts import (
@@ -14,6 +15,7 @@ from dalc.concepts import (
     Not,
     TOP,
 )
+import dalc.semantics as sem
 from dalc.ranks import Rank
 from dalc.semantics import (
     FiniteInterpretation,
@@ -379,6 +381,134 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
     # exhaustive absence is chunk-invariant too
     bad = KnowledgeBase(tbox=(GCI(TOP, BOTTOM),))
     assert not search_model(bad, 3).found
+
+
+def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
+    """The configuration scan one height vector at a time, in the oracle's
+    order (domain size, block, height vector, row), counting examined rows
+    the same way; the reference for the bitset search in ``_search``."""
+    quantified = sem._quantified_subconcepts(
+        list(must_hold) + ([must_fail] if must_fail is not None else [])
+    )
+    found, examined = [], 0
+    for n in range(1, max_domain + 1):
+        space = sem._ConfigSpace(n, atoms, quantified)
+        for lo, hi in space.chunk_ranges():
+            masks = space.build(lo, hi)
+
+            def violated(a):
+                return space.eval(masks, a.lhs) & ~space.eval(masks, a.rhs) & space.full != 0
+
+            def dci_holds(a, tbl):
+                lhs, rhs = space.eval(masks, a.lhs), space.eval(masks, a.rhs)
+                good, bad = lhs & rhs, lhs & ~rhs & space.full
+                return (bad == 0) | (tbl[good] < tbl[bad])
+
+            alive = space.realizable(masks)
+            for a in must_hold:
+                if isinstance(a, GCI):
+                    alive &= ~violated(a)
+            if isinstance(must_fail, GCI):
+                alive &= violated(must_fail)
+            for hv, tbl in zip(convex_height_vectors(n), sem._min_height_tables(n)):
+                sat = alive.copy()
+                for a in must_hold:
+                    if isinstance(a, DCI):
+                        sat &= dci_holds(a, tbl)
+                if isinstance(must_fail, DCI):
+                    sat &= ~dci_holds(must_fail, tbl)
+                for idx in np.flatnonzero(sat):
+                    found.append(space.materialize(lo + int(idx), hv, roles))
+                    if len(found) >= limit:
+                        return found, examined + int(idx) + 1
+                examined += hi - lo
+    return found, examined
+
+
+def assert_matches_reference(kb, query, max_domain, limit=1):
+    atoms, roles = sem._vocabulary(kb, (query,) if query is not None else ())
+    found, examined = sem._search(kb.axioms, query, atoms, roles, max_domain, limit)
+    ref_found, ref_examined = reference_search(
+        kb.axioms, query, atoms, roles, max_domain, limit
+    )
+    assert examined == ref_examined
+    assert [w.to_json_dict() for w in found] == [w.to_json_dict() for w in ref_found]
+    return found
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 9])
+def test_bitset_search_matches_reference_on_corpus(monkeypatch, chunk_bits):
+    if chunk_bits is not None:
+        monkeypatch.setattr(sem, "_CHUNK_BITS", chunk_bits)
+    for name, text, _ in corpus.VERDICTS:
+        kb = corpus.CORPUS[name]()
+        assert_matches_reference(kb, corpus.query(text), 3)
+        models = enumerate_models(kb, 3, 12)
+        assert [m.to_json_dict() for m in models] == [
+            m.to_json_dict() for m in assert_matches_reference(kb, None, 3, limit=12)
+        ]
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 9])
+def test_bitset_search_matches_reference_on_random_kbs(monkeypatch, chunk_bits):
+    if chunk_bits is not None:
+        monkeypatch.setattr(sem, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(2024)
+    atoms, roles = ["A", "B"], ["r"]
+
+    def concept():
+        return random_concept(rng, atoms, roles, 1)
+
+    kinds = set()
+    for _ in range(30):
+        kb = KnowledgeBase(
+            tuple(GCI(concept(), concept()) for _ in range(rng.randrange(2))),
+            tuple(DCI(concept(), concept()) for _ in range(rng.randrange(1, 4))),
+        )
+        kind = rng.choice([None, GCI, DCI])
+        kinds.add(kind)
+        query = None if kind is None else kind(concept(), concept())
+        assert_matches_reference(kb, query, 3)
+    assert kinds == {None, GCI, DCI}
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 4])
+def test_first_witness_in_second_height_word(monkeypatch, chunk_bits):
+    """Four strictly ordered layers are forced: T's minima are not A, A's
+    not B, A&B's not C, and the query asks for an A&B&C element.  With
+    16-row blocks the first block holding a witness has C = {0} and
+    B = {0, 1}, so element 0 sits on top and the first witness lies past
+    height vector 64, in the second word of the bitset."""
+    if chunk_bits is not None:
+        monkeypatch.setattr(sem, "_CHUNK_BITS", chunk_bits)
+    a, b, c = Atom("A"), Atom("B"), Atom("C")
+    kb = KnowledgeBase(
+        tbox=(GCI(b, a), GCI(c, b)),
+        dtbox=(DCI(TOP, Not(a)), DCI(a, Not(b)), DCI(And(a, b), Not(c))),
+    )
+    (witness,) = assert_matches_reference(kb, GCI(And(And(a, b), c), BOTTOM), 4)
+    index = convex_height_vectors(4).index(witness.heights)
+    if chunk_bits is not None:
+        assert index >= 64
+    assert sorted(witness.heights) == [0, 1, 2, 3]
+
+
+def test_domain_five_spans_several_words():
+    sizes = [len(convex_height_vectors(d)) for d in range(1, 6)]
+    assert sizes[-1] == 541  # 9 words of 64 height vectors
+    a = Atom("A")
+    entailed = [
+        (KnowledgeBase(), DCI(a, a)),
+        (KnowledgeBase(dtbox=(DCI(TOP, Not(a)),)), DCI(TOP, Not(a))),
+    ]
+    for kb, q in entailed:
+        res = search_countermodel(kb, q, 5)
+        assert not res.found
+        assert res.enumerated == sum(2**d * f for d, f in enumerate(sizes, 1))
+        assert not assert_matches_reference(kb, q, 5)
+    q = DCI(a, Not(a))
+    assert search_countermodel(KnowledgeBase(), q, 5).found
+    assert _search_naive(KnowledgeBase(), q, 5) is not None
 
 
 def test_interpretation_json_dump():
