@@ -3,7 +3,7 @@
     dalc rank KB.dkb            compute and display the ranking
     dalc query KB.dkb -q AXIOM  answer a rational-closure query
     dalc check KB.dkb           consistency report
-    dalc oracle KB.dkb [-q AXIOM] [--max-domain N]
+    dalc oracle KB.dkb [-q AXIOM] [--max-domain N] [--max-rows N]
                                 bounded model / countermodel search
 
 Every command runs one pipeline: load the KB, parse the query, and (except
@@ -12,8 +12,8 @@ a renderer per command then turns the result into JSON or text lines.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = parse error, bad flag value or unreadable path, 2 = resource limit:
-an exhausted tableau budget or nesting too deep to recurse through,
-0 otherwise).
+an exhausted tableau budget, an oracle scan over its row budget, or nesting
+too deep to recurse through, 0 otherwise).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Union
 from .closure import Ranking, compute_ranking, rationally_deducible, tstar_inconsistent
 from .concepts import Atom, Axiom, BOTTOM, GCI, KnowledgeBase, atom_names
 from .parser import ParseError, axiom_to_json, parse_kb, parse_query, render_axiom
-from .semantics import search_countermodel, search_model
+from .semantics import MAX_ROWS, search_countermodel, search_model
 from .tableau import EntailmentStats, ResourceLimitError, TableauConfig, entails
 
 Output = Union[dict, list[str]]  # a JSON document, or lines of text
@@ -52,6 +52,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", dest="json_out")
         if name == "oracle":
             p.add_argument("--max-domain", type=int, default=4)
+            p.add_argument("--max-rows", type=int, default=MAX_ROWS)
         else:
             p.add_argument("--max-nodes", type=int, default=100_000)
             p.add_argument("--max-depth", type=int, default=512)
@@ -147,10 +148,10 @@ def _check(ns: argparse.Namespace, r: _Ranked) -> Output:
 
 def _oracle(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
     if q is not None:
-        result = search_countermodel(kb, q, ns.max_domain)
+        result = search_countermodel(kb, q, ns.max_domain, ns.max_rows)
         kind = "countermodel"
     else:
-        result = search_model(kb, ns.max_domain)
+        result = search_model(kb, ns.max_domain, ns.max_rows)
         kind = "model"
     interp = result.interpretation.to_json_dict() if result.found else None
     if ns.json_out:
@@ -181,7 +182,7 @@ RENDERERS = {"rank": _rank, "query": _query, "check": _check}
 def _bad_flag(ns: argparse.Namespace) -> Optional[str]:
     if ns.command == "query" and ns.query is None:
         return "query command requires -q"
-    for flag in ("max_nodes", "max_depth", "max_domain"):
+    for flag in ("max_nodes", "max_depth", "max_domain", "max_rows"):
         value = getattr(ns, flag, 1)
         if value < 1:
             return f"--{flag.replace('_', '-')} must be positive, got {value}"

@@ -141,6 +141,11 @@ class KnowledgeBase:
         return self.tbox + self.dtbox
 
 
+class ResourceLimitError(Exception):
+    """A budget is exhausted (tableau nodes or depth, oracle configurations);
+    re-run with larger limits."""
+
+
 def nnf(c: Concept) -> Concept:
     """Rewrite to negation normal form: Not applies to atoms only.
 

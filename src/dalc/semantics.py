@@ -32,20 +32,31 @@ The enumeration order is deterministic: domain size ascending, bit patterns
 and height vectors in lexicographic order within each block.  The first
 witness found is reproducible across runs.
 
-Each block is tested against 64 height vectors per pass.  A DCI reduces,
-per row, to one small index ``good | bad << n`` (its lhs-instances inside
-and outside its rhs), and a table built per word of 64 height vectors maps
-that index to the bitset of vectors under which the DCI holds; a row
-survives the pass under the vectors in the AND of its axioms' bitsets.
-Witnesses are still taken in the order above, so the first witness,
-``enumerate_models`` and the count of examined configurations
-(``SearchResult.enumerated``) are those of a scan one height vector at a
-time, which the tests keep as the reference.
+Each block is filtered, compacted, then tested.  ``build`` lays out every
+per-row mask from the block's bits, in the narrowest unsigned dtype that
+holds a mask (``uint8`` up to eight elements).  The GCIs (and a GCI query's
+violation) filter the rows first and the survivors are compacted;
+realisability runs on those and compacts again.  Only the rows left reach
+the DCI pass, which tests them against 64 height vectors at a time: a DCI
+reduces, per row, to one small index ``good | bad << n`` (its lhs-instances
+inside and outside its rhs), and a table built per word of 64 height vectors
+maps that index to the bitset of vectors under which the DCI holds; a row
+survives under the vectors in the AND of its axioms' bitsets.  Compacted
+rows keep their position in the block, so witnesses are still taken in the
+order above, and the first witness, ``enumerate_models`` and the count of
+examined configurations (``SearchResult.enumerated``) are those of a scan
+one height vector at a time, which the tests keep as the reference.
+
+Before any work the search computes what a full scan examines,
+Σ_{d ≤ max_domain} 2^(d·(atoms + quantified subconcepts)) · F(d) with F the
+ordered Bell numbers (the number of convex height maps), and raises
+``ResourceLimitError`` if that exceeds ``max_rows``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -65,6 +76,7 @@ from .concepts import (
     KnowledgeBase,
     Not,
     Or,
+    ResourceLimitError,
     TOP,
     Top,
     Bottom,
@@ -75,6 +87,10 @@ from .ranks import Rank
 
 _CHUNK_BITS = 20  # rows are enumerated in blocks of at most 2**_CHUNK_BITS
 _WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
+# Default budget on the configurations a full scan examines: a model search
+# of classical.dkb at domain 4 (3.2e11) is admitted, six defaults over twelve
+# atoms at domain 3 (8.9e11) are not.
+MAX_ROWS = 1 << 39
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +457,25 @@ def convex_height_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _scan_sizes(width: int):
+    """Yield, for domain sizes d = 1, 2, .., the configurations a full scan
+    of size d examines: 2^(d·width) bit patterns times F(d) convex height
+    vectors, from the ordered Bell recurrence F(d) = Σ_{k=1..d} C(d, k)·F(d−k)."""
+    bell = [1]
+    for d in itertools.count(1):
+        bell.append(sum(math.comb(d, k) * bell[d - k] for k in range(1, d + 1)))
+        yield bell[d] << (d * width)
+
+
 @lru_cache(maxsize=None)
 def _min_height_tables(n: int) -> np.ndarray:
     """tables[k][mask] = least height under height vector k among the
     elements in ``mask``, or ``n`` (above every height) for the empty mask."""
-    hvs = convex_height_vectors(n)
+    hvs = np.array(convex_height_vectors(n), dtype=np.uint8)
     tables = np.full((len(hvs), 1 << n), n, dtype=np.uint8)
-    for k, hv in enumerate(hvs):
-        for mask in range(1, 1 << n):
-            tables[k][mask] = min(hv[i] for i in range(n) if mask & (1 << i))
+    for mask in range(1, 1 << n):
+        low = mask & -mask  # the mask's least element, against the rest
+        tables[:, mask] = np.minimum(tables[:, mask ^ low], hvs[:, low.bit_length() - 1])
     return tables
 
 
@@ -498,6 +524,8 @@ class _ConfigSpace:
         self.qbits = len(quantified) * n
         self.abits = len(atoms) * n
         self.total_rows = 1 << (self.qbits + self.abits)
+        self.dtype = np.min_scalar_type(self.full)
+        self.index_dtype = np.min_scalar_type((1 << (2 * n)) - 1)
 
     def chunk_ranges(self):
         step = 1 << min(_CHUNK_BITS, self.qbits + self.abits)
@@ -505,27 +533,39 @@ class _ConfigSpace:
             yield lo, min(lo + step, self.total_rows)
 
     def build(self, lo: int, hi: int) -> dict:
-        rows = np.arange(lo, hi, dtype=np.int64)
-        qcfg = rows & ((1 << self.qbits) - 1)
-        acfg = rows >> self.qbits
+        """Per-row masks of the rows ``lo .. hi-1``, in the narrowest unsigned
+        dtype that holds ``full``.  Atom ``k`` is bits ``qbits + k*n ..`` of
+        the row index and quantified concept ``m`` bits ``m*n ..``.  A block's
+        size is a power of two and ``lo`` a multiple of it, so each column is
+        the field's bits of ``lo`` ORed with an ``arange`` over its bits that
+        vary inside the block, each value repeated and the run tiled."""
+        size = hi - lo
+        width = size.bit_length() - 1
+        assert size == 1 << width and lo % size == 0, "blocks are aligned powers of two"
+        fields = [(Atom(a), self.qbits + k * self.n) for k, a in enumerate(self.atoms)]
+        fields += [(q, m * self.n) for m, q in enumerate(self.quantified)]
         masks: dict[Concept, np.ndarray] = {}
-        for k, a in enumerate(self.atoms):
-            masks[Atom(a)] = ((acfg >> (k * self.n)) & self.full).astype(np.int64)
-        for m, q in enumerate(self.quantified):
-            masks[q] = ((qcfg >> (m * self.n)) & self.full).astype(np.int64)
+        for c, shift in fields:
+            rep = min(shift, width)
+            low = min(self.n, width - rep)
+            run = np.arange(1 << low, dtype=self.dtype) | ((lo >> shift) & self.full)
+            shape = (size >> (rep + low), 1 << low, 1 << rep)
+            masks[c] = np.broadcast_to(run[None, :, None], shape).reshape(size)
         return masks
+
+    def rows(self, masks: dict) -> int:
+        # with no atom and no quantified concept a domain size has one row
+        return len(next(iter(masks.values()))) if masks else 1
 
     def eval(self, masks: dict, c: Concept) -> np.ndarray:
         cached = masks.get(c)
         if cached is not None:
             return cached
         if isinstance(c, Top):
-            v = np.full(len(next(iter(masks.values()))) if masks else 1, self.full, dtype=np.int64)
-        elif isinstance(c, Bottom):
-            v = np.zeros(len(next(iter(masks.values()))) if masks else 1, dtype=np.int64)
-        elif isinstance(c, Atom):
-            # atom outside the enumerated vocabulary: empty extension
-            v = np.zeros_like(next(iter(masks.values())))
+            v = np.full(self.rows(masks), self.full, dtype=self.dtype)
+        elif isinstance(c, (Bottom, Atom)):
+            # an atom outside the enumerated vocabulary has an empty extension
+            v = np.zeros(self.rows(masks), dtype=self.dtype)
         elif isinstance(c, Not):
             v = self.full & ~self.eval(masks, c.operand)
         elif isinstance(c, And):
@@ -539,14 +579,19 @@ class _ConfigSpace:
         masks[c] = v
         return v
 
+    def violated(self, masks: dict, g: Axiom) -> np.ndarray:
+        """Per row, whether some element is in ``g``'s lhs and not its rhs."""
+        return (self.eval(masks, g.lhs) & ~self.eval(masks, g.rhs) & self.full) != 0
+
     def dci_index(self, masks: dict, d: Axiom) -> np.ndarray:
         """Per row, ``good | bad << n``: the lhs-instances of ``d`` in its rhs
         (``good``) and outside it (``bad``), the index ``_dci_hold_words``
-        reads."""
+        reads, in the narrowest dtype that holds ``4**n - 1``."""
         lhs = self.eval(masks, d.lhs)
         rhs = self.eval(masks, d.rhs)
-        index = (lhs & rhs) | ((lhs & ~rhs & self.full) << self.n)
-        return index.astype(np.min_scalar_type((1 << (2 * self.n)) - 1))
+        index = (lhs & ~rhs & self.full).astype(self.index_dtype) << self.n
+        index |= lhs & rhs
+        return index
 
     def _demands(self, masks: dict):
         """Yield ``(role, i, demanded, target)`` for every role, element ``i``
@@ -561,16 +606,15 @@ class _ConfigSpace:
         for role, qs in sorted(by_role.items()):
             fillers = [(q, self.eval(masks, q.filler)) for q in qs]
             for i in range(self.n):
-                bit = 1 << i
+                # s: per row, all bits where q's bit at i is set, none where not
+                bits = [(q, fm, (masks[q] >> i & 1) * self.full) for q, fm in fillers]
                 allowed = self.full
-                for q, fm in fillers:
-                    has = (masks[q] & bit) != 0
-                    if isinstance(q, Forall):
-                        allowed = np.where(has, allowed & fm, allowed)
-                    else:
-                        allowed = np.where(has, allowed, allowed & (self.full & ~fm))
-                for q, fm in fillers:
-                    has = (masks[q] & bit) != 0
+                for q, fm, s in bits:
+                    # a universal that holds, or an existential that fails,
+                    # allows only the successors in its filler, or outside it
+                    allowed = allowed & (fm | ~s if isinstance(q, Forall) else ~fm | s)
+                for q, fm, s in bits:
+                    has = s != 0
                     if isinstance(q, Exists):
                         yield role, i, has, allowed & fm
                     else:
@@ -578,7 +622,7 @@ class _ConfigSpace:
 
     def realizable(self, masks: dict) -> np.ndarray:
         """Rows for which some role graph yields exactly the quantifier bits."""
-        ok = np.ones(len(next(iter(masks.values()))) if masks else 1, dtype=bool)
+        ok = np.ones(self.rows(masks), dtype=bool)
         for _, _, demanded, target in self._demands(masks):
             ok &= ~demanded | (target != 0)
         return ok
@@ -601,6 +645,17 @@ class _ConfigSpace:
         return RankedInterpretation(base, heights)
 
 
+def _compact(
+    masks: dict, keep: np.ndarray, alive: np.ndarray
+) -> tuple[dict, np.ndarray]:
+    """``masks`` and the row map ``keep`` restricted to the rows where
+    ``alive`` holds; no copy when every row does."""
+    if alive.all():
+        return masks, keep
+    sel = np.flatnonzero(alive)
+    return {c: v[sel] for c, v in masks.items()}, keep[sel]
+
+
 def _search(
     must_hold: Sequence[Axiom],
     must_fail: Optional[Axiom],
@@ -608,13 +663,23 @@ def _search(
     roles: Sequence[str],
     max_domain: int,
     limit: int = 1,
+    max_rows: int = MAX_ROWS,
 ) -> tuple[list[RankedInterpretation], int]:
     """Scan all ranked interpretations up to ``max_domain`` (via the abstract
     configuration space) for models of ``must_hold`` that, when requested,
     falsify ``must_fail``.  Returns up to ``limit`` witnesses plus the number
-    of candidate configurations examined."""
+    of candidate configurations examined.  Raises ``ResourceLimitError``
+    before any work when a full scan would examine more than ``max_rows``."""
     relevant = list(must_hold) + ([must_fail] if must_fail is not None else [])
     quantified = _quantified_subconcepts(relevant)
+    scan = 0
+    for size in itertools.islice(_scan_sizes(len(atoms) + len(quantified)), max_domain):
+        scan += size
+        if scan > max_rows:
+            raise ResourceLimitError(
+                f"the oracle's scan up to domain size {max_domain} exceeds "
+                f"{max_rows} configurations"
+            )
     gcis = [a for a in must_hold if isinstance(a, GCI)]
     dcis = [a for a in must_hold if isinstance(a, DCI)]
     found: list[RankedInterpretation] = []
@@ -625,43 +690,46 @@ def _search(
         hvs = convex_height_vectors(n)
         tables = _min_height_tables(n)
         for lo, hi in space.chunk_ranges():
+            # filter and compact: the GCIs, then realisability on the rows
+            # left; ``keep`` maps the surviving rows back to the block
             masks = space.build(lo, hi)
-            alive = space.realizable(masks)
+            alive = np.ones(hi - lo, dtype=bool)
             for g in gcis:
-                alive &= (space.eval(masks, g.lhs) & ~space.eval(masks, g.rhs) & space.full) == 0
-            if must_fail is not None and isinstance(must_fail, GCI):
-                alive &= (
-                    space.eval(masks, must_fail.lhs)
-                    & ~space.eval(masks, must_fail.rhs)
-                    & space.full
-                ) != 0
-            if not alive.any():
+                alive &= ~space.violated(masks, g)
+            if isinstance(must_fail, GCI):
+                alive &= space.violated(masks, must_fail)
+            masks, keep = _compact(masks, np.arange(hi - lo), alive)
+            if len(keep):
+                masks, keep = _compact(masks, keep, space.realizable(masks))
+            if not len(keep):
                 examined += (hi - lo) * len(hvs)
                 continue
+            # the DCI pass, 64 height vectors at a time, on survivors only
             holds = [space.dci_index(masks, d) for d in dcis]
             fails = space.dci_index(masks, must_fail) if isinstance(must_fail, DCI) else None
             for start in range(0, len(hvs), _WORD):
                 word = hvs[start : start + _WORD]
                 every = np.uint64((1 << len(word)) - 1)
                 table = _dci_hold_words(tables[start : start + _WORD], n)
-                sat = np.where(alive, every, np.uint64(0))
+                sat = np.full(len(keep), every)
                 for index in holds:
-                    sat &= table[index]
+                    sat &= table.take(index)
                 if fails is not None:
-                    sat &= table[fails] ^ every
+                    sat &= table.take(fails) ^ every
                 bits = int(np.bitwise_or.reduce(sat))
                 for j, hv in enumerate(word):
                     if not bits >> j & 1:
                         continue
                     for idx in np.flatnonzero(sat >> np.uint64(j) & np.uint64(1)):
-                        witness = space.materialize(lo + int(idx), hv, roles)
+                        row = int(keep[idx])
+                        witness = space.materialize(lo + row, hv, roles)
                         if not satisfies_all(witness, must_hold):
                             raise AssertionError("materialized witness fails the axioms")
                         if must_fail is not None and satisfies(witness, must_fail):
                             raise AssertionError("materialized witness satisfies the query")
                         found.append(witness)
                         if len(found) >= limit:
-                            examined += (hi - lo) * j + int(idx) + 1
+                            examined += (hi - lo) * j + row + 1
                             return found, examined
                 examined += (hi - lo) * len(word)
     return found, examined
@@ -672,19 +740,24 @@ def _vocabulary(kb: KnowledgeBase, extra: Sequence[Axiom] = ()) -> tuple[list[st
     return sorted(atom_names(items)), sorted(role_names(items))
 
 
-def search_model(kb: KnowledgeBase, max_domain: int) -> SearchResult:
+def search_model(
+    kb: KnowledgeBase, max_domain: int, max_rows: int = MAX_ROWS
+) -> SearchResult:
     """First ranked model of ``kb`` with at most ``max_domain`` elements, or
-    absent.  Absence does not prove unsatisfiability (one-sided)."""
+    absent.  Absence does not prove unsatisfiability (one-sided).  Raises
+    ``ResourceLimitError`` if a full scan exceeds ``max_rows`` configurations."""
     atoms, roles = _vocabulary(kb)
-    found, examined = _search(kb.axioms, None, atoms, roles, max_domain)
+    found, examined = _search(kb.axioms, None, atoms, roles, max_domain, 1, max_rows)
     return SearchResult(found[0] if found else None, examined)
 
 
-def search_countermodel(kb: KnowledgeBase, query: Axiom, max_domain: int) -> SearchResult:
+def search_countermodel(
+    kb: KnowledgeBase, query: Axiom, max_domain: int, max_rows: int = MAX_ROWS
+) -> SearchResult:
     """First ranked model of ``kb`` violating ``query`` within the bound, or
-    absent (one-sided in the same way)."""
+    absent (one-sided in the same way), under the same row budget."""
     atoms, roles = _vocabulary(kb, (query,))
-    found, examined = _search(kb.axioms, query, atoms, roles, max_domain)
+    found, examined = _search(kb.axioms, query, atoms, roles, max_domain, 1, max_rows)
     return SearchResult(found[0] if found else None, examined)
 
 

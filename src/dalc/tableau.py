@@ -21,12 +21,9 @@ from .concepts import (
     GCI,
     Not,
     Or,
+    ResourceLimitError,
     nnf,
 )
-
-
-class ResourceLimitError(Exception):
-    """Node or depth budget exhausted; re-run with larger limits."""
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -208,6 +209,25 @@ def test_resource_limit_exit_code(capsys):
     assert "resource limit" in err
 
 
+def test_oracle_over_row_budget_is_a_resource_limit(capsys, tmp_path):
+    # Six flat defaults over twelve atoms need 2^36 * 13 configurations at
+    # domain 3 alone; the empty KB at domain 30 needs F(30) height vectors.
+    # Both are refused before any search.
+    flat = tmp_path / "flat6.dkb"
+    flat.write_text("".join(f"A{i} ~[= B{i}\n" for i in range(6)))
+    for argv in (
+        ("oracle", str(flat), "-q", "A0 ~[= B1", "--max-domain", "3"),
+        ("oracle", f"{KB}/empty.dkb", "--max-domain", "30"),
+        ("oracle", f"{KB}/student.dkb", "--max-domain", "2", "--max-rows", "100"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "rank", f"{KB}/does-not-exist.dkb")
     assert code == 1
@@ -219,6 +239,7 @@ def test_non_positive_limits_rejected(capsys):
         ("check", f"{KB}/student.dkb", "--max-depth", "-1"),
         ("oracle", f"{KB}/student.dkb", "--max-domain", "0"),
         ("oracle", f"{KB}/student.dkb", "-q", "Student ~[= B", "--max-domain", "-1"),
+        ("oracle", f"{KB}/student.dkb", "--max-rows", "0"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
@@ -246,6 +267,7 @@ def test_flags_a_command_does_not_read_are_rejected(capsys):
         ("query", path, "-q", "Student ~[= Parent", "--max-domain", "3"),
         ("oracle", path, "--max-nodes", "5"),
         ("oracle", path, "--max-depth", "5"),
+        ("rank", path, "--max-rows", "5"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))

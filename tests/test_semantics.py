@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from dalc.concepts import (
     GCI,
     KnowledgeBase,
     Not,
+    ResourceLimitError,
     TOP,
 )
 import dalc.semantics as sem
@@ -275,6 +277,15 @@ def test_convex_height_vectors_count():
     assert [len(convex_height_vectors(n)) for n in (1, 2, 3, 4)] == [1, 3, 13, 75]
 
 
+def test_min_height_tables_are_the_least_height_in_each_mask():
+    for n in range(1, 6):
+        tables = sem._min_height_tables(n)
+        for hv, table in zip(convex_height_vectors(n), tables):
+            assert table[0] == n
+            for mask in range(1, 1 << n):
+                assert table[mask] == min(hv[i] for i in range(n) if mask >> i & 1)
+
+
 def test_search_model_running_example():
     res = search_model(corpus.student_kb(), 3)
     assert res.found
@@ -509,6 +520,102 @@ def test_domain_five_spans_several_words():
     q = DCI(a, Not(a))
     assert search_countermodel(KnowledgeBase(), q, 5).found
     assert _search_naive(KnowledgeBase(), q, 5) is not None
+
+
+def test_scan_size_is_the_rows_of_a_search_without_witness():
+    # F(d) from the recurrence is the number of convex height vectors
+    assert list(itertools.islice(sem._scan_sizes(0), 6)) == [
+        len(convex_height_vectors(d)) for d in range(1, 7)
+    ]
+    cases = [
+        (corpus.boss_kb(), "Worker ~[= exists hasSuperior.Responsible", 2),
+        (corpus.student_kb(), "Student ~[= !exists pays.Tax", 3),
+        (KnowledgeBase(), "A ~[= A", 5),
+    ]
+    for kb, text, bound in cases:
+        q = corpus.query(text)
+        res = search_countermodel(kb, q, bound)
+        assert not res.found
+        atoms, _ = sem._vocabulary(kb, (q,))
+        width = len(atoms) + len(sem._quantified_subconcepts(list(kb.axioms) + [q]))
+        assert sum(itertools.islice(sem._scan_sizes(width), bound)) == res.enumerated
+        assert search_countermodel(kb, q, bound, res.enumerated).enumerated == res.enumerated
+        with pytest.raises(ResourceLimitError):
+            search_countermodel(kb, q, bound, res.enumerated - 1)
+
+
+def build_layout(space):
+    """(column, shift) of each field of a row index: quantifier bits low,
+    atom bits high, ``n`` bits per field."""
+    atoms = [(Atom(a), space.qbits + k * space.n) for k, a in enumerate(space.atoms)]
+    return atoms + [(q, m * space.n) for m, q in enumerate(space.quantified)]
+
+
+def assert_build_matches_row_formula(space, lo, hi):
+    rows = np.arange(lo, hi, dtype=np.int64)
+    masks = space.build(lo, hi)
+    layout = build_layout(space)
+    assert set(masks) == {c for c, _ in layout}
+    for c, shift in layout:
+        assert masks[c].dtype == np.min_scalar_type(space.full)
+        assert np.array_equal(masks[c], (rows >> shift) & space.full), (lo, hi, c)
+    # and the DCI index ``good | bad << n`` over two of those columns
+    (a, a_shift), (b, b_shift) = layout[:2]
+    lhs, rhs = (rows >> a_shift) & space.full, (rows >> b_shift) & space.full
+    index = space.dci_index(masks, DCI(a, b))
+    assert index.dtype == np.min_scalar_type(4**space.n - 1)
+    assert np.array_equal(index, (lhs & rhs) | ((lhs & ~rhs & space.full) << space.n))
+
+
+VOCABULARY = (["A", "B"], [Exists("r", Atom("A"))])
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 4])
+def test_build_matches_the_row_index_formula(monkeypatch, chunk_bits):
+    """``build`` lays columns out from a block's bits; here each, and a DCI
+    index over two of them, is checked against the int64 formula on the row
+    index, for every block."""
+    if chunk_bits is not None:
+        monkeypatch.setattr(sem, "_CHUNK_BITS", chunk_bits)
+    for n in range(1, 6):
+        space = sem._ConfigSpace(n, *VOCABULARY)
+        for lo, hi in space.chunk_ranges():
+            assert_build_matches_row_formula(space, lo, hi)
+
+
+def test_build_matches_the_row_index_formula_on_one_row_blocks():
+    # the blocks ``materialize`` builds
+    for n in (1, 2, 3):
+        space = sem._ConfigSpace(n, *VOCABULARY)
+        for row in range(space.total_rows):
+            assert_build_matches_row_formula(space, row, row + 1)
+
+
+def test_compaction_matches_reference_where_blocks_empty(monkeypatch):
+    """With 16-row blocks, the GCIs of boss.dkb and realisability leave no
+    row in 168 of the 256 domain-2 blocks, so the compacted scan skips
+    whole blocks before its witnesses and through a full scan."""
+    monkeypatch.setattr(sem, "_CHUNK_BITS", 4)
+    kb = corpus.boss_kb()
+    q = corpus.query("Worker ~[= exists hasSuperior.Responsible")
+    atoms, _ = sem._vocabulary(kb, (q,))
+    space = sem._ConfigSpace(2, atoms, sem._quantified_subconcepts(list(kb.axioms) + [q]))
+    emptied = 0
+    for lo, hi in space.chunk_ranges():
+        masks = space.build(lo, hi)
+        alive = space.realizable(masks)
+        for g in kb.tbox:
+            alive &= ~space.violated(masks, g)
+        emptied += not alive.any()
+    assert emptied == 168
+    assert not assert_matches_reference(kb, q, 2)
+    for text in ("Boss [= bot", "Boss ~[= !Responsible"):
+        (witness,) = assert_matches_reference(kb, corpus.query(text), 2)
+        assert witness.base.domain_size == 2
+    models = enumerate_models(kb, 3, 12)
+    assert [m.to_json_dict() for m in models] == [
+        m.to_json_dict() for m in assert_matches_reference(kb, None, 3, limit=12)
+    ]
 
 
 def test_interpretation_json_dump():
