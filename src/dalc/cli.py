@@ -11,9 +11,9 @@ Every command runs one pipeline: load the KB, parse the query, and (except
 a renderer per command then turns the result into JSON or text lines.
 
 Verdicts go to stdout as data; the exit status only reports errors
-(1 = parse error, bad flag value or unreadable path, 2 = resource limit:
-an exhausted tableau budget, an oracle scan over its row budget, or nesting
-too deep to recurse through, 0 otherwise).
+(1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
+limit: an exhausted tableau budget, an oracle scan over its row budget, or
+nesting too deep to recurse through, 3 = internal error, 0 otherwise).
 """
 
 from __future__ import annotations
@@ -34,8 +34,17 @@ from .tableau import EntailmentStats, ResourceLimitError, TableauConfig, entails
 Output = Union[dict, list[str]]  # a JSON document, or lines of text
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, as other bad input does; 2 means a resource limit.
+    Subparsers are built from this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="dalc", description="Defeasible ALC reasoner (rational closure)."
     )
     sub = ap.add_subparsers(dest="command", required=True)
@@ -224,6 +233,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # The tableau and the parser recurse once per nesting level.
         limit = sys.getrecursionlimit()
         return _fail(f"resource limit: nesting too deep (recursion limit {limit})", 2)
+    except Exception as e:
+        return _fail(f"internal error: {type(e).__name__}: {e}", 3)
     print(json.dumps(out) if ns.json_out else "\n".join(out))
     return 0
 

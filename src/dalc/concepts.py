@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 # (class, *fields) -> the live concept with those fields.  Children in a key
 # are themselves interned, so hashing and comparing a key never recurses.
@@ -226,31 +226,20 @@ def conjoin(cs: Sequence[Concept]) -> Concept:
     return out
 
 
-def atom_names(items: Iterable[Concept | Axiom]) -> frozenset[str]:
-    names: set[str] = set()
+def subconcepts(items: Iterable[Concept | Axiom]) -> Iterator[Concept]:
+    """Every subconcept occurrence of the concepts, and of both sides of the
+    axioms, in ``items``."""
     for item in items:
-        for c in _walk(item):
-            if isinstance(c, Atom):
-                names.add(c.name)
-    return frozenset(names)
+        stack = [item.lhs, item.rhs] if isinstance(item, (GCI, DCI)) else [item]
+        while stack:
+            c = stack.pop()
+            yield c
+            stack.extend(direct_subconcepts(c))
+
+
+def atom_names(items: Iterable[Concept | Axiom]) -> frozenset[str]:
+    return frozenset(c.name for c in subconcepts(items) if isinstance(c, Atom))
 
 
 def role_names(items: Iterable[Concept | Axiom]) -> frozenset[str]:
-    names: set[str] = set()
-    for item in items:
-        for c in _walk(item):
-            if isinstance(c, (Exists, Forall)):
-                names.add(c.role)
-    return frozenset(names)
-
-
-def _walk(item: Concept | Axiom):
-    if isinstance(item, (GCI, DCI)):
-        yield from _walk(item.lhs)
-        yield from _walk(item.rhs)
-        return
-    stack = [item]
-    while stack:
-        c = stack.pop()
-        yield c
-        stack.extend(direct_subconcepts(c))
+    return frozenset(c.role for c in subconcepts(items) if isinstance(c, (Exists, Forall)))

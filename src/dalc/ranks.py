@@ -42,6 +42,3 @@ class Rank:
 
     def __str__(self) -> str:
         return "infinity" if self.value is None else str(self.value)
-
-
-INFINITE = Rank.infinite()

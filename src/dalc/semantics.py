@@ -1,6 +1,7 @@
 """Finite-model semantics: preferential and ranked interpretations over small
 domains, satisfaction, height maps, unions, bounded model search, and the
-KLM-postulate checker.
+KLM-postulate checker.  Test generators and the naive reference search live
+in ``tests/generators.py``.
 
 This module is the brute-force oracle the reasoner is validated against, so
 it deliberately evaluates everything from first principles (set-theoretic
@@ -24,8 +25,9 @@ configuration is kept only when some role graph realises exactly those bits
 ranked interpretation projects onto a realisable configuration with the same
 axiom values, and every realisable configuration is materialised back into a
 concrete witness.  Results are therefore identical to naive enumeration —
-``tests/test_semantics.py`` cross-checks this against ``_search_naive`` on
-small vocabularies — but reachable within the acceptance-time budget.
+``tests/test_semantics.py`` cross-checks this against the naive search in
+``tests/generators.py`` on small vocabularies — but reachable within the
+acceptance-time budget.
 
 The enumeration order is deterministic: domain size ascending, bit patterns
 (atom extensions then quantifier bits, as one ascending integer) in blocks,
@@ -58,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -82,6 +84,7 @@ from .concepts import (
     Bottom,
     atom_names,
     role_names,
+    subconcepts,
 )
 from .ranks import Rank
 
@@ -104,7 +107,8 @@ class FiniteInterpretation:
     domain_size: int
     atom_ext: Mapping[str, frozenset[int]]
     role_ext: Mapping[str, frozenset[tuple[int, int]]]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # extension masks, keyed by concept
+    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.domain_size < 1:
@@ -130,16 +134,6 @@ class FiniteInterpretation:
     @property
     def full_mask(self) -> int:
         return (1 << self.domain_size) - 1
-
-    def _succ_mask(self, role: str, x: int) -> int:
-        key = ("succ", role)
-        table = self._cache.get(key)
-        if table is None:
-            table = [0] * self.domain_size
-            for a, b in self.role_ext.get(role, ()):
-                table[a] |= 1 << b
-            self._cache[key] = table
-        return table[x]
 
 
 @dataclass(frozen=True)
@@ -178,17 +172,12 @@ class RankedInterpretation:
         if min(self.heights) < 0 or present != set(range(top + 1)):
             raise ValueError(f"height map {self.heights} is not convex")
 
-    @property
+    @cached_property
     def layer_masks(self) -> tuple[int, ...]:
-        key = ("layers", self.heights)
-        masks = self.base._cache.get(key)
-        if masks is None:
-            masks = [0] * (max(self.heights) + 1)
-            for x, h in enumerate(self.heights):
-                masks[h] |= 1 << x
-            masks = tuple(masks)
-            self.base._cache[key] = masks
-        return masks
+        masks = [0] * (max(self.heights) + 1)
+        for x, h in enumerate(self.heights):
+            masks[h] |= 1 << x
+        return tuple(masks)
 
     def layers(self) -> list[frozenset[int]]:
         return [_bits(m) for m in self.layer_masks]
@@ -245,17 +234,18 @@ def _ext_mask(base: FiniteInterpretation, c: Concept) -> int:
         m = _ext_mask(base, c.left) & _ext_mask(base, c.right)
     elif isinstance(c, Or):
         m = _ext_mask(base, c.left) | _ext_mask(base, c.right)
-    elif isinstance(c, Exists):
+    elif isinstance(c, (Exists, Forall)):
+        # x is in ∃r.F iff some r-successor of x is in F, and in ∀r.F iff none
+        # is outside F
+        exists = isinstance(c, Exists)
         fm = _ext_mask(base, c.filler)
+        target = fm if exists else full & ~fm
+        succ = [0] * base.domain_size
+        for x, y in base.role_ext.get(c.role, ()):
+            succ[x] |= 1 << y
         m = 0
-        for x in range(base.domain_size):
-            if base._succ_mask(c.role, x) & fm:
-                m |= 1 << x
-    elif isinstance(c, Forall):
-        fm = _ext_mask(base, c.filler)
-        m = 0
-        for x in range(base.domain_size):
-            if base._succ_mask(c.role, x) & ~fm == 0:
+        for x, s in enumerate(succ):
+            if bool(s & target) == exists:
                 m |= 1 << x
     else:
         raise TypeError(f"not a concept: {c!r}")
@@ -493,22 +483,9 @@ def _dci_hold_words(minima: np.ndarray, n: int) -> np.ndarray:
 
 
 def _quantified_subconcepts(axioms: Sequence[Axiom]) -> list[Concept]:
-    stack = []
-    for a in axioms:
-        stack.extend([a.lhs, a.rhs])
-    found: set[Concept] = set()
-    while stack:
-        c = stack.pop()
-        if isinstance(c, (Exists, Forall)) and c not in found:
-            found.add(c)
-        if isinstance(c, Not):
-            stack.append(c.operand)
-        elif isinstance(c, (And, Or)):
-            stack.extend([c.left, c.right])
-        elif isinstance(c, (Exists, Forall)):
-            stack.append(c.filler)
-    # repr is structural for the frozen dataclasses, so this order is stable
-    return sorted(found, key=repr)
+    # repr is structural, so this order, which fixes the bit layout and hence
+    # the witness order, is stable across runs
+    return sorted({c for c in subconcepts(axioms) if isinstance(c, (Exists, Forall))}, key=repr)
 
 
 class _ConfigSpace:
@@ -768,98 +745,6 @@ def enumerate_models(kb: KnowledgeBase, max_domain: int, limit: int) -> list[Ran
     return found
 
 
-def _iter_ranked_interpretations(
-    atoms: Sequence[str], roles: Sequence[str], max_domain: int
-):
-    """Naive reference enumeration (every atom extension, role extension and
-    convex height map).  Exponential in everything; used to cross-validate
-    the configuration-space search on tiny vocabularies."""
-    for n in range(1, max_domain + 1):
-        elems = range(n)
-        atom_choices = [frozenset(s) for k in range(n + 1) for s in itertools.combinations(elems, k)]
-        pair_list = [(x, y) for x in elems for y in elems]
-        role_choices = [
-            frozenset(s)
-            for k in range(len(pair_list) + 1)
-            for s in itertools.combinations(pair_list, k)
-        ]
-        for atom_ext in itertools.product(atom_choices, repeat=len(atoms)):
-            for role_ext in itertools.product(role_choices, repeat=len(roles)):
-                base = FiniteInterpretation(
-                    n,
-                    dict(zip(atoms, atom_ext)),
-                    dict(zip(roles, role_ext)),
-                )
-                for hv in convex_height_vectors(n):
-                    yield RankedInterpretation(base, hv)
-
-
-def _search_naive(
-    kb: KnowledgeBase, query: Optional[Axiom], max_domain: int
-) -> Optional[RankedInterpretation]:
-    atoms, roles = _vocabulary(kb, (query,) if query is not None else ())
-    for r in _iter_ranked_interpretations(atoms, roles, max_domain):
-        if satisfies_all(r, kb.axioms) and (query is None or not satisfies(r, query)):
-            return r
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Random generation (seeded by the caller)
-
-
-def random_ranked_interpretation(rng, domain_size: int, atoms: Sequence[str], roles: Sequence[str]) -> RankedInterpretation:
-    atom_ext = {
-        a: frozenset(x for x in range(domain_size) if rng.random() < 0.5)
-        for a in atoms
-    }
-    role_ext = {
-        r: frozenset(
-            (x, y)
-            for x in range(domain_size)
-            for y in range(domain_size)
-            if rng.random() < 0.3
-        )
-        for r in roles
-    }
-    raw = [rng.randrange(domain_size) for _ in range(domain_size)]
-    levels = {h: i for i, h in enumerate(sorted(set(raw)))}
-    heights = tuple(levels[h] for h in raw)
-    return RankedInterpretation(
-        FiniteInterpretation(domain_size, atom_ext, role_ext), heights
-    )
-
-
-def random_concept(rng, atoms: Sequence[str], roles: Sequence[str], depth: int) -> Concept:
-    if depth <= 0:
-        leaf = rng.randrange(len(atoms) + 2)
-        if leaf == len(atoms):
-            return TOP
-        if leaf == len(atoms) + 1:
-            return BOTTOM
-        return Atom(atoms[leaf])
-    kind = rng.randrange(6 if roles else 4)
-    if kind == 0:
-        return random_concept(rng, atoms, roles, 0)
-    if kind == 1:
-        return Not(random_concept(rng, atoms, roles, depth - 1))
-    if kind == 2:
-        return And(
-            random_concept(rng, atoms, roles, depth - 1),
-            random_concept(rng, atoms, roles, depth - 1),
-        )
-    if kind == 3:
-        return Or(
-            random_concept(rng, atoms, roles, depth - 1),
-            random_concept(rng, atoms, roles, depth - 1),
-        )
-    ctor = Exists if kind == 4 else Forall
-    return ctor(
-        roles[rng.randrange(len(roles))],
-        random_concept(rng, atoms, roles, depth - 1),
-    )
-
-
 # ---------------------------------------------------------------------------
 # KLM postulate checking
 
@@ -870,38 +755,16 @@ class Violation:
     instance: tuple
 
 
-POSTULATES = (
-    "cons",
-    "ref",
-    "lle",
-    "and",
-    "or",
-    "rw",
-    "cm",
-    "rm",
-    "cm_exists",
-    "cm_forall",
-    "rm_exists",
-    "rm_forall",
-    "norm",
-    "strict_as_defeasible",
-)
-
-
 def check_postulates(
-    i: RankedInterpretation,
-    samples: Sequence[Concept],
-    which: Sequence[str] = POSTULATES,
-    roles: Optional[Sequence[str]] = None,
+    i: Union[PreferentialInterpretation, RankedInterpretation], samples: Sequence[Concept]
 ) -> list[Violation]:
-    """Instantiate the selected closure rules over every tuple of sampled
-    concepts and report all violations.  Ranked interpretations induce
-    rational subsumption relations, so the report is expected to be empty;
-    a non-empty report flags a defect in the semantics implementation."""
-    if roles is None:
-        roles = sorted(i.base.role_ext.keys())
+    """Instantiate every closure rule over every tuple of sampled concepts
+    (and every role of ``i``) and report all violations.  Ranked
+    interpretations induce rational subsumption relations, so the report is
+    expected to be empty for them; a non-empty one flags a defect in the
+    semantics implementation."""
+    roles = sorted(i.base.role_ext)
     out: list[Violation] = []
-    which = set(which)
 
     def dci(lhs: Concept, rhs: Concept) -> bool:
         return satisfies(i, DCI(lhs, rhs))
@@ -909,71 +772,45 @@ def check_postulates(
     def gci(lhs: Concept, rhs: Concept) -> bool:
         return satisfies(i, GCI(lhs, rhs))
 
-    if "cons" in which and dci(TOP, BOTTOM):
+    if dci(TOP, BOTTOM):
         out.append(Violation("cons", ()))
     for c in samples:
-        if "ref" in which and not dci(c, c):
+        if not dci(c, c):
             out.append(Violation("ref", (c,)))
-        if "norm" in which and dci(c, BOTTOM):
+        if dci(c, BOTTOM):
             for r in roles:
                 if not dci(Exists(r, c), BOTTOM):
                     out.append(Violation("norm", (c, r)))
-    if "strict_as_defeasible" in which:
-        for c, d in itertools.product(samples, repeat=2):
-            if gci(c, d) != dci(And(c, Not(d)), BOTTOM):
-                out.append(Violation("strict_as_defeasible", (c, d)))
-    ternary = {"lle", "and", "or", "rw", "cm", "rm"} & which
-    if ternary:
+    for c, d in itertools.product(samples, repeat=2):
+        if gci(c, d) != dci(And(c, Not(d)), BOTTOM):
+            out.append(Violation("strict_as_defeasible", (c, d)))
+    for c, d, e in itertools.product(samples, repeat=3):
+        if extension(i, c) == extension(i, d) and dci(c, e) and not dci(d, e):
+            out.append(Violation("lle", (c, d, e)))
+        if dci(c, d) and dci(c, e) and not dci(c, And(d, e)):
+            out.append(Violation("and", (c, d, e)))
+        if dci(c, e) and dci(d, e) and not dci(Or(c, d), e):
+            out.append(Violation("or", (c, d, e)))
+        if dci(c, d) and gci(d, e) and not dci(c, e):
+            out.append(Violation("rw", (c, d, e)))
+        if dci(c, d) and dci(c, e) and not dci(And(c, d), e):
+            out.append(Violation("cm", (c, d, e)))
+        if dci(c, d) and not dci(c, Not(e)) and not dci(And(c, e), d):
+            out.append(Violation("rm", (c, d, e)))
+    for r in roles:
         for c, d, e in itertools.product(samples, repeat=3):
-            if "lle" in ternary and extension(i, c) == extension(i, d):
-                if dci(c, e) and not dci(d, e):
-                    out.append(Violation("lle", (c, d, e)))
-            if "and" in ternary and dci(c, d) and dci(c, e) and not dci(c, And(d, e)):
-                out.append(Violation("and", (c, d, e)))
-            if "or" in ternary and dci(c, e) and dci(d, e) and not dci(Or(c, d), e):
-                out.append(Violation("or", (c, d, e)))
-            if "rw" in ternary and dci(c, d) and gci(d, e) and not dci(c, e):
-                out.append(Violation("rw", (c, d, e)))
-            if "cm" in ternary and dci(c, d) and dci(c, e) and not dci(And(c, d), e):
-                out.append(Violation("cm", (c, d, e)))
-            if "rm" in ternary and dci(c, d) and not dci(c, Not(e)) and not dci(And(c, e), d):
-                out.append(Violation("rm", (c, d, e)))
-    quantified = {"cm_exists", "cm_forall", "rm_exists", "rm_forall"} & which
-    if quantified:
-        for r in roles:
-            for c, d, e in itertools.product(samples, repeat=3):
-                ex, fa = Exists(r, c), Forall(r, c)
-                if (
-                    "cm_exists" in quantified
-                    and dci(ex, e)
-                    and dci(ex, Forall(r, d))
-                    and not dci(Exists(r, And(c, d)), e)
-                ):
-                    out.append(Violation("cm_exists", (c, d, e, r)))
-                if (
-                    "cm_forall" in quantified
-                    and dci(fa, e)
-                    and dci(fa, Forall(r, d))
-                    and not dci(Forall(r, And(c, d)), e)
-                ):
-                    out.append(Violation("cm_forall", (c, d, e, r)))
-                # The negated premises below are the complements of the
-                # conclusions' antecedents (¬∃r.(C⊓D) and ¬∀r.(C⊓D)); that is
-                # what makes these rules rational-monotonicity instances.
-                # Weakening the filler to ¬D admits counterexamples (see
-                # test_quantified_rm_premise_needs_the_conjunction).
-                if (
-                    "rm_exists" in quantified
-                    and dci(ex, e)
-                    and not dci(ex, Forall(r, Not(And(c, d))))
-                    and not dci(Exists(r, And(c, d)), e)
-                ):
-                    out.append(Violation("rm_exists", (c, d, e, r)))
-                if (
-                    "rm_forall" in quantified
-                    and dci(fa, e)
-                    and not dci(fa, Exists(r, Not(And(c, d))))
-                    and not dci(Forall(r, And(c, d)), e)
-                ):
-                    out.append(Violation("rm_forall", (c, d, e, r)))
+            ex, fa, both = Exists(r, c), Forall(r, c), And(c, d)
+            if dci(ex, e) and dci(ex, Forall(r, d)) and not dci(Exists(r, both), e):
+                out.append(Violation("cm_exists", (c, d, e, r)))
+            if dci(fa, e) and dci(fa, Forall(r, d)) and not dci(Forall(r, both), e):
+                out.append(Violation("cm_forall", (c, d, e, r)))
+            # The negated premises below are the complements of the
+            # conclusions' antecedents (¬∃r.(C⊓D) and ¬∀r.(C⊓D)); that is
+            # what makes these rules rational-monotonicity instances.
+            # Weakening the filler to ¬D admits counterexamples (see
+            # test_quantified_rm_premise_needs_the_conjunction).
+            if dci(ex, e) and not dci(ex, Forall(r, Not(both))) and not dci(Exists(r, both), e):
+                out.append(Violation("rm_exists", (c, d, e, r)))
+            if dci(fa, e) and not dci(fa, Exists(r, Not(both))) and not dci(Forall(r, both), e):
+                out.append(Violation("rm_forall", (c, d, e, r)))
     return out

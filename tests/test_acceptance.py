@@ -31,8 +31,6 @@ from dalc.semantics import (
     check_postulates,
     disjoint_union,
     enumerate_models,
-    random_concept,
-    random_ranked_interpretation,
     ranked_union,
     satisfies,
     satisfies_all,
@@ -41,6 +39,7 @@ from dalc.semantics import (
 from dalc.tableau import EntailmentStats, entails
 
 import corpus
+from generators import random_concept, random_ranked_interpretation
 
 EMP, STUD, PAR = Atom("EmpStud"), Atom("Student"), Atom("Parent")
 PAYS_TAX = Atom("Tax")

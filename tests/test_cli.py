@@ -271,8 +271,37 @@ def test_flags_a_command_does_not_read_are_rejected(capsys):
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
-        assert exc.value.code == 2, argv
+        assert exc.value.code == 1, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_1_with_usage_text(capsys):
+    # exit 2 is kept for resource limits
+    path = f"{KB}/student.dkb"
+    for argv, message in (
+        ((), "required: command"),
+        (("rank",), "required: path"),
+        (("rank", path, "--max-nodes", "many"), "invalid int value: 'many'"),
+        (("oracle", path, "--max-domain", "2.5"), "invalid int value: '2.5'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dalc") and message in err, argv
+
+
+def test_internal_error_is_one_line_with_exit_3(capsys, monkeypatch):
+    import dalc.cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("level")
+
+    monkeypatch.setattr(dalc.cli, "compute_ranking", broken)
+    code, out, err = run(capsys, "rank", f"{KB}/student.dkb")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: KeyError: 'level'\n"
 
 
 def test_console_script_entry_point():

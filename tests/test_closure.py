@@ -24,10 +24,11 @@ from dalc.concepts import (
     materialise,
 )
 from dalc.ranks import Rank
-from dalc.semantics import random_concept, search_countermodel, search_model
+from dalc.semantics import search_countermodel, search_model
 from dalc.tableau import EntailmentStats, entails
 
 import corpus
+from generators import random_concept
 
 EMP, STUD, PAR = Atom("EmpStud"), Atom("Student"), Atom("Parent")
 PAYS_TAX = Exists("pays", Atom("Tax"))

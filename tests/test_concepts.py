@@ -26,11 +26,14 @@ from dalc.concepts import (
     nnf,
     role_names,
     subconcept_closure,
+    subconcepts,
 )
 from dalc.parser import parse_concept
-from dalc.semantics import extension, random_ranked_interpretation
+from dalc.semantics import _quantified_subconcepts, extension
 from dalc.tableau import entails
 from dalc.concepts import GCI
+import corpus
+from generators import random_concept, random_ranked_interpretation
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -94,8 +97,6 @@ def test_nnf_preserves_extensions():
     rng = random.Random(0)
     for _ in range(200):
         i = random_ranked_interpretation(rng, rng.randrange(1, 4), ["A", "B", "C"], ["r", "s"])
-        from dalc.semantics import random_concept
-
         c = random_concept(rng, ["A", "B", "C"], ["r", "s"], 3)
         assert extension(i, c) == extension(i, nnf(c))
 
@@ -156,6 +157,19 @@ def test_vocabulary_helpers():
     ax = GCI(And(A, Exists("r", B)), Forall("s", C))
     assert atom_names([ax]) == {"A", "B", "C"}
     assert role_names([ax]) == {"r", "s"}
+    # every occurrence, in concepts and on both sides of an axiom
+    assert set(subconcepts([ax])) == {ax.lhs, A, Exists("r", B), B, ax.rhs, C}
+    assert list(subconcepts([Not(A)])) == [Not(A), A]
+    assert list(subconcepts([GCI(A, A)])) == [A, A]
+    # the oracle's quantified subconcepts fix its bit layout and so its
+    # witness order: each listed once, sorted by repr
+    kb = corpus.boss_kb()
+    q = corpus.query("Worker ~[= exists hasSuperior.Responsible")
+    superior = [Exists("hasSuperior", Atom(a)) for a in ("Boss", "Responsible", "Worker")]
+    assert _quantified_subconcepts(list(kb.axioms) + [q]) == superior
+    inner = Forall("s", B)
+    nested = Exists("r", And(A, inner))
+    assert _quantified_subconcepts([GCI(nested, inner), DCI(A, Or(nested, C))]) == [nested, inner]
 
 
 def _rebuild(c):

@@ -16,7 +16,7 @@ from dalc.concepts import (
     conjoin,
 )
 from dalc.parser import parse_kb
-from dalc.semantics import random_concept, search_countermodel
+from dalc.semantics import search_countermodel
 from dalc.tableau import (
     EntailmentStats,
     ResourceLimitError,
@@ -26,6 +26,7 @@ from dalc.tableau import (
 )
 
 import corpus
+from generators import random_concept
 
 EMP, STUD, PAR = Atom("EmpStud"), Atom("Student"), Atom("Parent")
 PAYS_TAX = Exists("pays", Atom("Tax"))
