@@ -42,27 +42,21 @@ from .parser import (
     render_concept,
 )
 from .ranks import Rank
-from .semantics import (
-    FiniteInterpretation,
-    PreferentialInterpretation,
-    RankedInterpretation,
-    check_postulates,
-    disjoint_union,
-    extension,
-    height_of_concept,
-    heights_from_order,
-    min_elements,
-    ranked_union,
-    satisfies,
-    search_countermodel,
-    search_model,
-)
 from .tableau import (
     EntailmentStats,
     ResourceLimitError,
     TableauConfig,
     entails,
     is_satisfiable,
+)
+
+# The oracle's names load NumPy, which rank, query and check never use, so
+# ``dalc.semantics`` is imported on the first use of one of them (PEP 562).
+_SEMANTICS = (
+    "FiniteInterpretation", "PreferentialInterpretation", "RankedInterpretation",
+    "check_postulates", "disjoint_union", "extension", "height_of_concept",
+    "heights_from_order", "min_elements", "ranked_union", "satisfies",
+    "search_countermodel", "search_model",
 )
 
 __all__ = [
@@ -74,10 +68,15 @@ __all__ = [
     "ParsedDocument", "ParseError", "SourceSpan", "parse_kb", "parse_query",
     "render_axiom", "render_concept",
     "Rank",
-    "FiniteInterpretation", "PreferentialInterpretation", "RankedInterpretation",
-    "check_postulates", "disjoint_union", "extension", "height_of_concept",
-    "heights_from_order", "min_elements", "ranked_union", "satisfies",
-    "search_countermodel", "search_model",
+    *_SEMANTICS,
     "EntailmentStats", "ResourceLimitError", "TableauConfig", "entails",
     "is_satisfiable",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SEMANTICS:
+        from . import semantics
+
+        return getattr(semantics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

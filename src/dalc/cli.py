@@ -7,8 +7,8 @@
                                 bounded model / countermodel search
 
 Every command runs one pipeline: load the KB, parse the query, and (except
-``oracle``) rank the KB once with one tableau budget and one stats object;
-a renderer per command then turns the result into JSON or text lines.
+``oracle``) rank the KB once with one per-check tableau budget and one stats
+object; a renderer per command then turns the result into JSON or text lines.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
@@ -26,9 +26,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .closure import Ranking, compute_ranking, rationally_deducible, tstar_inconsistent
-from .concepts import Atom, Axiom, BOTTOM, GCI, KnowledgeBase, atom_names
+from .concepts import MAX_ROWS, Atom, Axiom, BOTTOM, GCI, KnowledgeBase, atom_names
 from .parser import ParseError, axiom_to_json, parse_kb, parse_query, render_axiom
-from .semantics import MAX_ROWS, search_countermodel, search_model
 from .tableau import EntailmentStats, ResourceLimitError, TableauConfig, entails
 
 Output = Union[dict, list[str]]  # a JSON document, or lines of text
@@ -153,6 +152,19 @@ def _check(ns: argparse.Namespace, r: _Ranked) -> Output:
     lines.append("unsatisfiable concept names:")
     lines.extend([f"  {a}" for a in unsat] or ["  (none)"])
     return lines
+
+
+# Only ``oracle`` uses the model search, so its NumPy loads on the first call.
+def search_model(*args, **kwargs):
+    from . import semantics
+
+    return semantics.search_model(*args, **kwargs)
+
+
+def search_countermodel(*args, **kwargs):
+    from . import semantics
+
+    return semantics.search_countermodel(*args, **kwargs)
 
 
 def _oracle(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:

@@ -146,6 +146,12 @@ class ResourceLimitError(Exception):
     re-run with larger limits."""
 
 
+# Default budget on the configurations a full scan examines: a model search
+# of classical.dkb at domain 4 (3.2e11) is admitted, six defaults over twelve
+# atoms at domain 3 (8.9e11) are not.
+MAX_ROWS = 1 << 39
+
+
 def nnf(c: Concept) -> Concept:
     """Rewrite to negation normal form: Not applies to atoms only.
 

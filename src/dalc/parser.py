@@ -14,12 +14,21 @@ DL precedence (``!`` > quantifier > ``&`` > ``|``):
 ATOM and ROLE are ``[A-Za-z][A-Za-z0-9_]*``; ``top``, ``bot``, ``exists``
 and ``forall`` are reserved.  Quantifier fillers bind at unary precedence,
 so ``exists r.A & B`` parses as ``(exists r.A) & B``.
+
+The input is read a line at a time (lines end at ``\\n``; a column is an
+offset in the line plus one), and every line is tokenised before any is
+parsed.  So of several errors the one reported is the first ``@`` directive
+opening a line (documents only), else the first stray character, else the
+first syntax error.  ``parse_kb`` reads an axiom from each non-blank line;
+``parse_query`` and ``parse_concept`` read one axiom or concept, and report
+anything after it, on its line or a later one.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .concepts import (
     BOTTOM,
@@ -41,18 +50,11 @@ from .concepts import (
 
 RESERVED = {"top", "bot", "exists", "forall"}
 
+# Blanks, then a name, an operator, a stray character, or the end of the line.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<dsub>~\[=)
-  | (?P<sub>\[=)
-  | (?P<punct>[()&|!.])
-  | (?P<newline>\n)
-""",
-    re.VERBOSE,
+    r"[ \t\r]*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>~?\[=|[()&|!.])|(?P<bad>.)|$)"
 )
+_LINE_END = "expected end of line, found {}"
 
 
 @dataclass(frozen=True)
@@ -91,54 +93,38 @@ class _Token:
     span: SourceSpan
 
 
-def _tokenize(text: str, filename: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", SourceSpan(filename, line, col)
-            )
-        span = SourceSpan(filename, line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        pos = m.end()
-        if kind == "newline":
-            tokens.append(_Token("eol", "\n", span))
-            line += 1
-            col = 1
-            continue
-        col += len(tok)
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "name":
-            tokens.append(
-                _Token("keyword" if tok in RESERVED else "name", tok, span)
-            )
-        elif kind == "dsub":
-            tokens.append(_Token("~[=", tok, span))
-        elif kind == "sub":
-            tokens.append(_Token("[=", tok, span))
-        else:
-            tokens.append(_Token(tok, tok, span))
-    tokens.append(_Token("eof", "", SourceSpan(filename, line, col)))
-    return tokens
+def _lines(text: str, filename: str) -> tuple[list[list[_Token]], _Token]:
+    """The tokens of each non-blank line, ending in ``eol`` (``eof`` on the
+    last line), and the ``eof`` token.  Raises at the first stray character."""
+    rows = text.split("\n")
+    lines = []
+    for n, row in enumerate(rows, 1):
+        code = row.partition("#")[0]
+        tokens = []
+        m = _TOKEN_RE.match(code)
+        while m.lastgroup:
+            tok, span = m.group(m.lastgroup), SourceSpan(filename, n, m.start(m.lastgroup) + 1)
+            if m.lastgroup == "bad":
+                raise ParseError(f"unexpected character {tok!r}", span)
+            kind = tok if m.lastgroup == "op" else "keyword" if tok in RESERVED else "name"
+            tokens.append(_Token(kind, tok, span))
+            m = _TOKEN_RE.match(code, m.end())
+        end = _Token("eof" if n == len(rows) else "eol", "", SourceSpan(filename, n, len(row) + 1))
+        if tokens:
+            lines.append(tokens + [end])
+    return lines, end
 
 
 def _describe(tok: _Token) -> str:
-    if tok.kind == "eof":
-        return "end of input"
-    if tok.kind == "eol":
-        return "end of line"
-    return repr(tok.text)
+    return {"eof": "end of input", "eol": "end of line"}.get(tok.kind, repr(tok.text))
 
 
+@dataclass
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the tokens of one line."""
+
+    tokens: list[_Token]
+    pos: int = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -153,10 +139,6 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"expected {what}, found {_describe(tok)}", tok.span)
         return self.advance()
-
-    def skip_blank_lines(self) -> None:
-        while self.peek().kind == "eol":
-            self.advance()
 
     # concept := disj ; disj := conj ('|' conj)* ; conj := unary ('&' unary)*
     def concept(self) -> Concept:
@@ -180,102 +162,78 @@ class _Parser:
         return out
 
     def unary(self) -> Concept:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "!":
-            self.advance()
             return Not(self.unary())
         if tok.kind == "keyword":
-            self.advance()
-            if tok.text == "top":
-                return TOP
-            if tok.text == "bot":
-                return BOTTOM
+            if tok.text in ("top", "bot"):
+                return TOP if tok.text == "top" else BOTTOM
             role = self.expect("name", "a role name")
             self.expect(".", "'.'")
-            filler = self.unary()
             ctor = Exists if tok.text == "exists" else Forall
-            return ctor(role.text, filler)
+            return ctor(role.text, self.unary())
         if tok.kind == "name":
-            self.advance()
             return Atom(tok.text)
         if tok.kind == "(":
-            self.advance()
             c = self.concept()
             self.expect(")", "')'")
             return c
         raise ParseError(f"expected a concept, found {_describe(tok)}", tok.span)
 
-    def axiom(self) -> tuple[Axiom, SourceSpan]:
-        span = self.peek().span
+    def axiom(self) -> Axiom:
         lhs = self.concept()
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind not in ("[=", "~[="):
-            raise ParseError(
-                f"expected '[=' or '~[=', found {_describe(tok)}", tok.span
-            )
-        self.advance()
-        rhs = self.concept()
-        ctor = GCI if tok.kind == "[=" else DCI
-        return ctor(lhs, rhs), span
+            raise ParseError(f"expected '[=' or '~[=', found {_describe(tok)}", tok.span)
+        return (GCI if tok.kind == "[=" else DCI)(lhs, self.concept())
 
-    def end_of_line(self) -> None:
-        tok = self.peek()
+
+def _parse(text: str, filename: str, trailing: str) -> Iterator[_Parser]:
+    """A parser per non-blank line, run by the caller before it asks for the
+    next, so the grammar recurses from the caller's frame.  Input left on a
+    line is reported with ``trailing``.  Only a document (``trailing`` is
+    ``_LINE_END``) has many lines; elsewhere a second non-blank line is left
+    over, and a blank input is parsed at its end."""
+    lines, end = _lines(text, filename)
+    document = trailing == _LINE_END
+    for n, tokens in enumerate(lines if document else lines or [[end]]):
+        if n and not document:
+            raise ParseError(trailing.format(_describe(tokens[0])), tokens[0].span)
+        parser = _Parser(tokens)
+        yield parser
+        tok = parser.peek()
         if tok.kind not in ("eol", "eof"):
-            raise ParseError(f"expected end of line, found {_describe(tok)}", tok.span)
-        if tok.kind == "eol":
-            self.advance()
+            raise ParseError(trailing.format(_describe(tok)), tok.span)
 
 
 def parse_kb(text: str, filename: str = "<string>") -> ParsedDocument:
     """Parse a knowledge-base document, preserving axiom order and duplicates."""
-    for m in re.finditer(r"^[ \t]*@\S*", text, re.MULTILINE):
-        line = text.count("\n", 0, m.start()) + 1
-        col = m.start() - text.rfind("\n", 0, m.start())
-        raise UnknownDirectiveError(
-            f"unknown directive {m.group().strip()!r}",
-            SourceSpan(filename, line, col),
-        )
-    parser = _Parser(_tokenize(text, filename))
-    gcis: list[tuple[GCI, SourceSpan]] = []
-    dcis: list[tuple[DCI, SourceSpan]] = []
-    parser.skip_blank_lines()
-    while parser.peek().kind != "eof":
-        axiom, span = parser.axiom()
-        parser.end_of_line()
-        if isinstance(axiom, GCI):
-            gcis.append((axiom, span))
-        else:
-            dcis.append((axiom, span))
-        parser.skip_blank_lines()
-    kb = KnowledgeBase(
-        tbox=tuple(a for a, _ in gcis), dtbox=tuple(a for a, _ in dcis)
-    )
-    spans = tuple(s for _, s in gcis) + tuple(s for _, s in dcis)
-    return ParsedDocument(kb, spans)
+    for n, row in enumerate(text.split("\n"), 1):
+        m = re.match(r"[ \t]*@\S*", row)
+        if m:
+            raise UnknownDirectiveError(
+                f"unknown directive {m.group().strip()!r}", SourceSpan(filename, n, 1)
+            )
+    parsed = {GCI: [], DCI: []}
+    for parser in _parse(text, filename, _LINE_END):
+        span, axiom = parser.peek().span, parser.axiom()
+        parsed[type(axiom)].append((axiom, span))
+    kb = KnowledgeBase(tuple(a for a, _ in parsed[GCI]), tuple(a for a, _ in parsed[DCI]))
+    return ParsedDocument(kb, tuple(s for _, s in parsed[GCI] + parsed[DCI]))
 
 
 def parse_query(text: str, filename: str = "<query>") -> Axiom:
     """Parse exactly one axiom (strict or defeasible)."""
-    parser = _Parser(_tokenize(text, filename))
-    parser.skip_blank_lines()
-    axiom, _ = parser.axiom()
-    parser.skip_blank_lines()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("expected a single axiom", tok.span)
+    for parser in _parse(text, filename, "expected a single axiom"):
+        axiom = parser.axiom()
     return axiom
 
 
 def parse_concept(text: str, filename: str = "<concept>") -> Concept:
     """Parse a bare concept expression."""
-    parser = _Parser(_tokenize(text, filename))
-    parser.skip_blank_lines()
-    c = parser.concept()
-    parser.skip_blank_lines()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"expected end of input, found {tok.text!r}", tok.span)
-    return c
+    for parser in _parse(text, filename, "expected end of input, found {}"):
+        concept = parser.concept()
+    return concept
 
 
 # Rendering: minimal parentheses under the grammar's precedence.

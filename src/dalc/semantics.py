@@ -78,6 +78,7 @@ from .concepts import (
     KnowledgeBase,
     Not,
     Or,
+    MAX_ROWS,
     ResourceLimitError,
     TOP,
     Top,
@@ -90,10 +91,6 @@ from .ranks import Rank
 
 _CHUNK_BITS = 20  # rows are enumerated in blocks of at most 2**_CHUNK_BITS
 _WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
-# Default budget on the configurations a full scan examines: a model search
-# of classical.dkb at domain 4 (3.2e11) is admitted, six defaults over twelve
-# atoms at domain 3 (8.9e11) are not.
-MAX_ROWS = 1 << 39
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ from .concepts import (
 
 @dataclass(frozen=True)
 class TableauConfig:
+    """The budget of each classical check: at most ``max_nodes`` tableau
+    nodes and role depth ``max_depth`` (the CLI's ``--max-nodes`` and
+    ``--max-depth``), whether or not an ``EntailmentStats`` observes it.  An
+    exhausted budget raises ``ResourceLimitError``."""
+
     max_nodes: int = 100_000
     max_depth: int = 512
 
@@ -42,7 +47,8 @@ DEFAULT_CONFIG = TableauConfig()
 @dataclass
 class EntailmentStats:
     """Per-session counters; pass one object through a batch of calls to
-    observe how many classical checks a procedure spends."""
+    observe how many classical checks and tableau nodes a procedure spends.
+    They only count: ``TableauConfig`` bounds each check on its own."""
 
     checks: int = 0
     nodes_expanded: int = 0
@@ -53,13 +59,15 @@ class _Tableau:
         self.universal = universal
         self.cfg = cfg
         self.stats = stats
+        self.nodes = 0  # this check's own count, which max_nodes bounds
 
     def satisfiable(self, label: tuple[Concept, ...]) -> bool:
         return self._expand(label, (), 0)
 
     def _expand(self, label: tuple[Concept, ...], ancestors: tuple[frozenset, ...], depth: int) -> bool:
+        self.nodes += 1
         self.stats.nodes_expanded += 1
-        if self.stats.nodes_expanded > self.cfg.max_nodes:
+        if self.nodes > self.cfg.max_nodes:
             raise ResourceLimitError(f"more than {self.cfg.max_nodes} tableau nodes")
 
         items: list[Concept] = []

@@ -315,6 +315,23 @@ def test_console_script_entry_point():
     assert json.loads(out.stdout)["verdict"] is True
 
 
+def test_rank_query_and_check_do_not_import_numpy():
+    # Only the oracle's model search uses NumPy; it loads on the oracle's
+    # first call, and the other commands start without it.
+    kb = f"{KB}/student.dkb"
+    script = f"""
+import sys
+from dalc.cli import main
+for argv in (["rank", {kb!r}], ["query", {kb!r}, "-q", "A ~[= B"], ["check", {kb!r}]):
+    assert main(argv) == 0
+assert "numpy" not in sys.modules
+assert main(["oracle", {kb!r}, "--max-domain", "1"]) == 0
+assert "numpy" in sys.modules
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_nesting_too_deep_is_a_resource_limit(capsys, tmp_path):
     # 45 nested successors exceed Python's recursion limit in the tableau;
     # the CLI reports that as a resource limit, not a traceback.

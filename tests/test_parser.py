@@ -25,7 +25,7 @@ from dalc.parser import (
 )
 
 from test_concepts import concepts_strategy
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 
 def test_parse_single_gci():
@@ -100,6 +100,44 @@ def test_syntax_error_has_span_and_expectation():
     assert "expected a concept" in exc.value.message
 
 
+@pytest.mark.parametrize(
+    "parse, args, error, shown",
+    [
+        (parse_kb, ("A [= \n", "kb.dkb"), ParseError,
+         "kb.dkb:1:6: expected a concept, found end of line"),
+        # A directive is reported before a stray character or a syntax error,
+        # and a stray character before a syntax error, even on a later line.
+        (parse_kb, ("A [= \nB [= C @x\n@inc f\n",), UnknownDirectiveError,
+         "<string>:3:1: unknown directive '@inc'"),
+        (parse_kb, ("A [= (\n$\n",), ParseError, "<string>:2:1: unexpected character '$'"),
+        (parse_kb, ("A [= B C\n",), ParseError, "<string>:1:8: expected end of line, found 'C'"),
+        (parse_kb, ("A [= B # c\nA\n",), ParseError,
+         "<string>:2:2: expected '[=' or '~[=', found end of line"),
+        # The end of a line is where its comment ends.
+        (parse_kb, ("A [= # c\n",), ParseError,
+         "<string>:1:9: expected a concept, found end of line"),
+        (parse_kb, ("A [= B\r\n\tC [= \r\n",), ParseError,
+         "<string>:2:8: expected a concept, found end of line"),
+        (parse_kb, ("A [= (B",), ParseError, "<string>:1:8: expected ')', found end of input"),
+        (parse_query, ("\n\nA [= B\n\nC",), ParseError, "<query>:5:1: expected a single axiom"),
+        (parse_query, ("A [=\nB",), ParseError,
+         "<query>:1:5: expected a concept, found end of line"),
+        # Queries have no directives.
+        (parse_query, ("@x",), ParseError, "<query>:1:1: unexpected character '@'"),
+        (parse_query, ("",), ParseError, "<query>:1:1: expected a concept, found end of input"),
+        (parse_concept, ("A\n\nB",), ParseError,
+         "<concept>:3:1: expected end of input, found 'B'"),
+        (parse_concept, ("  \n",), ParseError,
+         "<concept>:2:1: expected a concept, found end of input"),
+    ],
+)
+def test_parse_errors_are_pinned(parse, args, error, shown):
+    with pytest.raises(ParseError) as exc:
+        parse(*args)
+    assert type(exc.value) is error
+    assert str(exc.value) == shown == f"{exc.value.span}: {exc.value.message}"
+
+
 def test_error_reports_missing_subsumption():
     with pytest.raises(ParseError) as exc:
         parse_kb("A B")
@@ -152,3 +190,42 @@ def test_axiom_json_round_trip():
 def test_render_axiom():
     assert render_axiom(GCI(Atom("A"), Atom("B"))) == "A [= B"
     assert render_axiom(DCI(Atom("A"), Atom("B"))) == "A ~[= B"
+
+
+LAYOUT_FILLER = st.sampled_from(["", " ", "\t", "# note", "  # [= ( @x", "\t#"])
+
+
+@st.composite
+def documents(draw):
+    """Rendered axioms one per line, among blank and comment lines: the text,
+    the axioms, and the (line, column) where each was written."""
+    lines, axioms, where = [], [], []
+    drawn = st.tuples(st.booleans(), concepts_strategy(), concepts_strategy())
+    for strict, lhs, rhs in draw(st.lists(drawn, max_size=5)):
+        lines += draw(st.lists(LAYOUT_FILLER, max_size=2))
+        axiom = (GCI if strict else DCI)(lhs, rhs)
+        indent = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        written = render_axiom(axiom)
+        if draw(st.booleans()):
+            written = written.replace(" ", "\t")
+        lines.append(indent + written + draw(st.sampled_from(["", " ", "\t# why", " #"])))
+        axioms.append(axiom)
+        where.append((len(lines), len(indent) + 1))
+    lines += draw(st.lists(LAYOUT_FILLER, max_size=2))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending])), axioms, where
+
+
+@given(documents())
+def test_document_layout_round_trip(doc):
+    text, axioms, where = doc
+    parsed = parse_kb(text, "doc.dkb")
+    strict = [isinstance(a, GCI) for a in axioms]
+    assert parsed.kb.tbox == tuple(a for a, s in zip(axioms, strict) if s)
+    assert parsed.kb.dtbox == tuple(a for a, s in zip(axioms, strict) if not s)
+    spans = [w for w, s in zip(where, strict) if s] + [w for w, s in zip(where, strict) if not s]
+    assert [(s.file, s.line, s.column) for s in parsed.axiom_spans] == [
+        ("doc.dkb", line, column) for line, column in spans
+    ]
+    for a in axioms:
+        assert parse_query("\n \t\n" + render_axiom(a) + "\r\n\n") == a

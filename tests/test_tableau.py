@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from dalc.cli import main
 from dalc.closure import compute_ranking
 from dalc.concepts import (
     And,
@@ -15,7 +17,7 @@ from dalc.concepts import (
     Exists,
     conjoin,
 )
-from dalc.parser import parse_kb
+from dalc.parser import parse_kb, render_concept
 from dalc.semantics import search_countermodel
 from dalc.tableau import (
     EntailmentStats,
@@ -231,3 +233,24 @@ def test_ranking_search_is_pinned(text, checks, nodes):
     stats = EntailmentStats()
     compute_ranking(parse_kb(text).kb, stats=stats)
     assert (stats.checks, stats.nodes_expanded) == (checks, nodes)
+
+
+def test_max_nodes_bounds_each_check_and_stats_only_count(tmp_path, capsys):
+    # CHAIN6's largest single check expands 35 nodes, of 528 in its ranking.
+    # The budget bounds each check, so the library with and without a stats
+    # object and the CLI all rank it at 35 and all stop at 34.
+    kb = parse_kb(CHAIN6).kb
+    partition = compute_ranking(kb).partition
+    for stats in (None, EntailmentStats()):
+        assert compute_ranking(kb, TableauConfig(max_nodes=35), stats).partition == partition
+        with pytest.raises(ResourceLimitError, match="more than 34 tableau nodes"):
+            compute_ranking(kb, TableauConfig(max_nodes=34), stats)
+    path = tmp_path / "chain6.dkb"
+    path.write_text(CHAIN6)
+    assert main(["rank", str(path), "--json", "--max-nodes", "35"]) == 0
+    shown = json.loads(capsys.readouterr().out)["partition"]
+    assert [[(d["lhs"], d["rhs"]) for d in part] for part in shown] == [
+        [(render_concept(d.lhs), render_concept(d.rhs)) for d in part] for part in partition
+    ]
+    assert main(["rank", str(path), "--max-nodes", "34"]) == 2
+    assert capsys.readouterr().err == "resource limit: more than 34 tableau nodes\n"
