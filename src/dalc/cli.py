@@ -7,8 +7,10 @@
                                 bounded model / countermodel search
 
 Every command runs one pipeline: load the KB, parse the query, and (except
-``oracle``) rank the KB once with one per-check tableau budget and one stats
-object; a renderer per command then turns the result into JSON or text lines.
+``oracle``) rank the KB once with one per-check tableau budget
+(``--max-nodes``, which also bounds how deep a check's successors nest) and
+one stats object; a renderer per command then turns the result into JSON or
+text lines.  The argument parser is built once per process.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
@@ -28,7 +30,7 @@ from typing import Optional, Union
 from .closure import Ranking, compute_ranking, rationally_deducible, tstar_inconsistent
 from .concepts import MAX_ROWS, Atom, Axiom, BOTTOM, GCI, KnowledgeBase, atom_names
 from .parser import ParseError, axiom_to_json, parse_kb, parse_query, render_axiom
-from .tableau import EntailmentStats, ResourceLimitError, TableauConfig, entails
+from .tableau import DEFAULT_CONFIG, EntailmentStats, ResourceLimitError, TableauConfig, entails
 
 Output = Union[dict, list[str]]  # a JSON document, or lines of text
 
@@ -62,9 +64,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-domain", type=int, default=4)
             p.add_argument("--max-rows", type=int, default=MAX_ROWS)
         else:
-            p.add_argument("--max-nodes", type=int, default=100_000)
-            p.add_argument("--max-depth", type=int, default=512)
+            p.add_argument("--max-nodes", type=int, default=DEFAULT_CONFIG.max_nodes)
     return ap
+
+
+ARG_PARSER = build_arg_parser()  # built once: ``main`` may run many times per process
 
 
 @dataclass
@@ -203,7 +207,7 @@ RENDERERS = {"rank": _rank, "query": _query, "check": _check}
 def _bad_flag(ns: argparse.Namespace) -> Optional[str]:
     if ns.command == "query" and ns.query is None:
         return "query command requires -q"
-    for flag in ("max_nodes", "max_depth", "max_domain", "max_rows"):
+    for flag in ("max_nodes", "max_domain", "max_rows"):
         value = getattr(ns, flag, 1)
         if value < 1:
             return f"--{flag.replace('_', '-')} must be positive, got {value}"
@@ -216,7 +220,7 @@ def _fail(message: str, code: int = 1) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ns = build_arg_parser().parse_args(argv)
+    ns = ARG_PARSER.parse_args(argv)
     bad = _bad_flag(ns)
     if bad is not None:
         return _fail(f"error: {bad}")
@@ -230,7 +234,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if ns.command == "oracle":
             out = _oracle(ns, kb, q)
         else:
-            cfg = TableauConfig(ns.max_nodes, ns.max_depth)
+            cfg = TableauConfig(ns.max_nodes)
             stats = EntailmentStats()
             ranking = compute_ranking(kb, cfg, stats)
             ranking_checks = stats.checks
@@ -242,7 +246,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as e:
         return _fail(f"resource limit: {e}", 2)
     except RecursionError:
-        # The tableau and the parser recurse once per nesting level.
+        # The parser and the renderers recurse once per nesting level; the
+        # tableau reports its own nesting limit as a ResourceLimitError.
         limit = sys.getrecursionlimit()
         return _fail(f"resource limit: nesting too deep (recursion limit {limit})", 2)
     except Exception as e:

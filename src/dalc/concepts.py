@@ -202,14 +202,7 @@ def direct_subconcepts(c: Concept) -> tuple[Concept, ...]:
 def subconcept_closure(cs: Iterable[Concept]) -> frozenset[Concept]:
     """Smallest superset of ``cs`` closed under direct subconcepts and a
     single negation of each member."""
-    closed: set[Concept] = set()
-    stack = list(cs)
-    while stack:
-        c = stack.pop()
-        if c in closed:
-            continue
-        closed.add(c)
-        stack.extend(direct_subconcepts(c))
+    closed = set(subconcepts(cs))
     # One negation layer; negations of negations collapse to the operand,
     # which subconcept closure already put in the set.
     negations = {Not(c) for c in closed if not isinstance(c, Not)}

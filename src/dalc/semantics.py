@@ -144,7 +144,10 @@ class PreferentialInterpretation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", frozenset(self.order))
         pairs = self.order
+        n = self.base.domain_size
         for x, y in pairs:
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"pair ({x}, {y}) outside domain of size {n}")
             if (y, x) in pairs or x == y:
                 raise ValueError(f"order is not a strict partial order at ({x}, {y})")
         for x, y in pairs:
@@ -175,9 +178,6 @@ class RankedInterpretation:
         for x, h in enumerate(self.heights):
             masks[h] |= 1 << x
         return tuple(masks)
-
-    def layers(self) -> list[frozenset[int]]:
-        return [_bits(m) for m in self.layer_masks]
 
     def as_preferential(self) -> PreferentialInterpretation:
         return PreferentialInterpretation(self.base, order_from_heights(self.heights))

@@ -1,14 +1,17 @@
 """Classical ALC satisfiability and entailment over a general TBox.
 
 Standard NNF tableau: every node carries the internalised TBox constraints
-``nnf(¬lhs ⊔ rhs)``, conjunctions and disjunctions are expanded in place
-(left branch first), existential restrictions spawn role successors, and
-ancestor subset-blocking guarantees termination.  This is the only decision
-procedure the defeasible engine relies on.
+``nnf(¬lhs ⊔ rhs)``, conjunctions are expanded in place, existential
+restrictions spawn role successors, and ancestor subset-blocking guarantees
+termination.  A node's Or-branches are popped off an explicit stack, depth
+first and left branch first; only role successors recurse, so a check takes
+one Python frame per role level.  This is the only decision procedure the
+defeasible engine relies on.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .concepts import (
@@ -29,16 +32,15 @@ from .concepts import (
 @dataclass(frozen=True)
 class TableauConfig:
     """The budget of each classical check: at most ``max_nodes`` tableau
-    nodes and role depth ``max_depth`` (the CLI's ``--max-nodes`` and
-    ``--max-depth``), whether or not an ``EntailmentStats`` observes it.  An
-    exhausted budget raises ``ResourceLimitError``."""
+    nodes (the CLI's ``--max-nodes``), whether or not an ``EntailmentStats``
+    observes it.  Every role successor is a node, so this also bounds how
+    deep successors nest.  An exhausted budget raises ``ResourceLimitError``."""
 
     max_nodes: int = 100_000
-    max_depth: int = 512
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.max_depth < 1:
-            raise ValueError("limits must be positive")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be positive")
 
 
 DEFAULT_CONFIG = TableauConfig()
@@ -54,25 +56,22 @@ class EntailmentStats:
     nodes_expanded: int = 0
 
 
-class _Tableau:
-    def __init__(self, universal: tuple[Concept, ...], cfg: TableauConfig, stats: EntailmentStats):
-        self.universal = universal
-        self.cfg = cfg
-        self.stats = stats
-        self.nodes = 0  # this check's own count, which max_nodes bounds
+def is_satisfiable(
+    c: Concept,
+    tbox: tuple[GCI, ...] | list[GCI] = (),
+    cfg: TableauConfig = DEFAULT_CONFIG,
+    stats: EntailmentStats | None = None,
+) -> bool:
+    """True iff some classical interpretation satisfies every GCI in ``tbox``
+    and gives ``c`` a non-empty extension.  Raises ``ResourceLimitError``
+    past ``cfg.max_nodes`` nodes, or when the concepts or the role successors
+    nest past Python's recursion limit."""
+    if stats is None:
+        stats = EntailmentStats()
+    nodes = 0  # this check's own count, which max_nodes bounds
 
-    def satisfiable(self, label: tuple[Concept, ...]) -> bool:
-        return self._expand(label, (), 0)
-
-    def _expand(self, label: tuple[Concept, ...], ancestors: tuple[frozenset, ...], depth: int) -> bool:
-        self.nodes += 1
-        self.stats.nodes_expanded += 1
-        if self.nodes > self.cfg.max_nodes:
-            raise ResourceLimitError(f"more than {self.cfg.max_nodes} tableau nodes")
-
-        items: list[Concept] = []
-        seen: set[Concept] = set()
-        neg: set[Concept] = set()  # operands of the negations in ``seen``
+    def expand(label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> bool:
+        nonlocal nodes
 
         def add(c: Concept) -> bool:
             if c in seen:
@@ -89,56 +88,48 @@ class _Tableau:
             items.append(c)
             return True
 
-        for c in label:
-            if not add(c):
-                return False
-        idx = 0
-        while idx < len(items):
-            c = items[idx]
-            idx += 1
-            if isinstance(c, And):
-                if not add(c.left) or not add(c.right):
-                    return False
+        branches = [label]
+        while branches:
+            nodes += 1
+            stats.nodes_expanded += 1
+            if nodes > cfg.max_nodes:
+                raise ResourceLimitError(f"more than {cfg.max_nodes} tableau nodes")
+            items: list[Concept] = []
+            seen: set[Concept] = set()
+            neg: set[Concept] = set()  # operands of the negations in ``seen``
+            # The label closed under conjunction (``items`` grows as it is
+            # read); a clash closes the branch.
+            if not all(map(add, branches.pop())) or not all(
+                add(c.left) and add(c.right) for c in items if isinstance(c, And)
+            ):
+                continue
+            split = next(
+                (c for c in items if isinstance(c, Or) and c.left not in seen and c.right not in seen), None
+            )
+            if split is not None:
+                extended = tuple(items)  # the left branch is popped first
+                branches += (extended + (split.right,), extended + (split.left,))
+                continue
+            label_set = frozenset(seen)
+            if any(label_set <= ancestor for ancestor in ancestors):
+                return True
+            for e in items:
+                if isinstance(e, Exists):
+                    successor = (e.filler,) + tuple(
+                        f.filler for f in items if isinstance(f, Forall) and f.role == e.role
+                    ) + universal
+                    if not expand(successor, ancestors + (label_set,)):
+                        break
+            else:
+                return True
+        return False
 
-        for c in items:
-            if isinstance(c, Or) and c.left not in seen and c.right not in seen:
-                extended = tuple(items)
-                return self._expand(extended + (c.left,), ancestors, depth) or self._expand(
-                    extended + (c.right,), ancestors, depth
-                )
-
-        label_set = frozenset(seen)
-        if any(label_set <= ancestor for ancestor in ancestors):
-            return True
-
-        for c in items:
-            if isinstance(c, Exists):
-                if depth + 1 > self.cfg.max_depth:
-                    raise ResourceLimitError(
-                        f"role depth exceeds {self.cfg.max_depth}"
-                    )
-                successor = (c.filler,) + tuple(
-                    f.filler
-                    for f in items
-                    if isinstance(f, Forall) and f.role == c.role
-                ) + self.universal
-                if not self._expand(successor, ancestors + (label_set,), depth + 1):
-                    return False
-        return True
-
-
-def is_satisfiable(
-    c: Concept,
-    tbox: tuple[GCI, ...] | list[GCI] = (),
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: EntailmentStats | None = None,
-) -> bool:
-    """True iff some classical interpretation satisfies every GCI in ``tbox``
-    and gives ``c`` a non-empty extension."""
-    if stats is None:
-        stats = EntailmentStats()
-    universal = tuple(nnf(Or(Not(g.lhs), g.rhs)) for g in tbox)
-    return _Tableau(universal, cfg, stats).satisfiable((nnf(c),) + universal)
+    try:
+        universal = tuple(nnf(Or(Not(g.lhs), g.rhs)) for g in tbox)
+        return expand((nnf(c),) + universal, ())
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise ResourceLimitError(f"nesting too deep (recursion limit {limit})") from None
 
 
 def entails(

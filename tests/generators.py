@@ -1,15 +1,20 @@
-"""Seeded random interpretations and concepts for the tests, and the naive
-enumeration that the oracle's configuration-space search is checked against."""
+"""Seeded random interpretations and concepts for the tests, the naive
+enumeration that the oracle's configuration-space search is checked against,
+and the recursive tableau that the stack-based one is checked against."""
 
 from __future__ import annotations
 
 import itertools
 from typing import Optional, Sequence
 
-from dalc.concepts import BOTTOM, TOP, And, Atom, Axiom, Concept, Exists, Forall, KnowledgeBase, Not, Or
+from dalc.concepts import (
+    BOTTOM, GCI, TOP, And, Atom, Axiom, Bottom, Concept, Exists, Forall, KnowledgeBase, Not, Or,
+    ResourceLimitError, nnf,
+)
 from dalc.semantics import (
     FiniteInterpretation, RankedInterpretation, _vocabulary, convex_height_vectors, satisfies, satisfies_all,
 )
+from dalc.tableau import DEFAULT_CONFIG, EntailmentStats, TableauConfig
 
 
 def _iter_ranked_interpretations(
@@ -98,3 +103,90 @@ def random_concept(rng, atoms: Sequence[str], roles: Sequence[str], depth: int) 
         roles[rng.randrange(len(roles))],
         random_concept(rng, atoms, roles, depth - 1),
     )
+
+
+class _Tableau:
+    """Reference tableau: one Python frame per Or-branch as well as per role
+    successor.  ``dalc.tableau.is_satisfiable`` must reach the same verdict
+    after expanding the same number of nodes."""
+
+    def __init__(self, universal: tuple[Concept, ...], cfg: TableauConfig, stats: EntailmentStats):
+        self.universal = universal
+        self.cfg = cfg
+        self.stats = stats
+        self.nodes = 0
+
+    def satisfiable(self, label: tuple[Concept, ...]) -> bool:
+        return self._expand(label, ())
+
+    def _expand(self, label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> bool:
+        self.nodes += 1
+        self.stats.nodes_expanded += 1
+        if self.nodes > self.cfg.max_nodes:
+            raise ResourceLimitError(f"more than {self.cfg.max_nodes} tableau nodes")
+
+        items: list[Concept] = []
+        seen: set[Concept] = set()
+        neg: set[Concept] = set()
+
+        def add(c: Concept) -> bool:
+            if c in seen:
+                return True
+            if isinstance(c, Bottom):
+                return False
+            if isinstance(c, Atom) and c in neg:
+                return False
+            if isinstance(c, Not):
+                if c.operand in seen:
+                    return False
+                neg.add(c.operand)
+            seen.add(c)
+            items.append(c)
+            return True
+
+        for c in label:
+            if not add(c):
+                return False
+        idx = 0
+        while idx < len(items):
+            c = items[idx]
+            idx += 1
+            if isinstance(c, And):
+                if not add(c.left) or not add(c.right):
+                    return False
+
+        for c in items:
+            if isinstance(c, Or) and c.left not in seen and c.right not in seen:
+                extended = tuple(items)
+                return self._expand(extended + (c.left,), ancestors) or self._expand(
+                    extended + (c.right,), ancestors
+                )
+
+        label_set = frozenset(seen)
+        if any(label_set <= ancestor for ancestor in ancestors):
+            return True
+
+        for c in items:
+            if isinstance(c, Exists):
+                successor = (c.filler,) + tuple(
+                    f.filler
+                    for f in items
+                    if isinstance(f, Forall) and f.role == c.role
+                ) + self.universal
+                if not self._expand(successor, ancestors + (label_set,)):
+                    return False
+        return True
+
+
+def reference_is_satisfiable(
+    c: Concept,
+    tbox: Sequence[GCI] = (),
+    cfg: TableauConfig = DEFAULT_CONFIG,
+    stats: Optional[EntailmentStats] = None,
+) -> bool:
+    """``dalc.tableau.is_satisfiable`` as it was before Or-branches moved onto
+    an explicit stack (without the role-depth budget it then had)."""
+    if stats is None:
+        stats = EntailmentStats()
+    universal = tuple(nnf(Or(Not(g.lhs), g.rhs)) for g in tbox)
+    return _Tableau(universal, cfg, stats).satisfiable((nnf(c),) + universal)

@@ -236,7 +236,7 @@ def test_missing_file(capsys):
 def test_non_positive_limits_rejected(capsys):
     for argv in (
         ("rank", f"{KB}/student.dkb", "--max-nodes", "0"),
-        ("check", f"{KB}/student.dkb", "--max-depth", "-1"),
+        ("check", f"{KB}/student.dkb", "--max-nodes", "-1"),
         ("oracle", f"{KB}/student.dkb", "--max-domain", "0"),
         ("oracle", f"{KB}/student.dkb", "-q", "Student ~[= B", "--max-domain", "-1"),
         ("oracle", f"{KB}/student.dkb", "--max-rows", "0"),
@@ -267,6 +267,7 @@ def test_flags_a_command_does_not_read_are_rejected(capsys):
         ("query", path, "-q", "Student ~[= Parent", "--max-domain", "3"),
         ("oracle", path, "--max-nodes", "5"),
         ("oracle", path, "--max-depth", "5"),
+        ("rank", path, "--max-depth", "5"),
         ("rank", path, "--max-rows", "5"),
     ):
         with pytest.raises(SystemExit) as exc:
@@ -333,11 +334,21 @@ assert "numpy" in sys.modules
 
 
 def test_nesting_too_deep_is_a_resource_limit(capsys, tmp_path):
-    # 45 nested successors exceed Python's recursion limit in the tableau;
+    # 400 nested parentheses exceed Python's recursion limit in the parser;
     # the CLI reports that as a resource limit, not a traceback.
-    kb = tmp_path / "role_chain45.dkb"
-    kb.write_text("".join(f"A{i} [= exists r.A{i + 1}\n" for i in range(45)))
+    kb = tmp_path / "nested400.dkb"
+    kb.write_text("A [= " + "(" * 400 + "B" + ")" * 400 + "\n")
     code, out, err = run(capsys, "check", str(kb))
     assert code == 2
     assert out == ""
     assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+def test_role_chain_answers(capsys, tmp_path):
+    # Each of the 45 nested successors carries 45 internalised disjunctions;
+    # the tableau takes one Python frame per successor, not per disjunction.
+    kb = tmp_path / "role_chain45.dkb"
+    kb.write_text("".join(f"A{i} [= exists r.A{i + 1}\n" for i in range(45)))
+    code, out, err = run(capsys, "check", str(kb), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"consistent": True, "infinite_rank": [], "unsatisfiable_atoms": []}

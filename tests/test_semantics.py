@@ -173,6 +173,13 @@ def test_ranked_interpretation_validation():
         FiniteInterpretation(0, {}, {})
 
 
+def test_preferential_interpretation_rejects_pairs_outside_domain():
+    base = FiniteInterpretation(3, {"A": {0, 1}}, {})
+    for order in ({(0, 5)}, {(-1, 1)}):
+        with pytest.raises(ValueError, match="outside domain"):
+            PreferentialInterpretation(base, order)
+
+
 def test_heights_from_order_total_incomparability():
     assert heights_from_order(3, []) == (0, 0, 0)
 

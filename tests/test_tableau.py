@@ -1,8 +1,11 @@
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dalc.closure
 from dalc.cli import main
 from dalc.closure import compute_ranking
 from dalc.concepts import (
@@ -28,7 +31,7 @@ from dalc.tableau import (
 )
 
 import corpus
-from generators import random_concept
+from generators import random_concept, reference_is_satisfiable
 
 EMP, STUD, PAR = Atom("EmpStud"), Atom("Student"), Atom("Parent")
 PAYS_TAX = Exists("pays", Atom("Tax"))
@@ -158,14 +161,32 @@ def test_blocking_terminates_on_infinite_model_tbox():
     assert is_satisfiable(Atom("A"), tbox)
 
 
-def test_resource_limit_is_an_error_not_a_verdict():
+def exists_chain(depth):
     deep = Atom("A")
-    for _ in range(10):
+    for _ in range(depth):
         deep = Exists("r", deep)
+    return deep
+
+
+def test_resource_limit_is_an_error_not_a_verdict():
     with pytest.raises(ResourceLimitError):
-        is_satisfiable(deep, (), TableauConfig(max_depth=3))
-    with pytest.raises(ResourceLimitError):
-        is_satisfiable(deep, (), TableauConfig(max_nodes=2))
+        is_satisfiable(exists_chain(10), (), TableauConfig(max_nodes=2))
+    deep = exists_chain(400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        with pytest.raises(ResourceLimitError, match="nesting too deep"):
+            is_satisfiable(deep, ())
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_role_depth_is_bounded_by_nodes_alone():
+    # No budget of its own bounds role depth: 600 levels are 601 nodes, and
+    # the tableau spends one Python frame on each.
+    stats = EntailmentStats()
+    assert is_satisfiable(exists_chain(600), (), stats=stats)
+    assert stats.nodes_expanded == 601
 
 
 def test_stats_accumulate():
@@ -179,8 +200,6 @@ def test_stats_accumulate():
 def test_config_validation():
     with pytest.raises(ValueError):
         TableauConfig(max_nodes=0)
-    with pytest.raises(ValueError):
-        TableauConfig(max_depth=-1)
 
 
 # The chain(6), flat(4) and roles(3) families of the benchmark, written out.
@@ -254,3 +273,43 @@ def test_max_nodes_bounds_each_check_and_stats_only_count(tmp_path, capsys):
     ]
     assert main(["rank", str(path), "--max-nodes", "34"]) == 2
     assert capsys.readouterr().err == "resource limit: more than 34 tableau nodes\n"
+
+
+def _same_search(c, tbox, cfg=TableauConfig()):
+    """The tableau and its recursive reference reach the same verdict, or
+    the same resource limit, after the same number of nodes."""
+    outcomes = []
+    for decide in (is_satisfiable, reference_is_satisfiable):
+        stats = EntailmentStats()
+        try:
+            verdict = decide(c, tbox, cfg, stats)
+        except ResourceLimitError as e:
+            verdict = str(e)
+        outcomes.append((verdict, stats.nodes_expanded))
+    assert outcomes[0] == outcomes[1], (c, tbox)
+
+
+def test_ranking_checks_match_recursive_reference(monkeypatch):
+    checks = []
+
+    def recording(tbox, g, *args):
+        checks.append((tuple(tbox), g))
+        return entails(tbox, g, *args)
+
+    monkeypatch.setattr(dalc.closure, "entails", recording)
+    for kb in [load() for load in corpus.CORPUS.values()] + [parse_kb(t).kb for t in (CHAIN6, FLAT4, ROLES3)]:
+        compute_ranking(kb)
+    assert len(checks) == 64  # 15 on the corpus, then 21, 12 and 16 as pinned above
+    for tbox, g in checks:
+        _same_search(And(g.lhs, Not(g.rhs)), tbox)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_random_checks_match_recursive_reference(rng):
+    atoms, roles = ["A", "B", "C"], ["r"]
+    tbox = tuple(
+        GCI(random_concept(rng, atoms, roles, 2), random_concept(rng, atoms, roles, 2))
+        for _ in range(rng.randrange(4))
+    )
+    _same_search(random_concept(rng, atoms, roles, 3), tbox, TableauConfig(max_nodes=5000))
