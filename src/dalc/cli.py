@@ -225,7 +225,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if bad is not None:
         return _fail(f"error: {bad}")
     try:
-        text = Path(ns.path).read_text(encoding="utf-8")
+        text = Path(ns.path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         return _fail(f"error: {e}")
     try:

@@ -142,8 +142,8 @@ class KnowledgeBase:
 
 
 class ResourceLimitError(Exception):
-    """A budget is exhausted (tableau nodes or depth, oracle configurations);
-    re-run with larger limits."""
+    """A budget is exhausted: a check's tableau nodes, nesting past Python's
+    recursion limit, or the oracle's scan; re-run with larger limits."""
 
 
 # Default budget on the configurations a full scan examines: a model search

@@ -34,25 +34,27 @@ The enumeration order is deterministic: domain size ascending, bit patterns
 and height vectors in lexicographic order within each block.  The first
 witness found is reproducible across runs.
 
-Each block is filtered, compacted, then tested.  ``build`` lays out every
-per-row mask from the block's bits, in the narrowest unsigned dtype that
-holds a mask (``uint8`` up to eight elements).  The GCIs (and a GCI query's
-violation) filter the rows first and the survivors are compacted;
-realisability runs on those and compacts again.  Only the rows left reach
-the DCI pass, which tests them against 64 height vectors at a time: a DCI
+Each block is filtered, gathered once, then tested.  ``build`` lays out the
+atom and quantifier-bit columns from the block's bits, in the narrowest
+unsigned dtype that holds a mask (``uint8`` up to eight elements).  The GCIs
+(and a GCI query's violation) filter the rows, and only those columns are
+gathered at the survivors; a block with no realisable survivor is skipped.
+The DCI pass tests the survivors against 64 height vectors at a time: a DCI
 reduces, per row, to one small index ``good | bad << n`` (its lhs-instances
 inside and outside its rhs), and a table built per word of 64 height vectors
 maps that index to the bitset of vectors under which the DCI holds; a row
-survives under the vectors in the AND of its axioms' bitsets.  Compacted
-rows keep their position in the block, so witnesses are still taken in the
-order above, and the first witness, ``enumerate_models`` and the count of
-examined configurations (``SearchResult.enumerated``) are those of a scan
-one height vector at a time, which the tests keep as the reference.
+survives under the vectors in the AND of its axioms' bitsets, which start
+empty on the rows no role graph realises.  Gathered rows keep their position
+in the block, so witnesses are still taken in the order above, and the first
+witness, ``enumerate_models`` and the count of examined configurations
+(``SearchResult.enumerated``) are those of a scan one height vector at a
+time, which the tests keep as the reference.
 
-Before any work the search computes what a full scan examines,
-Σ_{d ≤ max_domain} 2^(d·(atoms + quantified subconcepts)) · F(d) with F the
-ordered Bell numbers (the number of convex height maps), and raises
-``ResourceLimitError`` if that exceeds ``max_rows``.
+Before any work the search charges a full scan
+Σ_{d ≤ max_domain} F(d) · max(2^(d·(atoms + quantified subconcepts)), 32·4^d)
+with F the ordered Bell numbers (the number of convex height maps): its
+configurations, or, when they are few, the tables it builds for them.  It
+raises ``ResourceLimitError`` if that exceeds ``max_rows``.
 """
 
 from __future__ import annotations
@@ -445,13 +447,17 @@ def convex_height_vectors(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _scan_sizes(width: int):
-    """Yield, for domain sizes d = 1, 2, .., the configurations a full scan
-    of size d examines: 2^(d·width) bit patterns times F(d) convex height
-    vectors, from the ordered Bell recurrence F(d) = Σ_{k=1..d} C(d, k)·F(d−k)."""
+    """Yield, for domain sizes d = 1, 2, .., what a full scan of size d is
+    charged: F(d) convex height vectors, from the ordered Bell recurrence
+    F(d) = Σ_{k=1..d} C(d, k)·F(d−k), times the larger of its 2^(d·width)
+    bit patterns and 32·4^d.  The second term is the set-up: each word of 64
+    height vectors is tested through a 4^d-entry table rebuilt for every
+    block, which costs about as much as 32·4^d configurations per height
+    vector, so a scan with few bit patterns is charged for its tables."""
     bell = [1]
     for d in itertools.count(1):
         bell.append(sum(math.comb(d, k) * bell[d - k] for k in range(1, d + 1)))
-        yield bell[d] << (d * width)
+        yield bell[d] << max(d * width, 2 * d + 5)
 
 
 @lru_cache(maxsize=None)
@@ -619,17 +625,6 @@ class _ConfigSpace:
         return RankedInterpretation(base, heights)
 
 
-def _compact(
-    masks: dict, keep: np.ndarray, alive: np.ndarray
-) -> tuple[dict, np.ndarray]:
-    """``masks`` and the row map ``keep`` restricted to the rows where
-    ``alive`` holds; no copy when every row does."""
-    if alive.all():
-        return masks, keep
-    sel = np.flatnonzero(alive)
-    return {c: v[sel] for c, v in masks.items()}, keep[sel]
-
-
 def _search(
     must_hold: Sequence[Axiom],
     must_fail: Optional[Axiom],
@@ -664,32 +659,34 @@ def _search(
         hvs = convex_height_vectors(n)
         tables = _min_height_tables(n)
         for lo, hi in space.chunk_ranges():
-            # filter and compact: the GCIs, then realisability on the rows
-            # left; ``keep`` maps the surviving rows back to the block
+            # the GCIs filter the block; its survivors' atom and quantifier
+            # columns are gathered once, and ``keep`` maps them to the block
             masks = space.build(lo, hi)
+            columns = list(masks)
             alive = np.ones(hi - lo, dtype=bool)
             for g in gcis:
                 alive &= ~space.violated(masks, g)
             if isinstance(must_fail, GCI):
                 alive &= space.violated(masks, must_fail)
-            masks, keep = _compact(masks, np.arange(hi - lo), alive)
-            if len(keep):
-                masks, keep = _compact(masks, keep, space.realizable(masks))
-            if not len(keep):
+            keep = np.flatnonzero(alive)
+            masks = {c: masks[c][keep] for c in columns}
+            if not len(keep) or not (ok := space.realizable(masks)).any():
                 examined += (hi - lo) * len(hvs)
                 continue
-            # the DCI pass, 64 height vectors at a time, on survivors only
+            # the DCI pass, 64 height vectors at a time; unrealisable rows
+            # start with no height vector
             holds = [space.dci_index(masks, d) for d in dcis]
             fails = space.dci_index(masks, must_fail) if isinstance(must_fail, DCI) else None
             for start in range(0, len(hvs), _WORD):
                 word = hvs[start : start + _WORD]
                 every = np.uint64((1 << len(word)) - 1)
                 table = _dci_hold_words(tables[start : start + _WORD], n)
-                sat = np.full(len(keep), every)
+                sat = np.where(ok, every, np.uint64(0))
+                # indexing, not ``take``, which first copies ``index`` to intp
                 for index in holds:
-                    sat &= table.take(index)
+                    sat &= table[index]
                 if fails is not None:
-                    sat &= table.take(fails) ^ every
+                    sat &= (table ^ every)[fails]
                 bits = int(np.bitwise_or.reduce(sat))
                 for j, hv in enumerate(word):
                     if not bits >> j & 1:

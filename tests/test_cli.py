@@ -212,12 +212,18 @@ def test_resource_limit_exit_code(capsys):
 def test_oracle_over_row_budget_is_a_resource_limit(capsys, tmp_path):
     # Six flat defaults over twelve atoms need 2^36 * 13 configurations at
     # domain 3 alone; the empty KB at domain 30 needs F(30) height vectors.
-    # Both are refused before any search.
+    # With few bit patterns the tables are charged: `top [= bot` at domain 12
+    # and one atom at domain 8 would spend minutes building them.  All are
+    # refused before any search.
     flat = tmp_path / "flat6.dkb"
     flat.write_text("".join(f"A{i} ~[= B{i}\n" for i in range(6)))
+    inconsistent = tmp_path / "topbot.dkb"
+    inconsistent.write_text("top [= bot\n")
     for argv in (
         ("oracle", str(flat), "-q", "A0 ~[= B1", "--max-domain", "3"),
         ("oracle", f"{KB}/empty.dkb", "--max-domain", "30"),
+        ("oracle", str(inconsistent), "--max-domain", "12"),
+        ("oracle", f"{KB}/empty.dkb", "-q", "A ~[= A", "--max-domain", "8"),
         ("oracle", f"{KB}/student.dkb", "--max-domain", "2", "--max-rows", "100"),
     ):
         start = time.perf_counter()
@@ -256,6 +262,15 @@ def test_unreadable_path(capsys, tmp_path):
         assert code == 1, path
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_byte_order_mark_is_accepted(capsys, tmp_path):
+    # editors that save UTF-8 with a BOM put an invisible U+FEFF first
+    marked = tmp_path / "student.dkb"
+    marked.write_bytes(b"\xef\xbb\xbf" + (corpus.KB_DIR / "student.dkb").read_bytes())
+    expected = run(capsys, "rank", f"{KB}/student.dkb", "--json")
+    assert expected[0] == 0
+    assert run(capsys, "rank", str(marked), "--json") == expected
 
 
 def test_flags_a_command_does_not_read_are_rejected(capsys):

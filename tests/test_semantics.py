@@ -528,9 +528,10 @@ def test_domain_five_spans_several_words():
 
 
 def test_scan_size_is_the_rows_of_a_search_without_witness():
-    # F(d) from the recurrence is the number of convex height vectors
+    # F(d) from the recurrence is the number of convex height vectors; with a
+    # single bit pattern each of them is charged its table, 32·4^d
     assert list(itertools.islice(sem._scan_sizes(0), 6)) == [
-        len(convex_height_vectors(d)) for d in range(1, 7)
+        len(convex_height_vectors(d)) << (2 * d + 5) for d in range(1, 7)
     ]
     cases = [
         (corpus.boss_kb(), "Worker ~[= exists hasSuperior.Responsible", 2),
@@ -543,10 +544,14 @@ def test_scan_size_is_the_rows_of_a_search_without_witness():
         assert not res.found
         atoms, _ = sem._vocabulary(kb, (q,))
         width = len(atoms) + len(sem._quantified_subconcepts(list(kb.axioms) + [q]))
-        assert sum(itertools.islice(sem._scan_sizes(width), bound)) == res.enumerated
-        assert search_countermodel(kb, q, bound, res.enumerated).enumerated == res.enumerated
+        assert res.enumerated == sum(
+            2 ** (d * width) * len(convex_height_vectors(d)) for d in range(1, bound + 1)
+        )
+        # the refusal threshold is exactly the charge
+        charge = sum(itertools.islice(sem._scan_sizes(width), bound))
+        assert search_countermodel(kb, q, bound, charge).enumerated == res.enumerated
         with pytest.raises(ResourceLimitError):
-            search_countermodel(kb, q, bound, res.enumerated - 1)
+            search_countermodel(kb, q, bound, charge - 1)
 
 
 def build_layout(space):
@@ -598,7 +603,7 @@ def test_build_matches_the_row_index_formula_on_one_row_blocks():
 
 def test_compaction_matches_reference_where_blocks_empty(monkeypatch):
     """With 16-row blocks, the GCIs of boss.dkb and realisability leave no
-    row in 168 of the 256 domain-2 blocks, so the compacted scan skips
+    row in 168 of the 256 domain-2 blocks, so the filtered scan skips
     whole blocks before its witnesses and through a full scan."""
     monkeypatch.setattr(sem, "_CHUNK_BITS", 4)
     kb = corpus.boss_kb()
