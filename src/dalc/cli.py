@@ -81,6 +81,7 @@ class _Ranked:
     cfg: TableauConfig
     stats: EntailmentStats
     ranking_checks: int
+    ranking_nodes: int
     inconsistent: bool
 
 
@@ -93,7 +94,7 @@ def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
             "partition": [
                 [axiom_to_json(d) for d in part] for part in ranking.partition
             ],
-            "stats": {"entailment_checks": r.ranking_checks},
+            "stats": {"entailment_checks": r.ranking_checks, "tableau_nodes": r.ranking_nodes},
         }
     promoted = {GCI(d.lhs, d.rhs) for d in ranking.moved_to_tbox}
     lines = ["T* (normalized TBox):"]
@@ -109,8 +110,8 @@ def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
         lines.append(f"  D{i} (rank {i}):")
         lines.extend(f"    {render_axiom(d)}" for d in part)
     lines.append(
-        "Entailment checks: ranking=%d, diagnostics=%d"
-        % (r.ranking_checks, r.stats.checks - r.ranking_checks)
+        "Entailment checks: ranking=%d, diagnostics=%d; tableau nodes: ranking=%d"
+        % (r.ranking_checks, r.stats.checks - r.ranking_checks, r.ranking_nodes)
     )
     return lines
 
@@ -237,9 +238,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = TableauConfig(ns.max_nodes)
             stats = EntailmentStats()
             ranking = compute_ranking(kb, cfg, stats)
-            ranking_checks = stats.checks
+            ranking_checks, ranking_nodes = stats.checks, stats.nodes_expanded
             inconsistent = tstar_inconsistent(ranking, cfg, stats)
-            ranked = _Ranked(kb, q, ranking, cfg, stats, ranking_checks, inconsistent)
+            ranked = _Ranked(kb, q, ranking, cfg, stats, ranking_checks, ranking_nodes, inconsistent)
             out = RENDERERS[ns.command](ns, ranked)
     except ParseError as e:
         return _fail(f"parse error: {e}")

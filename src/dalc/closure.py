@@ -27,7 +27,7 @@ from .concepts import (
     materialise,
 )
 from .ranks import Rank
-from .tableau import DEFAULT_CONFIG, EntailmentStats, TableauConfig, entails
+from .tableau import CompiledTBox, DEFAULT_CONFIG, EntailmentStats, TableauConfig, entails
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,9 @@ class Ranking:
     ``partition`` its consecutive differences D0, .., Dn.  ``moved_to_tbox``
     collects the infinite-rank DCIs whose strict versions were promoted into
     ``tstar``.  ``materialisations`` holds the conjoined materialisation of
-    each level of ``e_seq``, in the same order.
+    each level of ``e_seq``, in the same order.  ``tstar`` is the last
+    promotion round's ``CompiledTBox``, so the checks of the ranking, its
+    diagnostic and its queries share one cache of successor verdicts.
     """
 
     tstar: tuple[GCI, ...]
@@ -89,8 +91,9 @@ def compute_ranking(
     stats: Optional[EntailmentStats] = None,
 ) -> Ranking:
     """Iterate exceptionality to a fixpoint, promote the fixpoint into the
-    TBox, and repeat until the fixpoint is empty."""
-    tstar = list(kb.tbox)
+    TBox, and repeat until the fixpoint is empty.  T* is compiled once per
+    round."""
+    tstar = CompiledTBox(kb.tbox)
     dstar = list(kb.dtbox)
     moved: list[DCI] = []
     while True:
@@ -104,7 +107,7 @@ def compute_ranking(
         if not fixpoint:
             e_seq = tuple(seq[:-1])
             break
-        tstar.extend(GCI(d.lhs, d.rhs) for d in fixpoint)
+        tstar = CompiledTBox(tstar + tuple(GCI(d.lhs, d.rhs) for d in fixpoint))
         moved.extend(fixpoint)
         infinite = set(fixpoint)
         dstar = [d for d in dstar if d not in infinite]
@@ -113,7 +116,7 @@ def compute_ranking(
         for e, nxt in zip(e_seq, e_seq[1:] + ((),))
     )
     return Ranking(
-        tstar=tuple(tstar),
+        tstar=tstar,
         dstar=tuple(dstar),
         e_seq=e_seq,
         partition=partition,

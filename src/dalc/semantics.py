@@ -438,11 +438,25 @@ class SearchResult:
 
 @lru_cache(maxsize=None)
 def convex_height_vectors(n: int) -> tuple[tuple[int, ...], ...]:
+    """The height vectors of n elements whose heights are exactly 0..max, in
+    lexicographic order: depth first, never extending a prefix whose skipped
+    heights the positions left cannot fill."""
     out = []
-    for hv in itertools.product(range(n), repeat=n):
-        top = max(hv)
-        if set(hv) == set(range(top + 1)):
-            out.append(hv)
+
+    def extend(prefix: tuple[int, ...], top: int, missing: int) -> None:
+        # ``missing``: the heights below ``top`` that ``prefix`` skips, as bits
+        left = n - len(prefix) - 1  # positions after the next one
+        if left < 0:
+            out.append(prefix)
+            return
+        for v in range(n):
+            gaps = missing & ~(1 << v) if v <= top else missing | (1 << v) - (1 << top + 1)
+            if gaps.bit_count() <= left:
+                extend(prefix + (v,), max(top, v), gaps)
+            elif v > top:
+                break  # a higher height only skips more
+
+    extend((), -1, 0)
     return tuple(out)
 
 

@@ -7,12 +7,20 @@ termination.  A node's Or-branches are popped off an explicit stack, depth
 first and left branch first; only role successors recurse, so a check takes
 one Python frame per role level.  This is the only decision procedure the
 defeasible engine relies on.
+
+A TBox is compiled once into a ``CompiledTBox``: its constraints, and a cache
+of the successor labels its checks have decided (Horrocks & Patel-Schneider,
+*Optimizing Description Logic Subsumption*, 1999).  A successor whose label
+is cached is not expanded again, in this check or a later one on the same
+compiled TBox.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 from .concepts import (
     And,
@@ -34,7 +42,8 @@ class TableauConfig:
     """The budget of each classical check: at most ``max_nodes`` tableau
     nodes (the CLI's ``--max-nodes``), whether or not an ``EntailmentStats``
     observes it.  Every role successor is a node, so this also bounds how
-    deep successors nest.  An exhausted budget raises ``ResourceLimitError``."""
+    deep successors nest; a successor answered from a ``CompiledTBox``'s
+    cache is not a node.  An exhausted budget raises ``ResourceLimitError``."""
 
     max_nodes: int = 100_000
 
@@ -50,10 +59,38 @@ DEFAULT_CONFIG = TableauConfig()
 class EntailmentStats:
     """Per-session counters; pass one object through a batch of calls to
     observe how many classical checks and tableau nodes a procedure spends.
-    They only count: ``TableauConfig`` bounds each check on its own."""
+    They only count: ``TableauConfig`` bounds each check on its own.  A
+    cache hit is not a node, so a check's nodes can depend on the checks run
+    before it on the same ``CompiledTBox``."""
 
     checks: int = 0
     nodes_expanded: int = 0
+
+
+class CompiledTBox(tuple):
+    """A TBox compiled for the tableau: still the tuple of its GCIs, plus
+    ``verdicts``, the satisfiability of each role-successor label that a
+    check on this TBox has decided, keyed by the set of its initial label.
+    ``compute_ranking`` compiles T* once per promotion round, so the ranking,
+    its diagnostic and every query on a ``Ranking`` share one cache."""
+
+    verdicts: dict[frozenset, bool]
+
+    def __new__(cls, gcis: Iterable[GCI] = ()) -> "CompiledTBox":
+        self = super().__new__(cls, gcis)
+        self.verdicts = {}
+        return self
+
+    @cached_property
+    def universal(self) -> tuple[Concept, ...]:
+        """The internalised constraints ``nnf(¬lhs ⊔ rhs)``, built by the
+        first check."""
+        return tuple(nnf(Or(Not(g.lhs), g.rhs)) for g in self)
+
+
+# What ``expand`` returns for an open subtree none of whose blocked nodes
+# relied on an ancestor.
+_UNBLOCKED = sys.maxsize
 
 
 def is_satisfiable(
@@ -65,13 +102,31 @@ def is_satisfiable(
     """True iff some classical interpretation satisfies every GCI in ``tbox``
     and gives ``c`` a non-empty extension.  Raises ``ResourceLimitError``
     past ``cfg.max_nodes`` nodes, or when the concepts or the role successors
-    nest past Python's recursion limit."""
+    nest past Python's recursion limit.
+
+    A ``CompiledTBox`` lends the check its cached successor verdicts and
+    keeps the ones the check decides; a plain tuple or list is compiled
+    afresh for this one call.  A cache hit is not expanded and is not a node,
+    so a check's nodes can depend on the checks run before it on the same
+    compiled TBox."""
     if stats is None:
         stats = EntailmentStats()
+    if not isinstance(tbox, CompiledTBox):
+        tbox = CompiledTBox(tbox)
+    verdicts = tbox.verdicts
     nodes = 0  # this check's own count, which max_nodes bounds
 
-    def expand(label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> bool:
+    def expand(label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> int | None:
+        """None if ``label`` is unsatisfiable; otherwise the depth of the
+        shallowest ancestor that a blocked node of the open subtree relied
+        on, or ``_UNBLOCKED``.  A successor's verdict is stored when it does
+        not rest on a node outside its subtree: an unsatisfiable label
+        always, a satisfiable one when every blocker lies inside."""
         nonlocal nodes
+        key = frozenset(label)
+        known = verdicts.get(key)
+        if known is not None:
+            return _UNBLOCKED if known else None
 
         def add(c: Concept) -> bool:
             if c in seen:
@@ -111,22 +166,32 @@ def is_satisfiable(
                 branches += (extended + (split.right,), extended + (split.left,))
                 continue
             label_set = frozenset(seen)
-            if any(label_set <= ancestor for ancestor in ancestors):
-                return True
+            # blocked by the deepest ancestor that holds the label
+            low = next((i for i in reversed(range(len(ancestors))) if label_set <= ancestors[i]), None)
+            if low is not None:
+                break
+            low = _UNBLOCKED
             for e in items:
                 if isinstance(e, Exists):
                     successor = (e.filler,) + tuple(
                         f.filler for f in items if isinstance(f, Forall) and f.role == e.role
                     ) + universal
-                    if not expand(successor, ancestors + (label_set,)):
+                    sub = expand(successor, ancestors + (label_set,))
+                    if sub is None:
                         break
+                    low = min(low, sub)
             else:
-                return True
-        return False
+                break
+        else:
+            low = None
+        # the root's verdict is never stored, so query labels do not pile up
+        if ancestors and (low is None or low >= len(ancestors)):
+            verdicts[key] = low is not None
+        return low
 
     try:
-        universal = tuple(nnf(Or(Not(g.lhs), g.rhs)) for g in tbox)
-        return expand((nnf(c),) + universal, ())
+        universal = tbox.universal
+        return expand((nnf(c),) + universal, ()) is not None
     except RecursionError:
         limit = sys.getrecursionlimit()
         raise ResourceLimitError(f"nesting too deep (recursion limit {limit})") from None

@@ -1,10 +1,12 @@
 """Seeded random interpretations and concepts for the tests, the naive
 enumeration that the oracle's configuration-space search is checked against,
-and the recursive tableau that the stack-based one is checked against."""
+the filter that its height vectors are checked against, and the recursive
+tableau that the stack-based one is checked against."""
 
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Optional, Sequence
 
 from dalc.concepts import (
@@ -41,6 +43,14 @@ def _iter_ranked_interpretations(
                 )
                 for hv in convex_height_vectors(n):
                     yield RankedInterpretation(base, hv)
+
+
+def convex_height_vectors_by_filter(n: int) -> tuple[tuple[int, ...], ...]:
+    """``convex_height_vectors`` as it was: every one of the n^n tuples,
+    kept when its heights are exactly 0..max."""
+    return tuple(
+        hv for hv in itertools.product(range(n), repeat=n) if set(hv) == set(range(max(hv) + 1))
+    )
 
 
 def _search_naive(
@@ -107,19 +117,35 @@ def random_concept(rng, atoms: Sequence[str], roles: Sequence[str], depth: int) 
 
 class _Tableau:
     """Reference tableau: one Python frame per Or-branch as well as per role
-    successor.  ``dalc.tableau.is_satisfiable`` must reach the same verdict
-    after expanding the same number of nodes."""
+    successor.  With a label cache, ``dalc.tableau.is_satisfiable`` on a
+    freshly compiled TBox must reach the same verdict after expanding the
+    same number of nodes; without one it is the plain tableau, whose
+    verdicts a shared cache must not change."""
 
-    def __init__(self, universal: tuple[Concept, ...], cfg: TableauConfig, stats: EntailmentStats):
+    def __init__(self, universal: tuple[Concept, ...], cfg: TableauConfig, stats: EntailmentStats, cached: bool):
         self.universal = universal
         self.cfg = cfg
         self.stats = stats
         self.nodes = 0
+        self.verdicts: Optional[dict] = {} if cached else None
 
     def satisfiable(self, label: tuple[Concept, ...]) -> bool:
-        return self._expand(label, ())
+        return self._node(label, ()) is not None
 
-    def _expand(self, label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> bool:
+    def _node(self, label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> Optional[int]:
+        """A completion-tree node: its label's cached verdict, or expanded.
+        None if unsatisfiable; otherwise the depth of the shallowest
+        ancestor a blocked node below relied on (``sys.maxsize`` if none)."""
+        key = frozenset(label)
+        if self.verdicts is not None and key in self.verdicts:
+            return sys.maxsize if self.verdicts[key] else None
+        found = self._expand(label, ancestors)
+        # store what rests on no node outside this subtree, never the root's
+        if self.verdicts is not None and ancestors and (found is None or found >= len(ancestors)):
+            self.verdicts[key] = found is not None
+        return found
+
+    def _expand(self, label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> Optional[int]:
         self.nodes += 1
         self.stats.nodes_expanded += 1
         if self.nodes > self.cfg.max_nodes:
@@ -146,26 +172,27 @@ class _Tableau:
 
         for c in label:
             if not add(c):
-                return False
+                return None
         idx = 0
         while idx < len(items):
             c = items[idx]
             idx += 1
             if isinstance(c, And):
                 if not add(c.left) or not add(c.right):
-                    return False
+                    return None
 
         for c in items:
             if isinstance(c, Or) and c.left not in seen and c.right not in seen:
                 extended = tuple(items)
-                return self._expand(extended + (c.left,), ancestors) or self._expand(
-                    extended + (c.right,), ancestors
-                )
+                left = self._expand(extended + (c.left,), ancestors)
+                return left if left is not None else self._expand(extended + (c.right,), ancestors)
 
         label_set = frozenset(seen)
-        if any(label_set <= ancestor for ancestor in ancestors):
-            return True
+        for i in reversed(range(len(ancestors))):
+            if label_set <= ancestors[i]:
+                return i  # blocked by the deepest ancestor that holds the label
 
+        found = sys.maxsize
         for c in items:
             if isinstance(c, Exists):
                 successor = (c.filler,) + tuple(
@@ -173,9 +200,11 @@ class _Tableau:
                     for f in items
                     if isinstance(f, Forall) and f.role == c.role
                 ) + self.universal
-                if not self._expand(successor, ancestors + (label_set,)):
-                    return False
-        return True
+                low = self._node(successor, ancestors + (label_set,))
+                if low is None:
+                    return None
+                found = min(found, low)
+        return found
 
 
 def reference_is_satisfiable(
@@ -183,10 +212,12 @@ def reference_is_satisfiable(
     tbox: Sequence[GCI] = (),
     cfg: TableauConfig = DEFAULT_CONFIG,
     stats: Optional[EntailmentStats] = None,
+    cached: bool = True,
 ) -> bool:
-    """``dalc.tableau.is_satisfiable`` as it was before Or-branches moved onto
-    an explicit stack (without the role-depth budget it then had)."""
+    """``dalc.tableau.is_satisfiable`` before Or-branches moved onto an
+    explicit stack (without the role-depth budget it then had), with a label
+    cache of its own for this one call, or, with ``cached=False``, none."""
     if stats is None:
         stats = EntailmentStats()
     universal = tuple(nnf(Or(Not(g.lhs), g.rhs)) for g in tbox)
-    return _Tableau(universal, cfg, stats).satisfiable((nnf(c),) + universal)
+    return _Tableau(universal, cfg, stats, cached).satisfiable((nnf(c),) + universal)

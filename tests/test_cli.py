@@ -6,8 +6,10 @@ import time
 import pytest
 
 from dalc.cli import main
+from dalc.closure import compute_ranking
 from dalc.parser import axiom_from_json
 from dalc.concepts import DCI, GCI, Atom, Exists
+from dalc.tableau import EntailmentStats
 
 import corpus
 
@@ -26,6 +28,7 @@ def test_rank_running_example(capsys):
     assert "D0 (rank 0):" in out and "D1 (rank 1):" in out and "D2 (rank 2):" in out
     assert "Student ~[= !exists pays.Tax" in out
     assert "EmpStud [= Student" in out
+    assert "; tableau nodes: ranking=" in out
 
 
 def test_rank_empty_file(capsys):
@@ -42,7 +45,11 @@ def test_rank_json_schema(capsys):
     assert doc["promoted"] == []
     assert len(doc["partition"]) == 3
     assert all(len(part) == 1 for part in doc["partition"])
-    assert doc["stats"]["entailment_checks"] >= 1
+    # the ranking's checks and nodes, as the library counts them
+    stats = EntailmentStats()
+    compute_ranking(corpus.student_kb(), stats=stats)
+    assert doc["stats"] == {"entailment_checks": stats.checks, "tableau_nodes": stats.nodes_expanded}
+    assert stats.checks >= 1 and stats.nodes_expanded >= stats.checks
     # axioms round-trip through the parser's JSON schema
     assert axiom_from_json(doc["tstar"][0]) == GCI(Atom("EmpStud"), Atom("Student"))
     assert axiom_from_json(doc["partition"][1][0]) == DCI(
@@ -338,6 +345,7 @@ def test_rank_query_and_check_do_not_import_numpy():
     script = f"""
 import sys
 from dalc.cli import main
+from dalc.closure import compute_ranking
 for argv in (["rank", {kb!r}], ["query", {kb!r}, "-q", "A ~[= B"], ["check", {kb!r}]):
     assert main(argv) == 0
 assert "numpy" not in sys.modules

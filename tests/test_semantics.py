@@ -41,7 +41,7 @@ from dalc.semantics import (
 )
 
 import corpus
-from generators import _search_naive, random_concept, random_ranked_interpretation
+from generators import _search_naive, convex_height_vectors_by_filter, random_concept, random_ranked_interpretation
 
 
 def scenario_interpretation() -> FiniteInterpretation:
@@ -280,6 +280,11 @@ def test_ranked_union_concept_height_is_min_over_components():
 def test_convex_height_vectors_count():
     # ordered Bell numbers: 1, 3, 13, 75
     assert [len(convex_height_vectors(n)) for n in (1, 2, 3, 4)] == [1, 3, 13, 75]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_convex_height_vectors_match_the_filter(n):
+    assert convex_height_vectors(n) == convex_height_vectors_by_filter(n)
 
 
 def test_min_height_tables_are_the_least_height_in_each_mask():

@@ -23,6 +23,7 @@ from dalc.concepts import (
 from dalc.parser import parse_kb, render_concept
 from dalc.semantics import search_countermodel
 from dalc.tableau import (
+    CompiledTBox,
     EntailmentStats,
     ResourceLimitError,
     TableauConfig,
@@ -189,6 +190,24 @@ def test_role_depth_is_bounded_by_nodes_alone():
     assert stats.nodes_expanded == 601
 
 
+def test_a_successor_blocked_from_outside_is_not_cached_as_satisfiable():
+    # Checking A, its r-successor {A} is blocked by the root, which then
+    # closes on its s-successor; had {A} been stored as satisfiable, the
+    # next check would find exists r.A satisfiable.
+    a = Atom("A")
+    tbox = CompiledTBox((GCI(a, Exists("r", a)), GCI(a, Exists("s", BOTTOM))))
+    assert not is_satisfiable(a, tbox)
+    assert not is_satisfiable(Exists("r", a), tbox)
+    assert set(tbox.verdicts.values()) == {False}
+
+
+def test_a_root_verdict_is_not_stored():
+    tbox = CompiledTBox((GCI(Atom("A"), Exists("r", Atom("B"))),))
+    assert is_satisfiable(Atom("B"), tbox) and tbox.verdicts == {}
+    assert is_satisfiable(Atom("A"), tbox)
+    assert list(tbox.verdicts.values()) == [True]  # its successor's
+
+
 def test_stats_accumulate():
     stats = EntailmentStats()
     entails((), GCI(Atom("A"), Atom("A")), stats=stats)
@@ -204,7 +223,9 @@ def test_config_validation():
 
 # The chain(6), flat(4) and roles(3) families of the benchmark, written out.
 # Their check and node counts pin the tableau's search: an optimisation of
-# the reasoner must not change which nodes it expands.
+# the reasoner must not change which nodes it expands.  The ranking shares
+# one label cache per compiled T*, so the roles(3) pin counts the successors
+# that its earlier checks left undecided; chain(6) and flat(4) spawn none.
 CHAIN6 = """
 A1 [= A0
 A2 [= A1
@@ -243,15 +264,46 @@ A3 [= B
 """
 
 
+ROLES6 = """
+A0 ~[= exists r.A1
+A0 ~[= forall r.!B
+A1 ~[= exists r.A2
+A1 ~[= forall r.!B
+A2 ~[= exists r.A3
+A2 ~[= forall r.!B
+A3 ~[= exists r.A4
+A3 ~[= forall r.!B
+A4 ~[= exists r.A5
+A4 ~[= forall r.!B
+A5 ~[= exists r.A6
+A5 ~[= forall r.!B
+A6 [= B
+"""
+
+
 @pytest.mark.parametrize(
     "text, checks, nodes",
-    [(CHAIN6, 21, 528), (FLAT4, 12, 228), (ROLES3, 16, 1408)],
+    [(CHAIN6, 21, 528), (FLAT4, 12, 228), (ROLES3, 16, 655)],
     ids=["chain6", "flat4", "roles3"],
 )
 def test_ranking_search_is_pinned(text, checks, nodes):
     stats = EntailmentStats()
     compute_ranking(parse_kb(text).kb, stats=stats)
     assert (stats.checks, stats.nodes_expanded) == (checks, nodes)
+
+
+def test_roles6_ranks_within_the_default_budget():
+    # Without the label cache one of its checks alone passes 100k nodes.
+    kb = parse_kb(ROLES6).kb
+    stats = EntailmentStats()
+    ranking = compute_ranking(kb, stats=stats)
+    assert stats.checks == 52
+    assert ranking.partition == ()
+    pairs = [kb.dtbox[i : i + 2] for i in range(0, 12, 2)]
+    assert ranking.moved_to_tbox == tuple(d for pair in reversed(pairs) for d in pair)
+    # T* is compiled, and still reads as the tuple of its GCIs
+    assert isinstance(ranking.tstar, CompiledTBox)
+    assert ranking.tstar == kb.tbox + tuple(GCI(d.lhs, d.rhs) for d in ranking.moved_to_tbox)
 
 
 def test_max_nodes_bounds_each_check_and_stats_only_count(tmp_path, capsys):
@@ -313,3 +365,25 @@ def test_random_checks_match_recursive_reference(rng):
         for _ in range(rng.randrange(4))
     )
     _same_search(random_concept(rng, atoms, roles, 3), tbox, TableauConfig(max_nodes=5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_checks_sharing_a_compiled_tbox_keep_their_verdicts(rng):
+    # A label cache changes which nodes a check expands, never its verdict,
+    # and it only ever skips nodes.
+    atoms, roles = ["A", "B", "C"], ["r", "s"]
+    tbox = CompiledTBox(
+        GCI(random_concept(rng, atoms, roles, 2), random_concept(rng, atoms, roles, 2))
+        for _ in range(rng.randrange(5))
+    )
+    cfg = TableauConfig(max_nodes=5000)
+    for _ in range(6):
+        c = random_concept(rng, atoms, roles, 3)
+        plain, shared = EntailmentStats(), EntailmentStats()
+        try:
+            verdict = reference_is_satisfiable(c, tbox, cfg, plain, cached=False)
+        except ResourceLimitError:
+            continue
+        assert is_satisfiable(c, tbox, cfg, shared) == verdict, (c, tbox)
+        assert shared.nodes_expanded <= plain.nodes_expanded
