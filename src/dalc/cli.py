@@ -9,8 +9,9 @@
 Every command runs one pipeline: load the KB, parse the query, and (except
 ``oracle``) rank the KB once with one per-check tableau budget
 (``--max-nodes``, which also bounds how deep a check's successors nest) and
-one stats object; a renderer per command then turns the result into JSON or
-text lines.  The argument parser is built once per process.
+one stats object; a renderer per command then runs only the checks it prints
+and turns the result into JSON or text lines.  The argument parser is built
+once per process.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
@@ -80,9 +81,6 @@ class _Ranked:
     ranking: Ranking
     cfg: TableauConfig
     stats: EntailmentStats
-    ranking_checks: int
-    ranking_nodes: int
-    inconsistent: bool
 
 
 def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
@@ -94,14 +92,13 @@ def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
             "partition": [
                 [axiom_to_json(d) for d in part] for part in ranking.partition
             ],
-            "stats": {"entailment_checks": r.ranking_checks, "tableau_nodes": r.ranking_nodes},
+            "stats": {"entailment_checks": r.stats.checks, "tableau_nodes": r.stats.nodes_expanded},
         }
-    promoted = {GCI(d.lhs, d.rhs) for d in ranking.moved_to_tbox}
     lines = ["T* (normalized TBox):"]
     if not ranking.tstar:
         lines.append("  (empty)")
-    for a in ranking.tstar:
-        marker = "   [promoted from DTBox]" if a in promoted else ""
+    for i, a in enumerate(ranking.tstar):  # the promoted GCIs follow the TBox
+        marker = "   [promoted from DTBox]" if i >= len(r.kb.tbox) else ""
         lines.append(f"  {render_axiom(a)}{marker}")
     lines.append("Partition of D*:")
     if not ranking.partition:
@@ -110,28 +107,25 @@ def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
         lines.append(f"  D{i} (rank {i}):")
         lines.extend(f"    {render_axiom(d)}" for d in part)
     lines.append(
-        "Entailment checks: ranking=%d, diagnostics=%d; tableau nodes: ranking=%d"
-        % (r.ranking_checks, r.stats.checks - r.ranking_checks, r.ranking_nodes)
+        "Entailment checks: ranking=%d; tableau nodes: ranking=%d"
+        % (r.stats.checks, r.stats.nodes_expanded)
     )
     return lines
 
 
 def _query(ns: argparse.Namespace, r: _Ranked) -> Output:
     result = rationally_deducible(r.ranking, r.query, r.cfg, r.stats)
+    rank = result.decided_at
     if ns.json_out:
         return {
             "verdict": result.verdict,
-            "decided_at": (
-                "infinity" if result.decided_at.is_infinite else result.decided_at.value
-            ),
+            "decided_at": "infinity" if rank.is_infinite else rank.value,
             "checks": result.checks_spent,
             "kb_inconsistent": result.kb_inconsistent,
         }
     lines = ["IN rational closure" if result.verdict else "NOT IN rational closure"]
-    if result.decided_at.is_infinite:
-        lines.append("decided at rank: infinity (TBox fallback)")
-    else:
-        lines.append(f"decided at rank: {result.decided_at.value}")
+    fallback = " (TBox fallback)" if rank.is_infinite else ""
+    lines.append(f"decided at rank: {rank}{fallback}")
     lines.append(f"checks spent: {result.checks_spent}")
     if result.kb_inconsistent:
         lines.append("normalized TBox inconsistent: every query is trivially true")
@@ -139,6 +133,7 @@ def _query(ns: argparse.Namespace, r: _Ranked) -> Output:
 
 
 def _check(ns: argparse.Namespace, r: _Ranked) -> Output:
+    inconsistent = tstar_inconsistent(r.ranking, r.cfg, r.stats)
     unsat = [
         a
         for a in sorted(atom_names(r.kb.axioms))
@@ -147,11 +142,11 @@ def _check(ns: argparse.Namespace, r: _Ranked) -> Output:
     infinite = r.ranking.moved_to_tbox
     if ns.json_out:
         return {
-            "consistent": not r.inconsistent,
+            "consistent": not inconsistent,
             "infinite_rank": [axiom_to_json(d) for d in infinite],
             "unsatisfiable_atoms": unsat,
         }
-    lines = ["normalized TBox consistent: %s" % ("no" if r.inconsistent else "yes")]
+    lines = ["normalized TBox consistent: %s" % ("no" if inconsistent else "yes")]
     lines.append("DCIs of infinite rank:")
     lines.extend([f"  {render_axiom(d)}" for d in infinite] or ["  (none)"])
     lines.append("unsatisfiable concept names:")
@@ -237,10 +232,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             cfg = TableauConfig(ns.max_nodes)
             stats = EntailmentStats()
-            ranking = compute_ranking(kb, cfg, stats)
-            ranking_checks, ranking_nodes = stats.checks, stats.nodes_expanded
-            inconsistent = tstar_inconsistent(ranking, cfg, stats)
-            ranked = _Ranked(kb, q, ranking, cfg, stats, ranking_checks, ranking_nodes, inconsistent)
+            ranked = _Ranked(kb, q, compute_ranking(kb, cfg, stats), cfg, stats)
             out = RENDERERS[ns.command](ns, ranked)
     except ParseError as e:
         return _fail(f"parse error: {e}")

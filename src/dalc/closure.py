@@ -92,32 +92,28 @@ def compute_ranking(
 ) -> Ranking:
     """Iterate exceptionality to a fixpoint, promote the fixpoint into the
     TBox, and repeat until the fixpoint is empty.  T* is compiled once per
-    round."""
+    round; the promoted GCIs follow ``kb.tbox`` in it."""
     tstar = CompiledTBox(kb.tbox)
-    dstar = list(kb.dtbox)
     moved: list[DCI] = []
+    seq: list[tuple[DCI, ...]] = [kb.dtbox]  # this round's E0 ⊇ E1 ⊇ ...
     while True:
-        seq: list[tuple[DCI, ...]] = [tuple(dstar)]
-        while True:
-            nxt = exceptional(tstar, seq[-1], cfg, stats)
-            if nxt == seq[-1]:
-                break
+        nxt = exceptional(tstar, seq[-1], cfg, stats)
+        if nxt != seq[-1]:
             seq.append(nxt)
-        fixpoint = seq[-1]
-        if not fixpoint:
-            e_seq = tuple(seq[:-1])
+        elif not nxt:
             break
-        tstar = CompiledTBox(tstar + tuple(GCI(d.lhs, d.rhs) for d in fixpoint))
-        moved.extend(fixpoint)
-        infinite = set(fixpoint)
-        dstar = [d for d in dstar if d not in infinite]
+        else:  # a non-empty fixpoint: promote it, restart from the DCIs left
+            tstar = CompiledTBox(tstar + tuple(GCI(d.lhs, d.rhs) for d in nxt))
+            moved.extend(nxt)
+            seq = [tuple(d for d in seq[0] if d not in nxt)]
+    e_seq = tuple(seq[:-1])
     partition = tuple(
-        tuple(d for d in e if d not in set(nxt))
+        tuple(d for d in e if d not in nxt)
         for e, nxt in zip(e_seq, e_seq[1:] + ((),))
     )
     return Ranking(
         tstar=tstar,
-        dstar=tuple(dstar),
+        dstar=seq[0],
         e_seq=e_seq,
         partition=partition,
         moved_to_tbox=tuple(moved),

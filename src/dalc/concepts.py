@@ -153,39 +153,44 @@ MAX_ROWS = 1 << 39
 
 
 def nnf(c: Concept) -> Concept:
-    """Rewrite to negation normal form: Not applies to atoms only.
+    """Rewrite to negation normal form: Not applies to atoms only.  Top and
+    Bottom are simplified away on the way: Bottom absorbs a conjunction and
+    Top a disjunction, the units drop out, ∃r.⊥ is ⊥ and ∀r.⊤ is ⊤, so Top
+    and Bottom occur only as the whole result or as a quantifier's filler.
 
-    Equivalence-preserving under the set-theoretic semantics (De Morgan and
-    the quantifier dualities), and idempotent.
+    Equivalence-preserving under the set-theoretic semantics (De Morgan, the
+    quantifier dualities and the ⊤/⊥ laws), and idempotent.
     """
+    while isinstance(c, Not):  # push the negation inward by one constructor
+        inner = c.operand
+        if isinstance(inner, Atom):
+            return c
+        if isinstance(inner, (Top, Bottom)):
+            return BOTTOM if isinstance(inner, Top) else TOP
+        if isinstance(inner, Not):
+            c = inner.operand
+        elif isinstance(inner, (And, Or)):
+            dual = Or if isinstance(inner, And) else And
+            c = dual(Not(inner.left), Not(inner.right))
+        elif isinstance(inner, (Exists, Forall)):
+            dual = Forall if isinstance(inner, Exists) else Exists
+            c = dual(inner.role, Not(inner.filler))
+        else:
+            raise TypeError("not a concept: %r" % (inner,))
+    if isinstance(c, (And, Or)):
+        zero, unit = (BOTTOM, TOP) if isinstance(c, And) else (TOP, BOTTOM)
+        left, right = nnf(c.left), nnf(c.right)
+        if left is zero or right is zero:
+            return zero
+        if left is unit:
+            return right
+        return left if right is unit else type(c)(left, right)
+    if isinstance(c, (Exists, Forall)):
+        filler = nnf(c.filler)
+        zero = BOTTOM if isinstance(c, Exists) else TOP
+        return zero if filler is zero else type(c)(c.role, filler)
     if isinstance(c, (Top, Bottom, Atom)):
         return c
-    if isinstance(c, And):
-        return And(nnf(c.left), nnf(c.right))
-    if isinstance(c, Or):
-        return Or(nnf(c.left), nnf(c.right))
-    if isinstance(c, Exists):
-        return Exists(c.role, nnf(c.filler))
-    if isinstance(c, Forall):
-        return Forall(c.role, nnf(c.filler))
-    # Not: push inward by one constructor and recurse.
-    inner = c.operand
-    if isinstance(inner, Atom):
-        return c
-    if isinstance(inner, Top):
-        return BOTTOM
-    if isinstance(inner, Bottom):
-        return TOP
-    if isinstance(inner, Not):
-        return nnf(inner.operand)
-    if isinstance(inner, And):
-        return Or(nnf(Not(inner.left)), nnf(Not(inner.right)))
-    if isinstance(inner, Or):
-        return And(nnf(Not(inner.left)), nnf(Not(inner.right)))
-    if isinstance(inner, Exists):
-        return Forall(inner.role, nnf(Not(inner.filler)))
-    if isinstance(inner, Forall):
-        return Exists(inner.role, nnf(Not(inner.filler)))
     raise TypeError("not a concept: %r" % (c,))
 
 

@@ -1,7 +1,8 @@
 """Classical ALC satisfiability and entailment over a general TBox.
 
 Standard NNF tableau: every node carries the internalised TBox constraints
-``nnf(¬lhs ⊔ rhs)``, conjunctions are expanded in place, existential
+``nnf(¬lhs ⊔ rhs)`` (``nnf`` simplifies ⊤ and ⊥ away, and a constraint that
+is ⊤ is dropped), conjunctions are expanded in place, existential
 restrictions spawn role successors, and ancestor subset-blocking guarantees
 termination.  A node's Or-branches are popped off an explicit stack, depth
 first and left branch first; only role successors recurse, so a check takes
@@ -33,6 +34,7 @@ from .concepts import (
     Not,
     Or,
     ResourceLimitError,
+    TOP,
     nnf,
 )
 
@@ -83,9 +85,9 @@ class CompiledTBox(tuple):
 
     @cached_property
     def universal(self) -> tuple[Concept, ...]:
-        """The internalised constraints ``nnf(¬lhs ⊔ rhs)``, built by the
-        first check."""
-        return tuple(nnf(Or(Not(g.lhs), g.rhs)) for g in self)
+        """The internalised constraints ``nnf(¬lhs ⊔ rhs)`` that are not ⊤,
+        built by the first check."""
+        return tuple(u for g in self if (u := nnf(Or(Not(g.lhs), g.rhs))) is not TOP)
 
 
 # What ``expand`` returns for an open subtree none of whose blocked nodes

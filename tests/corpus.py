@@ -63,3 +63,30 @@ VERDICTS = [
 
 def query(text: str):
     return parse_query(text)
+
+
+# Two one-role KBs drawn with ``generators.random_concept`` from
+# ``random.Random(seed)`` (2 GCIs of depth 1, then 6 DCIs of depth 2, atoms
+# A-D, role r).  The ⊤ ⊑ ⊥ check of each passes the default node budget
+# unless nnf simplifies their ⊤/⊥ disjuncts; seed 209's passes it even then.
+SEED12 = """\
+C | bot [= exists r.B
+A | C [= C | bot
+forall r.top | bot ~[= exists r.(C | B)
+!A & exists r.A ~[= exists r.forall r.A
+A ~[= forall r.D
+bot | B | top ~[= exists r.bot & top
+!exists r.D ~[= exists r.forall r.D
+exists r.exists r.bot ~[= forall r.!bot
+"""
+
+SEED209 = """\
+exists r.B [= exists r.A
+forall r.A [= B & bot
+!(C | B) ~[= !(A & D)
+A & A | !B ~[= exists r.forall r.bot
+bot ~[= forall r.!top
+forall r.(A & bot) ~[= !forall r.B
+forall r.exists r.bot ~[= D | exists r.C
+forall r.(bot & C) ~[= !C & exists r.B
+"""

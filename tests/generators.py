@@ -219,5 +219,5 @@ def reference_is_satisfiable(
     cache of its own for this one call, or, with ``cached=False``, none."""
     if stats is None:
         stats = EntailmentStats()
-    universal = tuple(nnf(Or(Not(g.lhs), g.rhs)) for g in tbox)
+    universal = tuple(u for g in tbox if (u := nnf(Or(Not(g.lhs), g.rhs))) is not TOP)
     return _Tableau(universal, cfg, stats, cached).satisfiable((nnf(c),) + universal)

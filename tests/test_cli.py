@@ -28,7 +28,12 @@ def test_rank_running_example(capsys):
     assert "D0 (rank 0):" in out and "D1 (rank 1):" in out and "D2 (rank 2):" in out
     assert "Student ~[= !exists pays.Tax" in out
     assert "EmpStud [= Student" in out
-    assert "; tableau nodes: ranking=" in out
+    # the ranking's checks and nodes, as the library counts them; nothing else runs
+    stats = EntailmentStats()
+    compute_ranking(corpus.student_kb(), stats=stats)
+    assert out.splitlines()[-1] == (
+        f"Entailment checks: ranking={stats.checks}; tableau nodes: ranking={stats.nodes_expanded}"
+    )
 
 
 def test_rank_empty_file(capsys):
@@ -61,6 +66,19 @@ def test_rank_promoted_axioms_shown(capsys):
     code, out, _ = run(capsys, "rank", f"{KB}/contradictory.dkb")
     assert code == 0
     assert out.count("[promoted from DTBox]") == 2
+
+
+def test_rank_marks_the_promoted_gcis_only(capsys, tmp_path):
+    # the TBox's own A [= B equals the promoted one, but is not marked
+    kb = tmp_path / "dup.dkb"
+    kb.write_text("A [= B\nA ~[= B\nA ~[= !B\n")
+    code, out, _ = run(capsys, "rank", str(kb))
+    assert code == 0
+    assert out.splitlines()[1:4] == [
+        "  A [= B",
+        "  A [= B   [promoted from DTBox]",
+        "  A [= !B   [promoted from DTBox]",
+    ]
 
 
 def test_query_in(capsys):
@@ -105,6 +123,11 @@ def test_query_gci_fallback_decided_at_infinity(capsys):
     )
     assert code == 0
     assert json.loads(out)["decided_at"] == "infinity"
+    code, out, _ = run(capsys, "query", f"{KB}/student.dkb", "-q", "EmpStud [= Student")
+    assert code == 0
+    assert out.splitlines() == [
+        "IN rational closure", "decided at rank: infinity (TBox fallback)", "checks spent: 1",
+    ]
 
 
 def test_query_requires_q(capsys):
@@ -134,6 +157,24 @@ def test_check_infinite_rank_dcis(capsys):
     assert doc["consistent"] is True
     assert len(doc["infinite_rank"]) == 2
     assert doc["unsatisfiable_atoms"] == ["A"]
+
+
+def test_inconsistent_tstar_within_the_default_budget(capsys, tmp_path):
+    # The ⊤ ⊑ ⊥ check of both KBs exhausts the default node budget unless nnf
+    # simplifies their ⊤/⊥ disjuncts; seed 209's still does (backjumping would
+    # close it), so of that KB only ``rank``, which runs no such check, is asked.
+    seed12, seed209 = tmp_path / "seed12.dkb", tmp_path / "seed209.dkb"
+    seed12.write_text(corpus.SEED12)
+    seed209.write_text(corpus.SEED209)
+    for kb in (seed12, seed209):
+        assert run(capsys, "rank", str(kb), "--json")[0] == 0
+    code, out, _ = run(capsys, "check", str(seed12))
+    assert code == 0
+    assert "normalized TBox consistent: no" in out
+    code, out, _ = run(capsys, "query", str(seed12), "-q", "A ~[= forall r.D")
+    assert code == 0
+    assert out.splitlines()[0] == "IN rational closure"
+    assert out.splitlines()[-1] == "normalized TBox inconsistent: every query is trivially true"
 
 
 def test_check_empty_kb(capsys):

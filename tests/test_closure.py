@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dalc.closure import (
     QueryResult,
     axiom_rank,
@@ -23,6 +25,7 @@ from dalc.concepts import (
     conjoin,
     materialise,
 )
+from dalc.parser import parse_kb
 from dalc.ranks import Rank
 from dalc.semantics import search_countermodel, search_model
 from dalc.tableau import EntailmentStats, entails
@@ -141,6 +144,17 @@ def test_compute_ranking_needs_two_promotion_passes():
         assert not search_countermodel(kb, GCI(c, BOTTOM), bound).found
 
 
+def test_top_and_bottom_disjuncts_stay_within_the_default_budget():
+    # Before nnf simplified ⊤ and ⊥ away, this KB's ⊤ ⊑ ⊥ check passed the
+    # default 100,000 tableau nodes.
+    kb = parse_kb(corpus.SEED12).kb
+    r = compute_ranking(kb)
+    assert r.moved_to_tbox == kb.dtbox and r.partition == ()
+    assert tstar_inconsistent(r)
+    # oracle: not even a one-element model
+    assert not search_model(kb, 1).found
+
+
 def test_exceptionality_claims_confirmed_by_oracle():
     # Materialisation-based exceptionality is sound: whenever the engine
     # declares an antecedent exceptional, no bounded ranked model of the KB
@@ -243,6 +257,13 @@ def test_concept_rank_running_example():
     assert concept_rank(r, EMP) == Rank.finite(1)
     assert concept_rank(r, And(EMP, PAR)) == Rank.finite(2)
     assert concept_rank(r, BOTTOM) == Rank.infinite()
+
+
+def test_rank_values():
+    with pytest.raises(ValueError, match="non-negative"):
+        Rank.finite(-1)
+    assert str(Rank.finite(2)) == "2" and str(Rank.infinite()) == "infinity"
+    assert Rank.finite(2) < Rank.infinite() and not Rank.infinite() < Rank.finite(2)
 
 
 def test_concept_rank_beyond_last_level():

@@ -78,6 +78,29 @@ def test_nnf_constants():
     assert nnf(Not(Not(A))) == A
 
 
+def test_nnf_simplifies_top_and_bottom():
+    assert nnf(And(A, BOTTOM)) == BOTTOM and nnf(Or(TOP, A)) == TOP
+    assert nnf(And(TOP, A)) == A and nnf(Or(A, BOTTOM)) == A
+    assert nnf(Exists("r", BOTTOM)) == BOTTOM and nnf(Forall("r", TOP)) == TOP
+    assert nnf(Exists("r", TOP)) == Exists("r", TOP)
+    assert nnf(Forall("r", BOTTOM)) == Forall("r", BOTTOM)
+    # pushed negations are simplified too: ¬(∀r.⊤ ⊓ A) is ∃r.⊥ ⊔ ¬A, that is ¬A
+    assert nnf(Not(And(Forall("r", TOP), A))) == Not(A)
+    assert nnf(Not(Or(Not(B), Exists("r", BOTTOM)))) == B
+
+
+@given(concepts_strategy())
+def test_nnf_keeps_top_and_bottom_only_whole_or_as_fillers(c):
+    stack = [nnf(c)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (And, Or)):
+            assert not {node.left, node.right} & {TOP, BOTTOM}
+        if isinstance(node, (Exists, Forall)):
+            assert node.filler is not (BOTTOM if isinstance(node, Exists) else TOP)
+        stack.extend(direct_subconcepts(node))
+
+
 @given(concepts_strategy())
 def test_nnf_idempotent(c):
     assert nnf(nnf(c)) == nnf(c)

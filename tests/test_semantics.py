@@ -171,6 +171,12 @@ def test_ranked_interpretation_validation():
         RankedInterpretation(base, (1, 1))  # no layer 0
     with pytest.raises(ValueError):
         FiniteInterpretation(0, {}, {})
+    with pytest.raises(ValueError, match="one height per domain element"):
+        RankedInterpretation(base, (0,))
+    with pytest.raises(ValueError, match="atom A extension outside domain"):
+        FiniteInterpretation(2, {"A": {2}}, {})
+    with pytest.raises(ValueError, match="role r extension outside domain"):
+        FiniteInterpretation(2, {}, {"r": {(0, 2)}})
 
 
 def test_preferential_interpretation_rejects_pairs_outside_domain():
@@ -178,6 +184,10 @@ def test_preferential_interpretation_rejects_pairs_outside_domain():
     for order in ({(0, 5)}, {(-1, 1)}):
         with pytest.raises(ValueError, match="outside domain"):
             PreferentialInterpretation(base, order)
+    with pytest.raises(ValueError, match="not a strict partial order"):
+        PreferentialInterpretation(base, {(0, 1), (1, 0)})
+    with pytest.raises(ValueError, match="not transitive"):
+        PreferentialInterpretation(base, {(0, 1), (1, 2)})
 
 
 def test_heights_from_order_total_incomparability():
@@ -207,6 +217,8 @@ def test_heights_from_order_rejects_non_transitive():
 def test_heights_from_order_rejects_reflexive_pair():
     with pytest.raises(NotModularError):
         heights_from_order(2, [(0, 0)])
+    with pytest.raises(ValueError, match="outside domain of size 2"):
+        heights_from_order(2, [(0, 2)])
 
 
 def test_heights_order_round_trip():
@@ -240,6 +252,8 @@ def test_disjoint_union_of_one_is_itself():
     p = random_ranked_interpretation(rng, 3, ["A"], ["r"]).as_preferential()
     u = disjoint_union([p])
     assert u.base == p.base and u.order == p.order
+    with pytest.raises(ValueError, match="empty collection"):
+        disjoint_union([])
 
 
 def test_disjoint_union_preserves_models():
@@ -263,6 +277,8 @@ def test_ranked_union_of_one_is_itself():
     r = random_ranked_interpretation(rng, 3, ["A"], ["r"])
     u = ranked_union([r])
     assert u.base == r.base and u.heights == r.heights
+    with pytest.raises(ValueError, match="empty collection"):
+        ranked_union([])
 
 
 def test_ranked_union_concept_height_is_min_over_components():
