@@ -10,8 +10,10 @@ Every command runs one pipeline: load the KB, parse the query, and (except
 ``oracle``) rank the KB once with one per-check tableau budget
 (``--max-nodes``, which also bounds how deep a check's successors nest) and
 one stats object; a renderer per command then runs only the checks it prints
-and turns the result into JSON or text lines.  The argument parser is built
-once per process.
+and turns the result into JSON or text lines.  The ⊤ ⊑ ⊥ check runs only
+where T* has not yet been shown consistent: in ``check`` when the ranking
+has no level, and in ``query`` when, besides, the verdict is true at
+infinity.  The argument parser is built once per process.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
@@ -116,18 +118,20 @@ def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
 def _query(ns: argparse.Namespace, r: _Ranked) -> Output:
     result = rationally_deducible(r.ranking, r.query, r.cfg, r.stats)
     rank = result.decided_at
+    # a compatible level, or a refuted subsumption, has shown T* consistent
+    inconsistent = result.verdict and rank.is_infinite and tstar_inconsistent(r.ranking, r.cfg, r.stats)
     if ns.json_out:
         return {
             "verdict": result.verdict,
             "decided_at": "infinity" if rank.is_infinite else rank.value,
             "checks": result.checks_spent,
-            "kb_inconsistent": result.kb_inconsistent,
+            "kb_inconsistent": inconsistent,
         }
     lines = ["IN rational closure" if result.verdict else "NOT IN rational closure"]
     fallback = " (TBox fallback)" if rank.is_infinite else ""
     lines.append(f"decided at rank: {rank}{fallback}")
     lines.append(f"checks spent: {result.checks_spent}")
-    if result.kb_inconsistent:
+    if inconsistent:
         lines.append("normalized TBox inconsistent: every query is trivially true")
     return lines
 

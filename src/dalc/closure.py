@@ -10,7 +10,7 @@ at most ``n + 2`` further classical checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .concepts import (
@@ -40,8 +40,8 @@ class Ranking:
     collects the infinite-rank DCIs whose strict versions were promoted into
     ``tstar``.  ``materialisations`` holds the conjoined materialisation of
     each level of ``e_seq``, in the same order.  ``tstar`` is the last
-    promotion round's ``CompiledTBox``, so the checks of the ranking, its
-    diagnostic and its queries share one cache of successor verdicts.
+    promotion round's ``CompiledTBox``, so the checks of the ranking and of
+    its queries share one cache of successor verdicts.
     """
 
     tstar: tuple[GCI, ...]
@@ -50,25 +50,17 @@ class Ranking:
     partition: tuple[tuple[DCI, ...], ...]
     moved_to_tbox: tuple[DCI, ...]
     materialisations: tuple[Concept, ...]
-    # memo of tstar_inconsistent: None until computed
-    _inconsistent: Optional[bool] = field(default=None, repr=False, compare=False)
-
-    @property
-    def levels(self) -> int:
-        return len(self.e_seq)
 
 
 @dataclass(frozen=True)
 class QueryResult:
     """Verdict plus provenance: the level that decided the query (infinite
-    when the TBox-only fallback fired), the classical checks spent by the
-    query itself, and whether the normalized TBox is inconsistent (in which
-    case every verdict is trivially true)."""
+    when the TBox-only fallback fired) and the classical checks it spent,
+    which are all the checks the query made."""
 
     verdict: bool
     decided_at: Rank
     checks_spent: int
-    kb_inconsistent: bool = False
 
 
 def exceptional(
@@ -122,12 +114,12 @@ def compute_ranking(
 
 
 def _compatible_level(
-    r: Ranking, c: Concept, cfg: TableauConfig, stats: Optional[EntailmentStats]
+    r: Ranking, levels: Sequence[Concept], c: Concept, cfg: TableauConfig, stats: Optional[EntailmentStats]
 ) -> Optional[int]:
-    """The least level whose materialisation is compatible with ``c`` under
-    the normalized TBox, or None when every level is incompatible; one
-    classical check per level scanned."""
-    for i, mat in enumerate(r.materialisations):
+    """The index of the first materialisation in ``levels`` compatible with
+    ``c`` under the normalized TBox, or None when every one is incompatible;
+    one classical check per level scanned."""
+    for i, mat in enumerate(levels):
         if not entails(r.tstar, GCI(mat, Not(c)), cfg, stats):
             return i
     return None
@@ -142,19 +134,15 @@ def concept_rank(
     """The least level whose materialisation is compatible with ``c`` under
     the normalized TBox.
 
-    Levels run through E0..En and then the implicit empty fixpoint (whose
-    materialisation is Top), so a concept exceptional at every listed level
-    but satisfiable w.r.t. the TBox alone gets the finite rank n+1 rather
-    than infinity; only TBox-unsatisfiable concepts are infinite.  This is
-    what makes the rank-comparison form of rational closure agree with the
-    query procedure on every input.
+    Levels run through E0..En and then the implicit empty fixpoint, whose
+    materialisation is ⊤, so a concept exceptional at every listed level but
+    satisfiable w.r.t. the TBox alone gets the finite rank n+1 rather than
+    infinity; only TBox-unsatisfiable concepts are infinite.  This is what
+    makes the rank-comparison form of rational closure agree with the query
+    procedure on every input.
     """
-    i = _compatible_level(r, c, cfg, stats)
-    if i is not None:
-        return Rank.finite(i)
-    if not entails(r.tstar, GCI(c, BOTTOM), cfg, stats):
-        return Rank.finite(r.levels)
-    return Rank.infinite()
+    i = _compatible_level(r, r.materialisations + (TOP,), c, cfg, stats)
+    return Rank.infinite() if i is None else Rank.finite(i)
 
 
 def axiom_rank(
@@ -177,14 +165,12 @@ def tstar_inconsistent(
 ) -> bool:
     """Whether the normalized TBox entails ⊤ ⊑ ⊥ (no modular model exists).
 
-    Computed once per Ranking and cached; a diagnostic, not part of the
-    per-query check budget.
+    A ranking with a level has already shown T* consistent: the last pass of
+    the final round found a DCI whose antecedent is compatible with that
+    level under T*.  So this makes one classical check, and only when
+    ``e_seq`` is empty.
     """
-    if r._inconsistent is None:
-        object.__setattr__(
-            r, "_inconsistent", entails(r.tstar, GCI(TOP, BOTTOM), cfg, stats)
-        )
-    return r._inconsistent
+    return not r.e_seq and entails(r.tstar, GCI(TOP, BOTTOM), cfg, stats)
 
 
 def rationally_deducible(
@@ -193,23 +179,18 @@ def rationally_deducible(
     cfg: TableauConfig = DEFAULT_CONFIG,
     stats: Optional[EntailmentStats] = None,
 ) -> QueryResult:
-    """Decide membership of ``q`` in the rational closure.
+    """Decide membership of ``q`` in the rational closure, in n + 2 checks at most.
 
     For a DCI ``C ⊑~ D``: find the first level whose materialisation is
     compatible with ``C`` and test the strengthened subsumption there; if
-    every level is incompatible, fall back to the plain TBox subsumption.
-    A GCI query reduces to that same fallback.
+    every level is incompatible, test it at the implicit level ⊤, which is
+    the plain TBox subsumption.  A GCI query is decided at that level alone.
     """
     if stats is None:
         stats = EntailmentStats()
-    inconsistent = tstar_inconsistent(r, cfg, stats)
     start = stats.checks
-    i = None if isinstance(q, GCI) else _compatible_level(r, q.lhs, cfg, stats)
-    if i is None:
-        verdict = entails(r.tstar, GCI(q.lhs, q.rhs), cfg, stats)
-        decided = Rank.infinite()
-    else:
-        mat = r.materialisations[i]
-        verdict = entails(r.tstar, GCI(And(mat, q.lhs), q.rhs), cfg, stats)
-        decided = Rank.finite(i)
-    return QueryResult(verdict, decided, stats.checks - start, inconsistent)
+    i = None if isinstance(q, GCI) else _compatible_level(r, r.materialisations, q.lhs, cfg, stats)
+    mat = TOP if i is None else r.materialisations[i]
+    verdict = entails(r.tstar, GCI(And(mat, q.lhs), q.rhs), cfg, stats)
+    decided = Rank.infinite() if i is None else Rank.finite(i)
+    return QueryResult(verdict, decided, stats.checks - start)

@@ -13,7 +13,8 @@ A TBox is compiled once into a ``CompiledTBox``: its constraints, and a cache
 of the successor labels its checks have decided (Horrocks & Patel-Schneider,
 *Optimizing Description Logic Subsumption*, 1999).  A successor whose label
 is cached is not expanded again, in this check or a later one on the same
-compiled TBox.
+compiled TBox.  The cache holds at most ``_MAX_VERDICTS`` labels: when it is
+full it is emptied, and a dropped verdict is only decided again.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class CompiledTBox(tuple):
     """A TBox compiled for the tableau: still the tuple of its GCIs, plus
     ``verdicts``, the satisfiability of each role-successor label that a
     check on this TBox has decided, keyed by the set of its initial label.
-    ``compute_ranking`` compiles T* once per promotion round, so the ranking,
-    its diagnostic and every query on a ``Ranking`` share one cache."""
+    ``compute_ranking`` compiles T* once per promotion round, so the ranking
+    and every query on a ``Ranking`` share one cache."""
 
     verdicts: dict[frozenset, bool]
 
@@ -93,6 +94,10 @@ class CompiledTBox(tuple):
 # What ``expand`` returns for an open subtree none of whose blocked nodes
 # relied on an ancestor.
 _UNBLOCKED = sys.maxsize
+
+# The most successor verdicts a ``CompiledTBox`` keeps: a stream of distinct
+# role queries on one T* would otherwise grow its cache without end.
+_MAX_VERDICTS = 4096
 
 
 def is_satisfiable(
@@ -116,7 +121,7 @@ def is_satisfiable(
     if not isinstance(tbox, CompiledTBox):
         tbox = CompiledTBox(tbox)
     verdicts = tbox.verdicts
-    nodes = 0  # this check's own count, which max_nodes bounds
+    limit = stats.nodes_expanded + cfg.max_nodes  # this check's own budget
 
     def expand(label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> int | None:
         """None if ``label`` is unsatisfiable; otherwise the depth of the
@@ -124,7 +129,6 @@ def is_satisfiable(
         on, or ``_UNBLOCKED``.  A successor's verdict is stored when it does
         not rest on a node outside its subtree: an unsatisfiable label
         always, a satisfiable one when every blocker lies inside."""
-        nonlocal nodes
         key = frozenset(label)
         known = verdicts.get(key)
         if known is not None:
@@ -147,9 +151,8 @@ def is_satisfiable(
 
         branches = [label]
         while branches:
-            nodes += 1
             stats.nodes_expanded += 1
-            if nodes > cfg.max_nodes:
+            if stats.nodes_expanded > limit:
                 raise ResourceLimitError(f"more than {cfg.max_nodes} tableau nodes")
             items: list[Concept] = []
             seen: set[Concept] = set()
@@ -188,6 +191,8 @@ def is_satisfiable(
             low = None
         # the root's verdict is never stored, so query labels do not pile up
         if ancestors and (low is None or low >= len(ancestors)):
+            if len(verdicts) >= _MAX_VERDICTS:
+                verdicts.clear()
             verdicts[key] = low is not None
         return low
 

@@ -12,7 +12,6 @@ from dalc.closure import (
     compute_ranking,
     concept_rank,
     rationally_deducible,
-    tstar_inconsistent,
 )
 from dalc.concepts import (
     And,
@@ -259,7 +258,6 @@ def test_criterion_10_cost_bounds():
             r = compute_ranking(kb, stats=stats)
             d = len(kb.dtbox)
             assert stats.checks <= d**3 + 2 * d, (name, stats.checks)
-            tstar_inconsistent(r, stats=stats)  # one-off diagnostic, cached
             n_plus_2 = len(r.e_seq) + 1  # n + 2 with e_seq = (E0..En)
             queries = [q for nm, q, _ in corpus.VERDICTS if nm == name] or [
                 "top ~[= top"

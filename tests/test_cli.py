@@ -122,7 +122,10 @@ def test_query_gci_fallback_decided_at_infinity(capsys):
         capsys, "query", f"{KB}/student.dkb", "-q", "EmpStud [= Student", "--json"
     )
     assert code == 0
-    assert json.loads(out)["decided_at"] == "infinity"
+    # student's levels have shown T* consistent, so no ⊤ ⊑ ⊥ check runs
+    assert json.loads(out) == {
+        "verdict": True, "decided_at": "infinity", "checks": 1, "kb_inconsistent": False
+    }
     code, out, _ = run(capsys, "query", f"{KB}/student.dkb", "-q", "EmpStud [= Student")
     assert code == 0
     assert out.splitlines() == [
@@ -175,6 +178,12 @@ def test_inconsistent_tstar_within_the_default_budget(capsys, tmp_path):
     assert code == 0
     assert out.splitlines()[0] == "IN rational closure"
     assert out.splitlines()[-1] == "normalized TBox inconsistent: every query is trivially true"
+    # seed 12 has no level, so the query runs the ⊤ ⊑ ⊥ check itself
+    code, out, _ = run(capsys, "query", str(seed12), "-q", "A ~[= forall r.D", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "verdict": True, "decided_at": "infinity", "checks": 1, "kb_inconsistent": True
+    }
 
 
 def test_check_empty_kb(capsys):
@@ -382,9 +391,13 @@ def test_console_script_entry_point():
 def test_rank_query_and_check_do_not_import_numpy():
     # Only the oracle's model search uses NumPy; it loads on the oracle's
     # first call, and the other commands start without it.
+    # The package resolves the oracle's names from ``dalc.semantics`` on
+    # their first use, and only those.
     kb = f"{KB}/student.dkb"
     script = f"""
 import sys
+import dalc
+assert "numpy" not in sys.modules
 from dalc.cli import main
 from dalc.closure import compute_ranking
 for argv in (["rank", {kb!r}], ["query", {kb!r}, "-q", "A ~[= B"], ["check", {kb!r}]):
@@ -393,8 +406,22 @@ assert "numpy" not in sys.modules
 assert main(["oracle", {kb!r}, "--max-domain", "1"]) == 0
 assert "numpy" in sys.modules
 """
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
+    lazy = """
+import sys
+import dalc
+assert "numpy" not in sys.modules
+assert dalc.search_model is dalc.semantics.search_model
+assert "numpy" in sys.modules
+try:
+    dalc.nope
+except AttributeError as e:
+    assert "'dalc'" in str(e), e
+else:
+    raise AssertionError("dalc.nope resolved")
+"""
+    for code in (script, lazy):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
 
 def test_nesting_too_deep_is_a_resource_limit(capsys, tmp_path):

@@ -1,7 +1,10 @@
+import dataclasses
+import json
 import random
 
 import pytest
 
+from dalc.cli import main
 from dalc.closure import (
     QueryResult,
     axiom_rank,
@@ -25,7 +28,7 @@ from dalc.concepts import (
     conjoin,
     materialise,
 )
-from dalc.parser import parse_kb
+from dalc.parser import parse_kb, render_axiom
 from dalc.ranks import Rank
 from dalc.semantics import search_countermodel, search_model
 from dalc.tableau import EntailmentStats, entails
@@ -155,6 +158,28 @@ def test_top_and_bottom_disjuncts_stay_within_the_default_budget():
     assert not search_model(kb, 1).found
 
 
+def test_a_trivial_query_on_seed209_answers():
+    # Seed 209's ⊤ ⊑ ⊥ check passes the default node budget (see ROADMAP 5b),
+    # so a query that ran it first could not answer even ``C ⊑ C``.
+    r = compute_ranking(parse_kb(corpus.SEED209).kb)
+    stats = EntailmentStats()
+    res = rationally_deducible(r, GCI(Atom("C"), Atom("C")), stats=stats)
+    assert (res.verdict, res.decided_at, res.checks_spent) == (True, Rank.infinite(), 1)
+    assert (stats.checks, stats.nodes_expanded) == (1, 1)
+
+
+def test_tstar_inconsistent_checks_only_a_ranking_without_levels():
+    # A level of the final round has a DCI compatible with it under T*, so
+    # T* is consistent; the ⊤ ⊑ ⊥ check runs only when there is no level.
+    stats = EntailmentStats()
+    assert not tstar_inconsistent(compute_ranking(corpus.student_kb()), stats=stats)
+    assert stats.checks == 0
+    r = compute_ranking(parse_kb(corpus.SEED12).kb)
+    assert r.e_seq == ()
+    assert tstar_inconsistent(r, stats=stats)
+    assert stats.checks == 1
+
+
 def test_exceptionality_claims_confirmed_by_oracle():
     # Materialisation-based exceptionality is sound: whenever the engine
     # declares an antecedent exceptional, no bounded ranked model of the KB
@@ -264,6 +289,8 @@ def test_rank_values():
         Rank.finite(-1)
     assert str(Rank.finite(2)) == "2" and str(Rank.infinite()) == "infinity"
     assert Rank.finite(2) < Rank.infinite() and not Rank.infinite() < Rank.finite(2)
+    with pytest.raises(TypeError):
+        Rank.finite(1) < 1
 
 
 def test_concept_rank_beyond_last_level():
@@ -420,7 +447,6 @@ def test_query_cost_bound():
         stats = EntailmentStats()
         r = compute_ranking(kb, stats=stats)
         n_plus_2 = len(r.e_seq) + 1  # e_seq holds n+1 levels, so this is n+2
-        tstar_inconsistent(r, stats=stats)  # warm the diagnostic cache
         for _, qtext, _ in [v for v in corpus.VERDICTS if v[0] == name]:
             before = stats.checks
             res = rationally_deducible(r, corpus.query(qtext), stats=stats)
@@ -437,15 +463,18 @@ def test_ranking_cost_bound():
         assert stats.checks <= d**3 + 2 * d
 
 
-def test_inconsistent_tbox_flagged_and_trivial():
+def test_inconsistent_tbox_flagged_and_trivial(capsys, tmp_path):
     kb = KnowledgeBase(tbox=(GCI(TOP, BOTTOM),), dtbox=(DCI(Atom("A"), Atom("B")),))
     r = compute_ranking(kb)
     assert tstar_inconsistent(r)
     assert not search_model(kb, 2).found
+    path = tmp_path / "inconsistent.dkb"
+    path.write_text("".join(render_axiom(a) + "\n" for a in kb.axioms))
     for q in (DCI(Atom("A"), Not(Atom("A"))), GCI(TOP, BOTTOM), DCI(TOP, BOTTOM)):
         res = rationally_deducible(r, q)
         assert res.verdict
-        assert res.kb_inconsistent
+        assert main(["query", str(path), "-q", render_axiom(q), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kb_inconsistent"] is True
 
 
 def test_consistent_corpus_not_flagged():
@@ -460,8 +489,18 @@ def test_query_result_shape():
     r = compute_ranking(corpus.student_kb())
     res = rationally_deducible(r, DCI(STUD, STUD))
     assert isinstance(res, QueryResult)
+    assert [f.name for f in dataclasses.fields(res)] == ["verdict", "decided_at", "checks_spent"]
     assert res.checks_spent >= 1
-    assert not res.kb_inconsistent
+    assert not tstar_inconsistent(r)
+
+
+def test_a_query_makes_only_the_checks_it_reports():
+    stats = EntailmentStats()
+    r = compute_ranking(corpus.penguin_kb(), stats=stats)
+    before = stats.checks
+    res = rationally_deducible(r, corpus.query("Penguin ~[= Wings"), stats=stats)
+    assert (res.verdict, res.decided_at, res.checks_spent) == (False, Rank.finite(1), 3)
+    assert stats.checks - before == 3
 
 
 def _exception_chain(n):
@@ -479,7 +518,6 @@ def test_exception_chain_exact_check_counts():
     r = compute_ranking(_exception_chain(n), stats=stats)
     assert stats.checks == n * (n + 1) // 2
     assert r.partition == tuple((d,) for d in _exception_chain(n).dtbox)
-    tstar_inconsistent(r)  # memoised: no query below pays for it
     for i in range(n):
         a = Atom(f"A{i}")
         stats = EntailmentStats()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dalc.closure
+import dalc.tableau
 from dalc.cli import main
 from dalc.closure import compute_ranking
 from dalc.concepts import (
@@ -387,3 +388,27 @@ def test_checks_sharing_a_compiled_tbox_keep_their_verdicts(rng):
             continue
         assert is_satisfiable(c, tbox, cfg, shared) == verdict, (c, tbox)
         assert shared.nodes_expanded <= plain.nodes_expanded
+
+
+def test_the_label_cache_is_bounded(monkeypatch):
+    # With room for 4 verdicts, the cache is emptied whenever it is full
+    # before it stores another; a dropped verdict is only decided again.
+    monkeypatch.setattr(dalc.tableau, "_MAX_VERDICTS", 4)
+    sizes = []
+
+    class Recorded(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    rng = random.Random(5)
+    atoms, roles = ["A", "B", "C"], ["r", "s"]
+    tbox = CompiledTBox(
+        GCI(random_concept(rng, atoms, roles, 2), random_concept(rng, atoms, roles, 2)) for _ in range(3)
+    )
+    tbox.verdicts = Recorded()
+    cfg = TableauConfig(max_nodes=5000)
+    for _ in range(60):
+        c = random_concept(rng, atoms, roles, 3)
+        assert is_satisfiable(c, tbox, cfg) == reference_is_satisfiable(c, tbox, cfg, cached=False), c
+    assert max(sizes) == 4 and len(sizes) > 4  # it filled up and was emptied
