@@ -50,8 +50,9 @@ from .tableau import (
     is_satisfiable,
 )
 
-# The oracle's names load NumPy, which rank, query and check never use, so
-# ``dalc.semantics`` is imported on the first use of one of them (PEP 562).
+# The oracle's names are imported from ``dalc.semantics`` on the first use of
+# one of them (PEP 562), so rank, query and check never load it; that module
+# is pure Python, and NumPy loads only when a search name reaches ``dalc.search``.
 _SEMANTICS = (
     "FiniteInterpretation", "PreferentialInterpretation", "RankedInterpretation",
     "check_postulates", "disjoint_union", "extension", "height_of_concept",

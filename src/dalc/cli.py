@@ -13,12 +13,15 @@ one stats object; a renderer per command then runs only the checks it prints
 and turns the result into JSON or text lines.  The ⊤ ⊑ ⊥ check runs only
 where T* has not yet been shown consistent: in ``check`` when the ranking
 has no level, and in ``query`` when, besides, the verdict is true at
-infinity.  The argument parser is built once per process.
+infinity; that verdict holds either way, so if the check hits a resource
+limit ``query`` prints it with T*'s consistency unknown (``kb_inconsistent:
+null``).  The argument parser is built once per process.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
 limit: an exhausted tableau budget, an oracle scan over its row budget, or
-nesting too deep to recurse through, 3 = internal error, 0 otherwise).
+nesting too deep to recurse through, 3 = internal error, 0 otherwise, as for
+a ``query`` answered before its ⊤ ⊑ ⊥ check ran out).
 """
 
 from __future__ import annotations
@@ -118,8 +121,15 @@ def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
 def _query(ns: argparse.Namespace, r: _Ranked) -> Output:
     result = rationally_deducible(r.ranking, r.query, r.cfg, r.stats)
     rank = result.decided_at
-    # a compatible level, or a refuted subsumption, has shown T* consistent
-    inconsistent = result.verdict and rank.is_infinite and tstar_inconsistent(r.ranking, r.cfg, r.stats)
+    # a compatible level, or a refuted subsumption, has shown T* consistent;
+    # an inconsistent T* entails every query, so a true verdict stands even
+    # when the ⊤ ⊑ ⊥ check runs out of budget (None: consistency unknown)
+    inconsistent: Optional[bool] = False
+    if result.verdict and rank.is_infinite:
+        try:
+            inconsistent = tstar_inconsistent(r.ranking, r.cfg, r.stats)
+        except ResourceLimitError:
+            inconsistent = None
     if ns.json_out:
         return {
             "verdict": result.verdict,
@@ -133,6 +143,8 @@ def _query(ns: argparse.Namespace, r: _Ranked) -> Output:
     lines.append(f"checks spent: {result.checks_spent}")
     if inconsistent:
         lines.append("normalized TBox inconsistent: every query is trivially true")
+    elif inconsistent is None:
+        lines.append("normalized TBox consistency unknown: the top [= bot check hit a resource limit")
     return lines
 
 

@@ -1,0 +1,376 @@
+"""Bounded model search: the oracle's exhaustive scan of ranked
+interpretations up to a domain bound, vectorised with NumPy.  This is the
+only module of the package that imports NumPy; ``dalc.semantics`` holds the
+model theory the search evaluates against (satisfaction, height maps) and
+resolves the public names below on their first use.
+
+``search_model`` and ``search_countermodel`` decide, exhaustively, whether a
+ranked interpretation with at most ``max_domain`` elements satisfies (or
+refutes) a knowledge base.  Enumerating raw role graphs is hopeless even at
+domain size 4, so the search enumerates *abstract configurations* instead:
+an atom extension per concept name, a convex height map, and one bit per
+element for every quantified subconcept occurring in the axioms.  A
+configuration is kept only when some role graph realises exactly those bits
+(a per-element check), which makes the abstraction exact: every concrete
+ranked interpretation projects onto a realisable configuration with the same
+axiom values, and every realisable configuration is materialised back into a
+concrete witness.  Results are therefore identical to naive enumeration —
+``tests/test_semantics.py`` cross-checks this against the naive search in
+``tests/generators.py`` on small vocabularies — but reachable within the
+acceptance-time budget.
+
+The enumeration order is deterministic: domain size ascending, bit patterns
+(atom extensions then quantifier bits, as one ascending integer) in blocks,
+and height vectors in lexicographic order within each block.  The first
+witness found is reproducible across runs.
+
+Each block is filtered, gathered once, then tested.  ``build`` lays out the
+atom and quantifier-bit columns from the block's bits, in the narrowest
+unsigned dtype that holds a mask (``uint8`` up to eight elements).  The GCIs
+(and a GCI query's violation) filter the rows, and only those columns are
+gathered at the survivors; a block with no realisable survivor is skipped.
+The DCI pass tests the survivors against 64 height vectors at a time: a DCI
+reduces, per row, to one small index ``good | bad << n`` (its lhs-instances
+inside and outside its rhs), and a table built per word of 64 height vectors
+maps that index to the bitset of vectors under which the DCI holds; a row
+survives under the vectors in the AND of its axioms' bitsets, which start
+empty on the rows no role graph realises.  Gathered rows keep their position
+in the block, so witnesses are still taken in the order above, and the first
+witness, ``enumerate_models`` and the count of examined configurations
+(``SearchResult.enumerated``) are those of a scan one height vector at a
+time, which the tests keep as the reference.
+
+Before any work the search charges a full scan
+Σ_{d ≤ max_domain} F(d) · max(2^(d·(atoms + quantified subconcepts)), 32·4^d)
+with F the ordered Bell numbers (the number of convex height maps): its
+configurations, or, when they are few, the tables it builds for them.  It
+raises ``ResourceLimitError`` if that exceeds ``max_rows``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .concepts import (
+    And, Atom, Axiom, Concept, DCI, Exists, Forall, GCI, KnowledgeBase, Not, Or, MAX_ROWS,
+    ResourceLimitError, Top, Bottom, atom_names, role_names, subconcepts,
+)
+from .semantics import (
+    FiniteInterpretation, RankedInterpretation, _bits, convex_height_vectors, satisfies, satisfies_all,
+)
+
+_CHUNK_BITS = 20  # rows are enumerated in blocks of at most 2**_CHUNK_BITS
+_WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """Outcome of a bounded search.  ``interpretation`` is None when nothing
+    was found within the bound, which proves nothing beyond the bound (the
+    search is one-sided)."""
+
+    interpretation: Optional[RankedInterpretation]
+    enumerated: int
+
+    @property
+    def found(self) -> bool:
+        return self.interpretation is not None
+
+
+def _scan_sizes(width: int):
+    """Yield, for domain sizes d = 1, 2, .., what a full scan of size d is
+    charged: F(d) convex height vectors, from the ordered Bell recurrence
+    F(d) = Σ_{k=1..d} C(d, k)·F(d−k), times the larger of its 2^(d·width)
+    bit patterns and 32·4^d.  The second term is the set-up: each word of 64
+    height vectors is tested through a 4^d-entry table rebuilt for every
+    block, which costs about as much as 32·4^d configurations per height
+    vector, so a scan with few bit patterns is charged for its tables."""
+    bell = [1]
+    for d in itertools.count(1):
+        bell.append(sum(math.comb(d, k) * bell[d - k] for k in range(1, d + 1)))
+        yield bell[d] << max(d * width, 2 * d + 5)
+
+
+@lru_cache(maxsize=None)
+def _min_height_tables(n: int) -> np.ndarray:
+    """tables[k][mask] = least height under height vector k among the
+    elements in ``mask``, or ``n`` (above every height) for the empty mask."""
+    hvs = np.array(convex_height_vectors(n), dtype=np.uint8)
+    tables = np.full((len(hvs), 1 << n), n, dtype=np.uint8)
+    for mask in range(1, 1 << n):
+        low = mask & -mask  # the mask's least element, against the rest
+        tables[:, mask] = np.minimum(tables[:, mask ^ low], hvs[:, low.bit_length() - 1])
+    return tables
+
+
+def _dci_hold_words(minima: np.ndarray, n: int) -> np.ndarray:
+    """words[good | bad << n] has bit j set iff a DCI holds under the height
+    vector of ``minima[j]`` (at most 64 rows of ``_min_height_tables(n)``)
+    when its lhs-instances split into ``good`` (in the rhs) and ``bad`` (not
+    in the rhs): there is no bad instance, or the least good height lies
+    strictly below the least bad one."""
+    index = np.arange(1 << (2 * n))
+    good, bad = index & ((1 << n) - 1), index >> n
+    holds = (bad == 0) | (minima[:, good] < minima[:, bad])
+    shifts = np.arange(len(minima), dtype=np.uint64)[:, None]
+    return np.bitwise_or.reduce(holds.astype(np.uint64) << shifts, axis=0)
+
+
+def _quantified_subconcepts(axioms: Sequence[Axiom]) -> list[Concept]:
+    # repr is structural, so this order, which fixes the bit layout and hence
+    # the witness order, is stable across runs
+    return sorted({c for c in subconcepts(axioms) if isinstance(c, (Exists, Forall))}, key=repr)
+
+
+class _ConfigSpace:
+    """Vectorised evaluation of all abstract configurations for one domain
+    size: per-row atom masks, quantifier bits, realisability, and axiom
+    constraints."""
+
+    def __init__(self, n: int, atoms: Sequence[str], quantified: Sequence[Concept]):
+        self.n = n
+        self.full = (1 << n) - 1
+        self.atoms = list(atoms)
+        self.quantified = list(quantified)
+        self.qbits = len(quantified) * n
+        self.abits = len(atoms) * n
+        self.total_rows = 1 << (self.qbits + self.abits)
+        self.dtype = np.min_scalar_type(self.full)
+        self.index_dtype = np.min_scalar_type((1 << (2 * n)) - 1)
+
+    def chunk_ranges(self):
+        step = 1 << min(_CHUNK_BITS, self.qbits + self.abits)
+        for lo in range(0, self.total_rows, step):
+            yield lo, min(lo + step, self.total_rows)
+
+    def build(self, lo: int, hi: int) -> dict:
+        """Per-row masks of the rows ``lo .. hi-1``, in the narrowest unsigned
+        dtype that holds ``full``.  Atom ``k`` is bits ``qbits + k*n ..`` of
+        the row index and quantified concept ``m`` bits ``m*n ..``.  A block's
+        size is a power of two and ``lo`` a multiple of it, so each column is
+        the field's bits of ``lo`` ORed with an ``arange`` over its bits that
+        vary inside the block, each value repeated and the run tiled."""
+        size = hi - lo
+        width = size.bit_length() - 1
+        assert size == 1 << width and lo % size == 0, "blocks are aligned powers of two"
+        fields = [(Atom(a), self.qbits + k * self.n) for k, a in enumerate(self.atoms)]
+        fields += [(q, m * self.n) for m, q in enumerate(self.quantified)]
+        masks: dict[Concept, np.ndarray] = {}
+        for c, shift in fields:
+            rep = min(shift, width)
+            low = min(self.n, width - rep)
+            run = np.arange(1 << low, dtype=self.dtype) | ((lo >> shift) & self.full)
+            shape = (size >> (rep + low), 1 << low, 1 << rep)
+            masks[c] = np.broadcast_to(run[None, :, None], shape).reshape(size)
+        return masks
+
+    def rows(self, masks: dict) -> int:
+        # with no atom and no quantified concept a domain size has one row
+        return len(next(iter(masks.values()))) if masks else 1
+
+    def eval(self, masks: dict, c: Concept) -> np.ndarray:
+        cached = masks.get(c)
+        if cached is not None:
+            return cached
+        if isinstance(c, Top):
+            v = np.full(self.rows(masks), self.full, dtype=self.dtype)
+        elif isinstance(c, (Bottom, Atom)):
+            # an atom outside the enumerated vocabulary has an empty extension
+            v = np.zeros(self.rows(masks), dtype=self.dtype)
+        elif isinstance(c, Not):
+            v = self.full & ~self.eval(masks, c.operand)
+        elif isinstance(c, And):
+            v = self.eval(masks, c.left) & self.eval(masks, c.right)
+        elif isinstance(c, Or):
+            v = self.eval(masks, c.left) | self.eval(masks, c.right)
+        else:
+            raise AssertionError(
+                f"quantified subconcept {c!r} missing from configuration space"
+            )
+        masks[c] = v
+        return v
+
+    def violated(self, masks: dict, g: Axiom) -> np.ndarray:
+        """Per row, whether some element is in ``g``'s lhs and not its rhs."""
+        return (self.eval(masks, g.lhs) & ~self.eval(masks, g.rhs) & self.full) != 0
+
+    def dci_index(self, masks: dict, d: Axiom) -> np.ndarray:
+        """Per row, ``good | bad << n``: the lhs-instances of ``d`` in its rhs
+        (``good``) and outside it (``bad``), the index ``_dci_hold_words``
+        reads, in the narrowest dtype that holds ``4**n - 1``."""
+        lhs = self.eval(masks, d.lhs)
+        rhs = self.eval(masks, d.rhs)
+        index = (lhs & ~rhs & self.full).astype(self.index_dtype) << self.n
+        index |= lhs & rhs
+        return index
+
+    def _demands(self, masks: dict):
+        """Yield ``(role, i, demanded, target)`` for every role, element ``i``
+        and quantified concept of that role.  ``demanded`` marks the rows
+        where the concept's bit at ``i`` needs a ``role``-successor (an
+        existential that holds, a universal that fails); ``target`` masks the
+        successors that meet that need and that every quantifier bit of ``i``
+        allows.  This is the one place allowed successor sets are computed."""
+        by_role: dict[str, list[Concept]] = {}
+        for q in self.quantified:
+            by_role.setdefault(q.role, []).append(q)
+        for role, qs in sorted(by_role.items()):
+            fillers = [(q, self.eval(masks, q.filler)) for q in qs]
+            for i in range(self.n):
+                # s: per row, all bits where q's bit at i is set, none where not
+                bits = [(q, fm, (masks[q] >> i & 1) * self.full) for q, fm in fillers]
+                allowed = self.full
+                for q, fm, s in bits:
+                    # a universal that holds, or an existential that fails,
+                    # allows only the successors in its filler, or outside it
+                    allowed = allowed & (fm | ~s if isinstance(q, Forall) else ~fm | s)
+                for q, fm, s in bits:
+                    has = s != 0
+                    if isinstance(q, Exists):
+                        yield role, i, has, allowed & fm
+                    else:
+                        yield role, i, ~has, allowed & (self.full & ~fm)
+
+    def realizable(self, masks: dict) -> np.ndarray:
+        """Rows for which some role graph yields exactly the quantifier bits."""
+        ok = np.ones(self.rows(masks), dtype=bool)
+        for _, _, demanded, target in self._demands(masks):
+            ok &= ~demanded | (target != 0)
+        return ok
+
+    def materialize(
+        self, row: int, heights: tuple[int, ...], roles: Sequence[str]
+    ) -> RankedInterpretation:
+        """Reconstruct a concrete witness from one abstract configuration:
+        each demanded successor is the lowest element of its target."""
+        masks = self.build(row, row + 1)
+        atom_ext = {a: _bits(int(masks[Atom(a)][0])) for a in self.atoms}
+        role_ext: dict[str, set[tuple[int, int]]] = {r: set() for r in roles}
+        for role, i, demanded, target in self._demands(masks):
+            if demanded[0]:
+                t = int(target[0])
+                if t == 0:
+                    raise AssertionError("materializing an unrealizable row")
+                role_ext[role].add((i, (t & -t).bit_length() - 1))
+        base = FiniteInterpretation(self.n, atom_ext, role_ext)
+        return RankedInterpretation(base, heights)
+
+
+def _search(
+    must_hold: Sequence[Axiom],
+    must_fail: Optional[Axiom],
+    atoms: Sequence[str],
+    roles: Sequence[str],
+    max_domain: int,
+    limit: int = 1,
+    max_rows: int = MAX_ROWS,
+) -> tuple[list[RankedInterpretation], int]:
+    """Scan all ranked interpretations up to ``max_domain`` (via the abstract
+    configuration space) for models of ``must_hold`` that, when requested,
+    falsify ``must_fail``.  Returns up to ``limit`` witnesses plus the number
+    of candidate configurations examined.  Raises ``ResourceLimitError``
+    before any work when a full scan would examine more than ``max_rows``."""
+    relevant = list(must_hold) + ([must_fail] if must_fail is not None else [])
+    quantified = _quantified_subconcepts(relevant)
+    scan = 0
+    for size in itertools.islice(_scan_sizes(len(atoms) + len(quantified)), max_domain):
+        scan += size
+        if scan > max_rows:
+            raise ResourceLimitError(
+                f"the oracle's scan up to domain size {max_domain} exceeds "
+                f"{max_rows} configurations"
+            )
+    gcis = [a for a in must_hold if isinstance(a, GCI)]
+    dcis = [a for a in must_hold if isinstance(a, DCI)]
+    found: list[RankedInterpretation] = []
+    examined = 0
+
+    for n in range(1, max_domain + 1):
+        space = _ConfigSpace(n, atoms, quantified)
+        hvs = convex_height_vectors(n)
+        tables = _min_height_tables(n)
+        for lo, hi in space.chunk_ranges():
+            # the GCIs filter the block; its survivors' atom and quantifier
+            # columns are gathered once, and ``keep`` maps them to the block
+            masks = space.build(lo, hi)
+            columns = list(masks)
+            alive = np.ones(hi - lo, dtype=bool)
+            for g in gcis:
+                alive &= ~space.violated(masks, g)
+            if isinstance(must_fail, GCI):
+                alive &= space.violated(masks, must_fail)
+            keep = np.flatnonzero(alive)
+            masks = {c: masks[c][keep] for c in columns}
+            if not len(keep) or not (ok := space.realizable(masks)).any():
+                examined += (hi - lo) * len(hvs)
+                continue
+            # the DCI pass, 64 height vectors at a time; unrealisable rows
+            # start with no height vector
+            holds = [space.dci_index(masks, d) for d in dcis]
+            fails = space.dci_index(masks, must_fail) if isinstance(must_fail, DCI) else None
+            for start in range(0, len(hvs), _WORD):
+                word = hvs[start : start + _WORD]
+                every = np.uint64((1 << len(word)) - 1)
+                table = _dci_hold_words(tables[start : start + _WORD], n)
+                sat = np.where(ok, every, np.uint64(0))
+                # indexing, not ``take``, which first copies ``index`` to intp
+                for index in holds:
+                    sat &= table[index]
+                if fails is not None:
+                    sat &= (table ^ every)[fails]
+                bits = int(np.bitwise_or.reduce(sat))
+                for j, hv in enumerate(word):
+                    if not bits >> j & 1:
+                        continue
+                    for idx in np.flatnonzero(sat >> np.uint64(j) & np.uint64(1)):
+                        row = int(keep[idx])
+                        witness = space.materialize(lo + row, hv, roles)
+                        if not satisfies_all(witness, must_hold):
+                            raise AssertionError("materialized witness fails the axioms")
+                        if must_fail is not None and satisfies(witness, must_fail):
+                            raise AssertionError("materialized witness satisfies the query")
+                        found.append(witness)
+                        if len(found) >= limit:
+                            examined += (hi - lo) * j + row + 1
+                            return found, examined
+                examined += (hi - lo) * len(word)
+    return found, examined
+
+
+def _vocabulary(kb: KnowledgeBase, extra: Sequence[Axiom] = ()) -> tuple[list[str], list[str]]:
+    items = list(kb.axioms) + list(extra)
+    return sorted(atom_names(items)), sorted(role_names(items))
+
+
+def search_model(
+    kb: KnowledgeBase, max_domain: int, max_rows: int = MAX_ROWS
+) -> SearchResult:
+    """First ranked model of ``kb`` with at most ``max_domain`` elements, or
+    absent.  Absence does not prove unsatisfiability (one-sided).  Raises
+    ``ResourceLimitError`` if a full scan exceeds ``max_rows`` configurations."""
+    atoms, roles = _vocabulary(kb)
+    found, examined = _search(kb.axioms, None, atoms, roles, max_domain, 1, max_rows)
+    return SearchResult(found[0] if found else None, examined)
+
+
+def search_countermodel(
+    kb: KnowledgeBase, query: Axiom, max_domain: int, max_rows: int = MAX_ROWS
+) -> SearchResult:
+    """First ranked model of ``kb`` violating ``query`` within the bound, or
+    absent (one-sided in the same way), under the same row budget."""
+    atoms, roles = _vocabulary(kb, (query,))
+    found, examined = _search(kb.axioms, query, atoms, roles, max_domain, 1, max_rows)
+    return SearchResult(found[0] if found else None, examined)
+
+
+def enumerate_models(kb: KnowledgeBase, max_domain: int, limit: int) -> list[RankedInterpretation]:
+    """Up to ``limit`` ranked models of ``kb`` in enumeration order."""
+    atoms, roles = _vocabulary(kb)
+    found, _ = _search(kb.axioms, None, atoms, roles, max_domain, limit=limit)
+    return found

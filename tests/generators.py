@@ -13,8 +13,9 @@ from dalc.concepts import (
     BOTTOM, GCI, TOP, And, Atom, Axiom, Bottom, Concept, Exists, Forall, KnowledgeBase, Not, Or,
     ResourceLimitError, nnf,
 )
+from dalc.search import _vocabulary
 from dalc.semantics import (
-    FiniteInterpretation, RankedInterpretation, _vocabulary, convex_height_vectors, satisfies, satisfies_all,
+    FiniteInterpretation, RankedInterpretation, convex_height_vectors, satisfies, satisfies_all,
 )
 from dalc.tableau import DEFAULT_CONFIG, EntailmentStats, TableauConfig
 

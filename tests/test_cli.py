@@ -186,6 +186,32 @@ def test_inconsistent_tstar_within_the_default_budget(capsys, tmp_path):
     }
 
 
+def test_a_known_verdict_survives_an_unfinished_consistency_check(capsys, tmp_path):
+    # Seed 209 has no level and its ⊤ ⊑ ⊥ check passes the default node
+    # budget.  ``C ⊑ C`` is true at infinity after 1 check, and it is true
+    # whether or not T* is consistent, so the query answers and leaves T*'s
+    # consistency unknown; a query whose own check passes the budget still
+    # exits 2.
+    kb = tmp_path / "seed209.dkb"
+    kb.write_text(corpus.SEED209)
+    code, out, err = run(capsys, "query", str(kb), "-q", "C [= C", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "verdict": True, "decided_at": "infinity", "checks": 1, "kb_inconsistent": None
+    }
+    code, out, err = run(capsys, "query", str(kb), "-q", "C [= C")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "IN rational closure",
+        "decided at rank: infinity (TBox fallback)",
+        "checks spent: 1",
+        "normalized TBox consistency unknown: the top [= bot check hit a resource limit",
+    ]
+    code, out, err = run(capsys, "query", str(kb), "-q", "A ~[= forall r.D", "--json")
+    assert (code, out) == (2, "")
+    assert err == "resource limit: more than 100000 tableau nodes\n"
+
+
 def test_check_empty_kb(capsys):
     code, out, _ = run(capsys, "check", f"{KB}/empty.dkb")
     assert code == 0
@@ -406,6 +432,23 @@ assert "numpy" not in sys.modules
 assert main(["oracle", {kb!r}, "--max-domain", "1"]) == 0
 assert "numpy" in sys.modules
 """
+    # The model theory is pure Python; only ``dalc.search`` imports NumPy,
+    # and ``dalc.semantics`` resolves its public names on their first use.
+    theory = """
+import sys
+import dalc.semantics
+from dalc.concepts import DCI, GCI, Atom, Not
+assert "numpy" not in sys.modules
+A, B = Atom("A"), Atom("B")
+base = dalc.semantics.FiniteInterpretation(2, {"A": {0, 1}, "B": {0}}, {})
+model = dalc.semantics.RankedInterpretation(base, (0, 1))
+assert dalc.satisfies(model, DCI(A, B)) and not dalc.satisfies(model, GCI(A, B))
+assert "numpy" not in sys.modules
+assert dalc.semantics.check_postulates(model, [A, B, Not(B)]) == []
+assert "numpy" not in sys.modules
+dalc.semantics.search_model
+assert "numpy" in sys.modules
+"""
     lazy = """
 import sys
 import dalc
@@ -419,7 +462,7 @@ except AttributeError as e:
 else:
     raise AssertionError("dalc.nope resolved")
 """
-    for code in (script, lazy):
+    for code in (script, theory, lazy):
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
 

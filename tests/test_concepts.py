@@ -29,7 +29,8 @@ from dalc.concepts import (
     subconcepts,
 )
 from dalc.parser import parse_concept
-from dalc.semantics import _quantified_subconcepts, extension
+from dalc.search import _quantified_subconcepts
+from dalc.semantics import extension
 from dalc.tableau import entails
 from dalc.concepts import GCI
 import corpus

@@ -17,6 +17,7 @@ from dalc.concepts import (
     ResourceLimitError,
     TOP,
 )
+import dalc.search as search
 import dalc.semantics as sem
 from dalc.ranks import Rank
 from dalc.semantics import (
@@ -305,7 +306,7 @@ def test_convex_height_vectors_match_the_filter(n):
 
 def test_min_height_tables_are_the_least_height_in_each_mask():
     for n in range(1, 6):
-        tables = sem._min_height_tables(n)
+        tables = search._min_height_tables(n)
         for hv, table in zip(convex_height_vectors(n), tables):
             assert table[0] == n
             for mask in range(1, 1 << n):
@@ -402,13 +403,11 @@ def test_search_matches_naive_with_nested_quantifiers():
 def test_chunked_scan_matches_single_chunk(monkeypatch):
     # force tiny row blocks so the search crosses chunk boundaries, and
     # compare against the one-chunk run on KBs where that changes nothing
-    import dalc.semantics as sem
-
     kb = corpus.student_kb()
     q = DCI(Atom("EmpStud"), Not(Exists("pays", Atom("Tax"))))
     base_model = search_model(kb, 2)
     base_counter = search_countermodel(kb, q, 2)
-    monkeypatch.setattr(sem, "_CHUNK_BITS", 6)
+    monkeypatch.setattr(search, "_CHUNK_BITS", 6)
     chunked_model = search_model(kb, 2)
     chunked_counter = search_countermodel(kb, q, 2)
     assert chunked_model.found == base_model.found
@@ -424,12 +423,12 @@ def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
     """The configuration scan one height vector at a time, in the oracle's
     order (domain size, block, height vector, row), counting examined rows
     the same way; the reference for the bitset search in ``_search``."""
-    quantified = sem._quantified_subconcepts(
+    quantified = search._quantified_subconcepts(
         list(must_hold) + ([must_fail] if must_fail is not None else [])
     )
     found, examined = [], 0
     for n in range(1, max_domain + 1):
-        space = sem._ConfigSpace(n, atoms, quantified)
+        space = search._ConfigSpace(n, atoms, quantified)
         for lo, hi in space.chunk_ranges():
             masks = space.build(lo, hi)
 
@@ -447,7 +446,7 @@ def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
                     alive &= ~violated(a)
             if isinstance(must_fail, GCI):
                 alive &= violated(must_fail)
-            for hv, tbl in zip(convex_height_vectors(n), sem._min_height_tables(n)):
+            for hv, tbl in zip(convex_height_vectors(n), search._min_height_tables(n)):
                 sat = alive.copy()
                 for a in must_hold:
                     if isinstance(a, DCI):
@@ -463,8 +462,8 @@ def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
 
 
 def assert_matches_reference(kb, query, max_domain, limit=1):
-    atoms, roles = sem._vocabulary(kb, (query,) if query is not None else ())
-    found, examined = sem._search(kb.axioms, query, atoms, roles, max_domain, limit)
+    atoms, roles = search._vocabulary(kb, (query,) if query is not None else ())
+    found, examined = search._search(kb.axioms, query, atoms, roles, max_domain, limit)
     ref_found, ref_examined = reference_search(
         kb.axioms, query, atoms, roles, max_domain, limit
     )
@@ -476,7 +475,7 @@ def assert_matches_reference(kb, query, max_domain, limit=1):
 @pytest.mark.parametrize("chunk_bits", [None, 9])
 def test_bitset_search_matches_reference_on_corpus(monkeypatch, chunk_bits):
     if chunk_bits is not None:
-        monkeypatch.setattr(sem, "_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
     for name, text, _ in corpus.VERDICTS:
         kb = corpus.CORPUS[name]()
         assert_matches_reference(kb, corpus.query(text), 3)
@@ -489,7 +488,7 @@ def test_bitset_search_matches_reference_on_corpus(monkeypatch, chunk_bits):
 @pytest.mark.parametrize("chunk_bits", [None, 9])
 def test_bitset_search_matches_reference_on_random_kbs(monkeypatch, chunk_bits):
     if chunk_bits is not None:
-        monkeypatch.setattr(sem, "_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
     rng = random.Random(2024)
     atoms, roles = ["A", "B"], ["r"]
 
@@ -517,7 +516,7 @@ def test_first_witness_in_second_height_word(monkeypatch, chunk_bits):
     B = {0, 1}, so element 0 sits on top and the first witness lies past
     height vector 64, in the second word of the bitset."""
     if chunk_bits is not None:
-        monkeypatch.setattr(sem, "_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
     a, b, c = Atom("A"), Atom("B"), Atom("C")
     kb = KnowledgeBase(
         tbox=(GCI(b, a), GCI(c, b)),
@@ -551,7 +550,7 @@ def test_domain_five_spans_several_words():
 def test_scan_size_is_the_rows_of_a_search_without_witness():
     # F(d) from the recurrence is the number of convex height vectors; with a
     # single bit pattern each of them is charged its table, 32·4^d
-    assert list(itertools.islice(sem._scan_sizes(0), 6)) == [
+    assert list(itertools.islice(search._scan_sizes(0), 6)) == [
         len(convex_height_vectors(d)) << (2 * d + 5) for d in range(1, 7)
     ]
     cases = [
@@ -563,13 +562,13 @@ def test_scan_size_is_the_rows_of_a_search_without_witness():
         q = corpus.query(text)
         res = search_countermodel(kb, q, bound)
         assert not res.found
-        atoms, _ = sem._vocabulary(kb, (q,))
-        width = len(atoms) + len(sem._quantified_subconcepts(list(kb.axioms) + [q]))
+        atoms, _ = search._vocabulary(kb, (q,))
+        width = len(atoms) + len(search._quantified_subconcepts(list(kb.axioms) + [q]))
         assert res.enumerated == sum(
             2 ** (d * width) * len(convex_height_vectors(d)) for d in range(1, bound + 1)
         )
         # the refusal threshold is exactly the charge
-        charge = sum(itertools.islice(sem._scan_sizes(width), bound))
+        charge = sum(itertools.islice(search._scan_sizes(width), bound))
         assert search_countermodel(kb, q, bound, charge).enumerated == res.enumerated
         with pytest.raises(ResourceLimitError):
             search_countermodel(kb, q, bound, charge - 1)
@@ -607,9 +606,9 @@ def test_build_matches_the_row_index_formula(monkeypatch, chunk_bits):
     index over two of them, is checked against the int64 formula on the row
     index, for every block."""
     if chunk_bits is not None:
-        monkeypatch.setattr(sem, "_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
     for n in range(1, 6):
-        space = sem._ConfigSpace(n, *VOCABULARY)
+        space = search._ConfigSpace(n, *VOCABULARY)
         for lo, hi in space.chunk_ranges():
             assert_build_matches_row_formula(space, lo, hi)
 
@@ -617,7 +616,7 @@ def test_build_matches_the_row_index_formula(monkeypatch, chunk_bits):
 def test_build_matches_the_row_index_formula_on_one_row_blocks():
     # the blocks ``materialize`` builds
     for n in (1, 2, 3):
-        space = sem._ConfigSpace(n, *VOCABULARY)
+        space = search._ConfigSpace(n, *VOCABULARY)
         for row in range(space.total_rows):
             assert_build_matches_row_formula(space, row, row + 1)
 
@@ -626,11 +625,11 @@ def test_compaction_matches_reference_where_blocks_empty(monkeypatch):
     """With 16-row blocks, the GCIs of boss.dkb and realisability leave no
     row in 168 of the 256 domain-2 blocks, so the filtered scan skips
     whole blocks before its witnesses and through a full scan."""
-    monkeypatch.setattr(sem, "_CHUNK_BITS", 4)
+    monkeypatch.setattr(search, "_CHUNK_BITS", 4)
     kb = corpus.boss_kb()
     q = corpus.query("Worker ~[= exists hasSuperior.Responsible")
-    atoms, _ = sem._vocabulary(kb, (q,))
-    space = sem._ConfigSpace(2, atoms, sem._quantified_subconcepts(list(kb.axioms) + [q]))
+    atoms, _ = search._vocabulary(kb, (q,))
+    space = search._ConfigSpace(2, atoms, search._quantified_subconcepts(list(kb.axioms) + [q]))
     emptied = 0
     for lo, hi in space.chunk_ranges():
         masks = space.build(lo, hi)
