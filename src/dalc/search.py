@@ -21,8 +21,10 @@ acceptance-time budget.
 
 The enumeration order is deterministic: domain size ascending, bit patterns
 (atom extensions then quantifier bits, as one ascending integer) in blocks,
-and height vectors in lexicographic order within each block.  The first
-witness found is reproducible across runs.
+and height vectors in lexicographic order within each block.  At domain size
+n a block is 2^(2n+10) rows, at most 2^20 and at most the domain's rows, so
+``enumerated`` and the first witness of a search depend on that layout; for
+a given layout both are reproducible across runs.
 
 Each block is filtered, gathered once, then tested.  ``build`` lays out the
 atom and quantifier-bit columns from the block's bits, in the narrowest
@@ -65,7 +67,12 @@ from .semantics import (
     FiniteInterpretation, RankedInterpretation, _bits, convex_height_vectors, satisfies, satisfies_all,
 )
 
-_CHUNK_BITS = 20  # rows are enumerated in blocks of at most 2**_CHUNK_BITS
+# Rows are enumerated in blocks of 2**(2n + 10) rows at domain size n, at most
+# 2**_CHUNK_BITS.  Each word of 64 height vectors builds a 4**n-entry table
+# once per block, so 1024·4**n rows keep those rebuilds to a few percent of a
+# block's work.  At n <= 4 each temporary is then at most 2 MB, which glibc
+# reuses from the heap instead of mapping it and faulting it in anew.
+_CHUNK_BITS = 20
 _WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
 
 
@@ -145,7 +152,7 @@ class _ConfigSpace:
         self.index_dtype = np.min_scalar_type((1 << (2 * n)) - 1)
 
     def chunk_ranges(self):
-        step = 1 << min(_CHUNK_BITS, self.qbits + self.abits)
+        step = 1 << min(2 * self.n + 10, _CHUNK_BITS, self.qbits + self.abits)
         for lo in range(0, self.total_rows, step):
             yield lo, min(lo + step, self.total_rows)
 

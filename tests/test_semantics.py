@@ -483,6 +483,12 @@ def test_bitset_search_matches_reference_on_corpus(monkeypatch, chunk_bits):
         assert [m.to_json_dict() for m in models] == [
             m.to_json_dict() for m in assert_matches_reference(kb, None, 3, limit=12)
         ]
+    # the oracle's default bound: boss's countermodel has three elements, and
+    # domain 3 spans four blocks of 2**16 rows at the default settings
+    (witness,) = assert_matches_reference(
+        corpus.boss_kb(), corpus.query("Worker ~[= exists hasSuperior.Responsible"), 4
+    )
+    assert witness.base.domain_size == 3
 
 
 @pytest.mark.parametrize("chunk_bits", [None, 9])
@@ -600,17 +606,35 @@ def assert_build_matches_row_formula(space, lo, hi):
 VOCABULARY = (["A", "B"], [Exists("r", Atom("A"))])
 
 
+def wide_vocabulary(n):
+    """One field more than a block of 2**min(2n + 10, 20) rows holds: at the
+    default settings domain size n spans 2 to 32 blocks."""
+    return [f"A{k}" for k in range(min(2 * n + 10, 20) // n)], [Exists("r", Atom("A0"))]
+
+
 @pytest.mark.parametrize("chunk_bits", [None, 4])
 def test_build_matches_the_row_index_formula(monkeypatch, chunk_bits):
     """``build`` lays columns out from a block's bits; here each, and a DCI
     index over two of them, is checked against the int64 formula on the row
-    index, for every block."""
+    index, for every block.  The blocks are aligned, in order, of
+    2**min(2n + 10, _CHUNK_BITS, row bits) rows each, and cover every row
+    once; at the default settings up to n = 6, and on a vocabulary wider
+    than a block too, whose first and last blocks are built (at n = 5 and 6
+    it has 32 and 16 blocks of 2**20 rows)."""
     if chunk_bits is not None:
         monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
-    for n in range(1, 6):
-        space = search._ConfigSpace(n, *VOCABULARY)
-        for lo, hi in space.chunk_ranges():
-            assert_build_matches_row_formula(space, lo, hi)
+    for n in range(1, 7 if chunk_bits is None else 6):
+        narrow = search._ConfigSpace(n, *VOCABULARY)
+        spaces = [narrow]
+        if chunk_bits is None:
+            spaces.append(search._ConfigSpace(n, *wide_vocabulary(n)))
+        for space in spaces:
+            size = 1 << min(2 * n + 10, search._CHUNK_BITS, space.qbits + space.abits)
+            blocks = list(space.chunk_ranges())
+            assert blocks == [(lo, lo + size) for lo in range(0, space.total_rows, size)]
+            assert blocks[-1][1] == space.total_rows
+            for lo, hi in blocks if space is narrow else {blocks[0], blocks[-1]}:
+                assert_build_matches_row_formula(space, lo, hi)
 
 
 def test_build_matches_the_row_index_formula_on_one_row_blocks():
