@@ -1,6 +1,8 @@
 """Defeasible ALC reasoning: rational closure over a classical tableau, with
 a finite ranked-model oracle for cross-validation."""
 
+import importlib
+
 from .concepts import (
     And,
     Atom,
@@ -50,15 +52,14 @@ from .tableau import (
     is_satisfiable,
 )
 
-# The oracle's names are imported from ``dalc.semantics`` on the first use of
-# one of them (PEP 562), so rank, query and check never load it; that module
-# is pure Python, and NumPy loads only when a search name reaches ``dalc.search``.
-_SEMANTICS = (
+# The oracle's names load on their first use (PEP 562), each from the module
+# that defines it: the model theory from ``dalc.semantics`` (pure Python), the
+# search from ``dalc.search``, the one module that imports NumPy.
+_ORACLE = dict.fromkeys((
     "FiniteInterpretation", "PreferentialInterpretation", "RankedInterpretation",
     "check_postulates", "disjoint_union", "extension", "height_of_concept",
     "heights_from_order", "min_elements", "ranked_union", "satisfies",
-    "search_countermodel", "search_model",
-)
+), "semantics") | {"search_countermodel": "search", "search_model": "search"}
 
 __all__ = [
     "And", "Atom", "Axiom", "BOTTOM", "Bottom", "Concept", "DCI", "Exists",
@@ -69,15 +70,13 @@ __all__ = [
     "ParsedDocument", "ParseError", "SourceSpan", "parse_kb", "parse_query",
     "render_axiom", "render_concept",
     "Rank",
-    *_SEMANTICS,
+    *_ORACLE,
     "EntailmentStats", "ResourceLimitError", "TableauConfig", "entails",
     "is_satisfiable",
 ]
 
 
 def __getattr__(name: str):
-    if name in _SEMANTICS:
-        from . import semantics
-
-        return getattr(semantics, name)
+    if name in _ORACLE:
+        return getattr(importlib.import_module("." + _ORACLE[name], __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

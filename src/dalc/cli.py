@@ -172,15 +172,15 @@ def _check(ns: argparse.Namespace, r: _Ranked) -> Output:
 
 # Only ``oracle`` uses the model search, so its NumPy loads on the first call.
 def search_model(*args, **kwargs):
-    from . import semantics
+    from . import search
 
-    return semantics.search_model(*args, **kwargs)
+    return search.search_model(*args, **kwargs)
 
 
 def search_countermodel(*args, **kwargs):
-    from . import semantics
+    from . import search
 
-    return semantics.search_countermodel(*args, **kwargs)
+    return search.search_countermodel(*args, **kwargs)
 
 
 def _oracle(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:

@@ -1,8 +1,7 @@
 """Bounded model search: the oracle's exhaustive scan of ranked
 interpretations up to a domain bound, vectorised with NumPy.  This is the
 only module of the package that imports NumPy; ``dalc.semantics`` holds the
-model theory the search evaluates against (satisfaction, height maps) and
-resolves the public names below on their first use.
+model theory the search evaluates against (satisfaction, height maps).
 
 ``search_model`` and ``search_countermodel`` decide, exhaustively, whether a
 ranked interpretation with at most ``max_domain`` elements satisfies (or
@@ -283,6 +282,9 @@ def _search(
     falsify ``must_fail``.  Returns up to ``limit`` witnesses plus the number
     of candidate configurations examined.  Raises ``ResourceLimitError``
     before any work when a full scan would examine more than ``max_rows``."""
+    for name, value in (("max_domain", max_domain), ("limit", limit), ("max_rows", max_rows)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     relevant = list(must_hold) + ([must_fail] if must_fail is not None else [])
     quantified = _quantified_subconcepts(relevant)
     scan = 0

@@ -6,11 +6,8 @@ Test generators and the naive reference search live in
 This module is the brute-force oracle the reasoner is validated against, so
 it deliberately evaluates everything from first principles (set-theoretic
 extensions, minima under the preference order) rather than reusing any part
-of the tableau machinery.  It is pure Python: the bounded model search,
-which needs NumPy, lives in ``dalc.search``, and its public names
-(``SearchResult``, ``search_model``, ``search_countermodel``,
-``enumerate_models``) are resolved from there on their first use, so
-importing this module does not load NumPy.
+of the tableau machinery.  It is pure Python, and it does not import the
+bounded model search, ``dalc.search``, which needs NumPy.
 
 Extensions are represented internally as bit masks over the domain
 ``{0, .., n-1}``; element ``i`` corresponds to bit ``1 << i``.
@@ -40,6 +37,7 @@ from .concepts import (
     Bottom,
 )
 from .ranks import Rank
+from . import __getattr__  # dalc's hook: the benchmark's tests import search_countermodel here
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +460,3 @@ def check_postulates(
             if dci(fa, e) and not dci(fa, Exists(r, Not(both))) and not dci(Forall(r, both), e):
                 out.append(Violation("rm_forall", (c, d, e, r)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Bounded model search, in ``dalc.search``: only it imports NumPy, so its
-# names are resolved on their first use (PEP 562)
-
-_SEARCH = ("SearchResult", "enumerate_models", "search_countermodel", "search_model")
-
-
-def __getattr__(name: str):
-    if name in _SEARCH:
-        from . import search
-
-        return getattr(search, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,14 +26,13 @@ from dalc.concepts import (
     role_names,
 )
 from dalc.ranks import Rank
+from dalc.search import enumerate_models, search_countermodel
 from dalc.semantics import (
     check_postulates,
     disjoint_union,
-    enumerate_models,
     ranked_union,
     satisfies,
     satisfies_all,
-    search_countermodel,
 )
 from dalc.tableau import EntailmentStats, entails
 

@@ -417,8 +417,8 @@ def test_console_script_entry_point():
 def test_rank_query_and_check_do_not_import_numpy():
     # Only the oracle's model search uses NumPy; it loads on the oracle's
     # first call, and the other commands start without it.
-    # The package resolves the oracle's names from ``dalc.semantics`` on
-    # their first use, and only those.
+    # The package resolves the oracle's names on their first use, each from
+    # the module that defines it, and only those.
     kb = f"{KB}/student.dkb"
     script = f"""
 import sys
@@ -433,7 +433,7 @@ assert main(["oracle", {kb!r}, "--max-domain", "1"]) == 0
 assert "numpy" in sys.modules
 """
     # The model theory is pure Python; only ``dalc.search`` imports NumPy,
-    # and ``dalc.semantics`` resolves its public names on their first use.
+    # and ``dalc.semantics`` does not import it.
     theory = """
 import sys
 import dalc.semantics
@@ -445,15 +445,20 @@ model = dalc.semantics.RankedInterpretation(base, (0, 1))
 assert dalc.satisfies(model, DCI(A, B)) and not dalc.satisfies(model, GCI(A, B))
 assert "numpy" not in sys.modules
 assert dalc.semantics.check_postulates(model, [A, B, Not(B)]) == []
-assert "numpy" not in sys.modules
-dalc.semantics.search_model
+assert "numpy" not in sys.modules and "dalc.search" not in sys.modules
+import dalc.search
 assert "numpy" in sys.modules
 """
     lazy = """
 import sys
 import dalc
+for name in dalc.__all__:
+    if name not in ("search_countermodel", "search_model"):
+        value = getattr(dalc, name)
+        home = dalc if name in vars(dalc) else sys.modules["dalc.semantics"]
+        assert value is vars(home)[name], name
 assert "numpy" not in sys.modules
-assert dalc.search_model is dalc.semantics.search_model
+assert dalc.search_model is dalc.search.search_model
 assert "numpy" in sys.modules
 try:
     dalc.nope

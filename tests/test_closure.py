@@ -30,7 +30,7 @@ from dalc.concepts import (
 )
 from dalc.parser import parse_kb, render_axiom
 from dalc.ranks import Rank
-from dalc.semantics import search_countermodel, search_model
+from dalc.search import search_countermodel, search_model
 from dalc.tableau import EntailmentStats, entails
 
 import corpus

@@ -20,6 +20,7 @@ from dalc.concepts import (
 import dalc.search as search
 import dalc.semantics as sem
 from dalc.ranks import Rank
+from dalc.search import enumerate_models, search_countermodel, search_model
 from dalc.semantics import (
     FiniteInterpretation,
     NotModularError,
@@ -28,7 +29,6 @@ from dalc.semantics import (
     check_postulates,
     convex_height_vectors,
     disjoint_union,
-    enumerate_models,
     extension,
     height_of_concept,
     heights_from_order,
@@ -37,8 +37,6 @@ from dalc.semantics import (
     ranked_union,
     satisfies,
     satisfies_all,
-    search_countermodel,
-    search_model,
 )
 
 import corpus
@@ -578,6 +576,19 @@ def test_scan_size_is_the_rows_of_a_search_without_witness():
         assert search_countermodel(kb, q, bound, charge).enumerated == res.enumerated
         with pytest.raises(ResourceLimitError):
             search_countermodel(kb, q, bound, charge - 1)
+
+
+def test_search_budgets_must_be_positive():
+    # as in the CLI, a budget below 1 is bad input, not an empty scan
+    kb, q = corpus.student_kb(), corpus.query("Student ~[= Tax")
+    for call, message in (
+        (lambda: search_countermodel(kb, q, 0), "max_domain must be positive, got 0"),
+        (lambda: search_model(kb, -3), "max_domain must be positive, got -3"),
+        (lambda: enumerate_models(kb, 2, 0), "limit must be positive, got 0"),
+        (lambda: search_model(kb, 2, 0), "max_rows must be positive, got 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def build_layout(space):

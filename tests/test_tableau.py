@@ -22,7 +22,7 @@ from dalc.concepts import (
     conjoin,
 )
 from dalc.parser import parse_kb, render_concept
-from dalc.semantics import search_countermodel
+from dalc.search import search_countermodel
 from dalc.tableau import (
     CompiledTBox,
     EntailmentStats,
