@@ -31,14 +31,14 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from .closure import Ranking, compute_ranking, rationally_deducible, tstar_inconsistent
 from .concepts import MAX_ROWS, Atom, Axiom, BOTTOM, GCI, KnowledgeBase, atom_names
 from .parser import ParseError, axiom_to_json, parse_kb, parse_query, render_axiom
 from .tableau import DEFAULT_CONFIG, EntailmentStats, ResourceLimitError, TableauConfig, entails
 
-Output = Union[dict, list[str]]  # a JSON document, or lines of text
+Output = dict | list[str]  # a JSON document, or lines of text
 
 
 class _ArgumentParser(argparse.ArgumentParser):

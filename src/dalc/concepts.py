@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 # (class, *fields) -> the live concept with those fields.  Children in a key
 # are themselves interned, so hashing and comparing a key never recurses.
@@ -100,7 +100,7 @@ class Forall(_Interned):
     filler: "Concept"
 
 
-Concept = Union[Top, Bottom, Atom, Not, And, Or, Exists, Forall]
+Concept = Top | Bottom | Atom | Not | And | Or | Exists | Forall
 
 TOP = Top()
 BOTTOM = Bottom()
@@ -122,7 +122,7 @@ class DCI:
     rhs: Concept
 
 
-Axiom = Union[GCI, DCI]
+Axiom = GCI | DCI
 
 
 @dataclass(frozen=True)

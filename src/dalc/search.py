@@ -18,34 +18,31 @@ concrete witness.  Results are therefore identical to naive enumeration —
 ``tests/generators.py`` on small vocabularies — but reachable within the
 acceptance-time budget.
 
-The enumeration order is deterministic: domain size ascending, bit patterns
-(atom extensions then quantifier bits, as one ascending integer) in blocks,
-and height vectors in lexicographic order within each block.  At domain size
-n a block is 2^(2n+10) rows, at most 2^20 and at most the domain's rows, so
-``enumerated`` and the first witness of a search depend on that layout; for
-a given layout both are reproducible across runs.
+Each domain size n is scanned in two passes over blocks of 2^(2n+10) rows,
+at most 2^20.  The *existence pass* reads only the rows whose element types
+(an element's w atom and quantifier bits) are non-decreasing, C(2^w+n−1, n)
+of them, under every convex height vector.  It is exact: the GCIs, the DCIs
+and realisability do not depend on the order of the elements, so sorting a
+witness's elements by type, with its height vector, gives one of those rows.
+If it finds none, ``enumerated`` grows by the size's 2^(n·w)·F(n)
+configurations: it counts configurations decided, as a scan one by one
+would.  Otherwise the *ordered pass* scans every row: bit patterns (atom
+extensions then quantifier bits, as one ascending integer) in blocks, height
+vectors in lexicographic order within each block.  So the first witness,
+``enumerate_models`` and ``enumerated`` are those of a scan one height
+vector at a time, which the tests keep as the reference, and reproducible
+for a given block layout.
 
-Each block is filtered, gathered once, then tested.  ``build`` lays out the
-atom and quantifier-bit columns from the block's bits, in the narrowest
-unsigned dtype that holds a mask (``uint8`` up to eight elements).  The GCIs
-(and a GCI query's violation) filter the rows, and only those columns are
-gathered at the survivors; a block with no realisable survivor is skipped.
-The DCI pass tests the survivors against 64 height vectors at a time: a DCI
-reduces, per row, to one small index ``good | bad << n`` (its lhs-instances
-inside and outside its rhs), and a table built per word of 64 height vectors
-maps that index to the bitset of vectors under which the DCI holds; a row
-survives under the vectors in the AND of its axioms' bitsets, which start
-empty on the rows no role graph realises.  Gathered rows keep their position
-in the block, so witnesses are still taken in the order above, and the first
-witness, ``enumerate_models`` and the count of examined configurations
-(``SearchResult.enumerated``) are those of a scan one height vector at a
-time, which the tests keep as the reference.
+Both passes test their blocks with ``_witness_words``: the GCIs filter a
+block's rows, and a table per word of 64 height vectors maps each row's DCI
+index ``good | bad << n`` to the bitset of vectors under which it holds.
 
 Before any work the search charges a full scan
 Σ_{d ≤ max_domain} F(d) · max(2^(d·(atoms + quantified subconcepts)), 32·4^d)
 with F the ordered Bell numbers (the number of convex height maps): its
 configurations, or, when they are few, the tables it builds for them.  It
-raises ``ResourceLimitError`` if that exceeds ``max_rows``.
+raises ``ResourceLimitError`` if that exceeds ``max_rows``, which bounds the
+work of both passes, or if the sorted rows, ranked in int64, reach 2^62.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -149,31 +146,64 @@ class _ConfigSpace:
         self.total_rows = 1 << (self.qbits + self.abits)
         self.dtype = np.min_scalar_type(self.full)
         self.index_dtype = np.min_scalar_type((1 << (2 * n)) - 1)
+        # atom k is bits qbits + k·n .. of a row index, quantified concept m
+        # bits m·n ..; an element's type is its bit of each field
+        self.fields = [(Atom(a), self.qbits + k * n) for k, a in enumerate(atoms)]
+        self.fields += [(q, m * n) for m, q in enumerate(quantified)]
+        self.sorted_rows = math.comb((1 << len(self.fields)) + n - 1, n)
 
-    def chunk_ranges(self):
-        step = 1 << min(2 * self.n + 10, _CHUNK_BITS, self.qbits + self.abits)
-        for lo in range(0, self.total_rows, step):
-            yield lo, min(lo + step, self.total_rows)
+    def chunk_ranges(self, rows: int):
+        step = 1 << min(2 * self.n + 10, _CHUNK_BITS)
+        for lo in range(0, rows, step):
+            yield lo, min(lo + step, rows)
 
     def build(self, lo: int, hi: int) -> dict:
         """Per-row masks of the rows ``lo .. hi-1``, in the narrowest unsigned
-        dtype that holds ``full``.  Atom ``k`` is bits ``qbits + k*n ..`` of
-        the row index and quantified concept ``m`` bits ``m*n ..``.  A block's
-        size is a power of two and ``lo`` a multiple of it, so each column is
-        the field's bits of ``lo`` ORed with an ``arange`` over its bits that
-        vary inside the block, each value repeated and the run tiled."""
+        dtype that holds ``full``.  A block's size is a power of two and
+        ``lo`` a multiple of it, so each column is the field's bits of ``lo``
+        ORed with an ``arange`` over its bits that vary inside the block, each
+        value repeated and the run tiled."""
         size = hi - lo
         width = size.bit_length() - 1
         assert size == 1 << width and lo % size == 0, "blocks are aligned powers of two"
-        fields = [(Atom(a), self.qbits + k * self.n) for k, a in enumerate(self.atoms)]
-        fields += [(q, m * self.n) for m, q in enumerate(self.quantified)]
         masks: dict[Concept, np.ndarray] = {}
-        for c, shift in fields:
+        for c, shift in self.fields:
             rep = min(shift, width)
             low = min(self.n, width - rep)
             run = np.arange(1 << low, dtype=self.dtype) | ((lo >> shift) & self.full)
             shape = (size >> (rep + low), 1 << low, 1 << rep)
             masks[c] = np.broadcast_to(run[None, :, None], shape).reshape(size)
+        return masks
+
+    @cached_property
+    def binomials(self) -> list[np.ndarray]:
+        """binomials[i][c] = C(c, i + 1) = Σ_{j<c} C(j, i) for c < 2**len(fields) + i."""
+        out = [np.arange(1 << len(self.fields), dtype=np.int64)]
+        for _ in range(1, self.n):
+            out.append(np.concatenate(([0], np.cumsum(out[-1]))))
+        return out
+
+    def build_sorted(self, lo: int, hi: int) -> dict:
+        """Per-row masks, as ``build`` lays them out, of the rows whose element
+        types are non-decreasing, by multiset rank ``lo .. hi-1``; the field at
+        bit f·n is type bit f.  Types t_0 ≤ .. ≤ t_{n-1} are the set
+        c_i = t_i + i of colex rank Σ C(c_i, i + 1), so each c_i, top down, is
+        the largest c whose C(c, i + 1) fits in what is left of the rank."""
+        # one narrow dtype for the types and the masks; bit f of t_i goes to bit i
+        narrow = np.min_scalar_type(max((1 << len(self.fields)) - 1, self.full))
+        rest, types = np.arange(lo, hi, dtype=np.int64), []
+        for i in range(self.n - 1, 0, -1):
+            c = np.searchsorted(self.binomials[i], rest, side="right") - 1
+            rest -= self.binomials[i][c]
+            types.append((i, (c - i).astype(narrow)))
+        types.append((0, rest.astype(narrow)))
+        masks: dict[Concept, np.ndarray] = {}
+        for c, shift in self.fields:
+            f = shift // self.n
+            column = np.zeros(hi - lo, dtype=narrow)
+            for i, t in types:
+                column |= (t >> (f - i) if f >= i else t << (i - f)) & (1 << i)
+            masks[c] = column.astype(self.dtype, copy=False)
         return masks
 
     def rows(self, masks: dict) -> int:
@@ -268,6 +298,42 @@ class _ConfigSpace:
         return RankedInterpretation(base, heights)
 
 
+def _witness_words(space: _ConfigSpace, build, rows: int, gcis, dcis, must_fail: Optional[Axiom]):
+    """Test the rows ``0 .. rows-1`` of ``build`` block by block: yield
+    ``(lo, hi, start, bits, keep, sat)`` for each block and word of 64 height
+    vectors, from vector ``start`` on, under which some row is a witness.
+    Survivor k of the block's GCI filter, whose columns are gathered once, is
+    row ``lo + keep[k]``, and bit j of ``sat[k]`` says whether it is a
+    witness under vector ``start + j``; ``bits`` ORs them."""
+    tables = _min_height_tables(space.n)
+    for lo, hi in space.chunk_ranges(rows):
+        masks = build(lo, hi)
+        columns = list(masks)
+        alive = np.ones(space.rows(masks), dtype=bool)
+        for g in gcis:
+            alive &= ~space.violated(masks, g)
+        if isinstance(must_fail, GCI):
+            alive &= space.violated(masks, must_fail)
+        keep = np.flatnonzero(alive)
+        masks = {c: masks[c][keep] for c in columns}
+        if not len(keep) or not (ok := space.realizable(masks)).any():
+            continue
+        holds = [space.dci_index(masks, d) for d in dcis]
+        fails = space.dci_index(masks, must_fail) if isinstance(must_fail, DCI) else None
+        for start in range(0, len(tables), _WORD):
+            minima = tables[start : start + _WORD]
+            every = np.uint64((1 << len(minima)) - 1)
+            table = _dci_hold_words(minima, space.n)
+            sat = np.where(ok, every, np.uint64(0))
+            # indexing, not ``take``, which first copies ``index`` to intp
+            for index in holds:
+                sat &= table[index]
+            if fails is not None:
+                sat &= (table ^ every)[fails]
+            if bits := int(np.bitwise_or.reduce(sat)):
+                yield lo, hi, start, bits, keep, sat
+
+
 def _search(
     must_hold: Sequence[Axiom],
     must_fail: Optional[Axiom],
@@ -295,6 +361,8 @@ def _search(
                 f"the oracle's scan up to domain size {max_domain} exceeds "
                 f"{max_rows} configurations"
             )
+    if _ConfigSpace(max_domain, atoms, quantified).sorted_rows >= 1 << 62:
+        raise ResourceLimitError(f"the oracle cannot rank the sorted rows of domain size {max_domain}")
     gcis = [a for a in must_hold if isinstance(a, GCI)]
     dcis = [a for a in must_hold if isinstance(a, DCI)]
     found: list[RankedInterpretation] = []
@@ -303,38 +371,12 @@ def _search(
     for n in range(1, max_domain + 1):
         space = _ConfigSpace(n, atoms, quantified)
         hvs = convex_height_vectors(n)
-        tables = _min_height_tables(n)
-        for lo, hi in space.chunk_ranges():
-            # the GCIs filter the block; its survivors' atom and quantifier
-            # columns are gathered once, and ``keep`` maps them to the block
-            masks = space.build(lo, hi)
-            columns = list(masks)
-            alive = np.ones(hi - lo, dtype=bool)
-            for g in gcis:
-                alive &= ~space.violated(masks, g)
-            if isinstance(must_fail, GCI):
-                alive &= space.violated(masks, must_fail)
-            keep = np.flatnonzero(alive)
-            masks = {c: masks[c][keep] for c in columns}
-            if not len(keep) or not (ok := space.realizable(masks)).any():
-                examined += (hi - lo) * len(hvs)
-                continue
-            # the DCI pass, 64 height vectors at a time; unrealisable rows
-            # start with no height vector
-            holds = [space.dci_index(masks, d) for d in dcis]
-            fails = space.dci_index(masks, must_fail) if isinstance(must_fail, DCI) else None
-            for start in range(0, len(hvs), _WORD):
-                word = hvs[start : start + _WORD]
-                every = np.uint64((1 << len(word)) - 1)
-                table = _dci_hold_words(tables[start : start + _WORD], n)
-                sat = np.where(ok, every, np.uint64(0))
-                # indexing, not ``take``, which first copies ``index`` to intp
-                for index in holds:
-                    sat &= table[index]
-                if fails is not None:
-                    sat &= (table ^ every)[fails]
-                bits = int(np.bitwise_or.reduce(sat))
-                for j, hv in enumerate(word):
+        axioms = (gcis, dcis, must_fail)
+        if next(_witness_words(space, space.build_sorted, space.sorted_rows, *axioms), None):
+            before = len(found)  # the existence pass found a witness: take them in order
+            ordered = _witness_words(space, space.build, space.total_rows, *axioms)
+            for lo, hi, start, bits, keep, sat in ordered:
+                for j, hv in enumerate(hvs[start : start + _WORD]):
                     if not bits >> j & 1:
                         continue
                     for idx in np.flatnonzero(sat >> np.uint64(j) & np.uint64(1)):
@@ -346,9 +388,10 @@ def _search(
                             raise AssertionError("materialized witness satisfies the query")
                         found.append(witness)
                         if len(found) >= limit:
-                            examined += (hi - lo) * j + row + 1
-                            return found, examined
-                examined += (hi - lo) * len(word)
+                            return found, examined + lo * len(hvs) + (hi - lo) * (start + j) + row + 1
+            if len(found) == before:
+                raise AssertionError("the sorted rows hold a witness the ordered rows do not")
+        examined += space.total_rows * len(hvs)
     return found, examined
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .concepts import (
     And,
@@ -141,7 +141,7 @@ class RankedInterpretation:
         }
 
 
-Interpretation = Union[FiniteInterpretation, PreferentialInterpretation, RankedInterpretation]
+Interpretation = FiniteInterpretation | PreferentialInterpretation | RankedInterpretation
 
 
 def _bits(mask: int) -> frozenset[int]:
@@ -213,7 +213,7 @@ def _min_mask_ranked(i: RankedInterpretation, c: Concept) -> int:
     raise AssertionError("non-empty extension must meet some layer")
 
 
-def min_elements(i: Union[PreferentialInterpretation, RankedInterpretation], c: Concept) -> frozenset[int]:
+def min_elements(i: PreferentialInterpretation | RankedInterpretation, c: Concept) -> frozenset[int]:
     """Elements of ``extension(i, c)`` minimal under the preference order.
 
     Non-empty whenever the extension is non-empty (smoothness is automatic
@@ -235,7 +235,7 @@ def height_of_concept(i: RankedInterpretation, c: Concept) -> Rank:
     return Rank.finite(i.heights[(m & -m).bit_length() - 1])
 
 
-def satisfies(i: Union[PreferentialInterpretation, RankedInterpretation], a: Axiom) -> bool:
+def satisfies(i: PreferentialInterpretation | RankedInterpretation, a: Axiom) -> bool:
     """GCI: extension inclusion.  DCI: minimal lhs-instances lie in the rhs."""
     base = _base_of(i)
     if isinstance(a, GCI):
@@ -402,7 +402,7 @@ class Violation:
 
 
 def check_postulates(
-    i: Union[PreferentialInterpretation, RankedInterpretation], samples: Sequence[Concept]
+    i: PreferentialInterpretation | RankedInterpretation, samples: Sequence[Concept]
 ) -> list[Violation]:
     """Instantiate every closure rule over every tuple of sampled concepts
     (and every role of ``i``) and report all violations.  Ranked

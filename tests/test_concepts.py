@@ -265,3 +265,35 @@ def test_threads_building_the_same_concept_get_one_object():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == workers
     assert all(r is results[0] for r in results)
+
+
+def test_a_reimported_dalc_frees_the_old_copy():
+    """A harness that imports dalc afresh, deleting ``dalc.*`` from
+    ``sys.modules`` first, leaves nothing holding the old copy: the
+    ``Concept``, ``Axiom``, ``Interpretation`` and ``Output`` aliases are
+    ``|`` unions, which, unlike ``typing.Union``, no cache keeps alive."""
+    import gc
+    import importlib
+    import weakref
+
+    def ours():
+        return [name for name in sys.modules if name == "dalc" or name.startswith("dalc.")]
+
+    saved = {name: sys.modules[name] for name in ours()}
+    refs = []
+    try:
+        for _ in range(2):
+            for name in ours():
+                del sys.modules[name]
+            for name in ("dalc", "dalc.cli", "dalc.concepts", "dalc.search", "dalc.semantics"):
+                importlib.import_module(name)
+            refs = refs or [
+                weakref.ref(sys.modules["dalc.concepts"].Atom),
+                weakref.ref(sys.modules["dalc.semantics"].FiniteInterpretation),
+            ]
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+    finally:
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(saved)

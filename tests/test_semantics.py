@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -417,17 +418,18 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
     assert not search_model(bad, 3).found
 
 
-def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
+def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1, first_domain=1):
     """The configuration scan one height vector at a time, in the oracle's
     order (domain size, block, height vector, row), counting examined rows
-    the same way; the reference for the bitset search in ``_search``."""
+    the same way; the reference for the bitset search in ``_search``.  It
+    scans the domain sizes ``first_domain .. max_domain``."""
     quantified = search._quantified_subconcepts(
         list(must_hold) + ([must_fail] if must_fail is not None else [])
     )
     found, examined = [], 0
-    for n in range(1, max_domain + 1):
+    for n in range(first_domain, max_domain + 1):
         space = search._ConfigSpace(n, atoms, quantified)
-        for lo, hi in space.chunk_ranges():
+        for lo, hi in space.chunk_ranges(space.total_rows):
             masks = space.build(lo, hi)
 
             def violated(a):
@@ -489,27 +491,61 @@ def test_bitset_search_matches_reference_on_corpus(monkeypatch, chunk_bits):
     assert witness.base.domain_size == 3
 
 
-@pytest.mark.parametrize("chunk_bits", [None, 9])
-def test_bitset_search_matches_reference_on_random_kbs(monkeypatch, chunk_bits):
-    if chunk_bits is not None:
-        monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+def random_one_role_kbs():
+    """30 seeded KBs over atoms A, B and role r, each with no query, a GCI
+    query or a DCI query."""
     rng = random.Random(2024)
     atoms, roles = ["A", "B"], ["r"]
 
     def concept():
         return random_concept(rng, atoms, roles, 1)
 
-    kinds = set()
+    cases = []
     for _ in range(30):
         kb = KnowledgeBase(
             tuple(GCI(concept(), concept()) for _ in range(rng.randrange(2))),
             tuple(DCI(concept(), concept()) for _ in range(rng.randrange(1, 4))),
         )
         kind = rng.choice([None, GCI, DCI])
-        kinds.add(kind)
-        query = None if kind is None else kind(concept(), concept())
+        cases.append((kb, None if kind is None else kind(concept(), concept())))
+    assert {type(q) for _, q in cases} == {type(None), GCI, DCI}
+    return cases
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 9])
+def test_bitset_search_matches_reference_on_random_kbs(monkeypatch, chunk_bits):
+    if chunk_bits is not None:
+        monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+    for kb, query in random_one_role_kbs():
         assert_matches_reference(kb, query, 3)
-    assert kinds == {None, GCI, DCI}
+
+
+def sorted_pass_finds(space, kb, query):
+    """The verdict of ``_search``'s existence pass at ``space``'s domain size."""
+    gcis = [a for a in kb.axioms if isinstance(a, GCI)]
+    dcis = [a for a in kb.axioms if isinstance(a, DCI)]
+    words = search._witness_words(space, space.build_sorted, space.sorted_rows, gcis, dcis, query)
+    return next(words, None) is not None
+
+
+@pytest.mark.parametrize("chunk_bits", [4, 20])
+def test_existence_pass_matches_reference_at_each_domain_size(monkeypatch, chunk_bits):
+    """Sorting a witness's elements by type keeps it a witness, so the sorted
+    rows hold one exactly at the domain sizes where the full scan does."""
+    verdicts = set()
+    for kb, query in random_one_role_kbs():
+        if query is None:
+            continue
+        atoms, roles = search._vocabulary(kb, (query,))
+        quantified = search._quantified_subconcepts(list(kb.axioms) + [query])
+        for n in (1, 2, 3):
+            found, _ = reference_search(kb.axioms, query, atoms, roles, n, first_domain=n)
+            with monkeypatch.context() as m:
+                m.setattr(search, "_CHUNK_BITS", chunk_bits)
+                space = search._ConfigSpace(n, atoms, quantified)
+                assert sorted_pass_finds(space, kb, query) == bool(found), (kb, query, n)
+            verdicts.add(bool(found))
+    assert verdicts == {False, True}
 
 
 @pytest.mark.parametrize("chunk_bits", [None, 4])
@@ -578,6 +614,68 @@ def test_scan_size_is_the_rows_of_a_search_without_witness():
             search_countermodel(kb, q, bound, charge - 1)
 
 
+def test_search_without_witness_builds_no_ordered_row(monkeypatch):
+    # student's first question has no countermodel: the existence pass rules
+    # out each domain size, and the ordered rows are never built
+    calls = []
+    build = search._ConfigSpace.build
+    monkeypatch.setattr(
+        search._ConfigSpace, "build", lambda self, lo, hi: calls.append(self.n) or build(self, lo, hi)
+    )
+    kb = corpus.student_kb()
+    res = search_countermodel(kb, corpus.query("Student ~[= !exists pays.Tax"), 4)
+    assert not res.found and calls == []
+    assert res.enumerated == sum(2 ** (5 * d) * len(convex_height_vectors(d)) for d in range(1, 5))
+    # a size with a witness is scanned in order, and its witness materialised
+    assert search_countermodel(kb, corpus.query("Student ~[= Tax"), 4).found
+    assert calls and set(calls) == {1}
+
+
+def test_sorted_rows_past_int64_ranks_are_a_resource_limit(monkeypatch):
+    # 32 atoms: domain size 2 has C(2**32 + 1, 2) >= 2**62 sorted rows, and
+    # the search refuses before it scans domain size 1
+    def scan(*args):
+        raise AssertionError("the search started scanning")
+
+    monkeypatch.setattr(search, "_witness_words", scan)
+    atoms = [f"A{k}" for k in range(32)]
+    with pytest.raises(ResourceLimitError, match="cannot rank the sorted rows of domain size 2"):
+        search._search([], GCI(Atom("A0"), Atom("A1")), atoms, [], 2, max_rows=1 << 66)
+
+
+def element_types(space, masks):
+    """Each row's element types, decoded from its masks: bit i of the field
+    at bit f·n is bit f of element i's type."""
+    types = np.zeros((space.rows(masks), space.n), dtype=np.int64)
+    for c, shift in space.fields:
+        assert masks[c].dtype == np.min_scalar_type(space.full)
+        for i in range(space.n):
+            types[:, i] |= (masks[c].astype(np.int64) >> i & 1) << (shift // space.n)
+    return [tuple(t) for t in types.tolist()]
+
+
+@pytest.mark.parametrize(
+    "vocabulary",
+    [([], []), (["A"], []), ([], [Exists("r", Atom("A"))]), (["A", "B", "C"], [Exists("r", Atom("A"))])],
+)
+def test_build_sorted_yields_each_sorted_type_tuple_once(monkeypatch, vocabulary):
+    for n in range(1, 6):
+        space = search._ConfigSpace(n, *vocabulary)
+        types = 2 ** len(space.fields)
+        assert space.sorted_rows == math.comb(types + n - 1, n)
+        masks = space.build_sorted(0, space.sorted_rows)
+        rows = element_types(space, masks)
+        assert len(rows) == space.sorted_rows
+        assert sorted(rows) == list(itertools.combinations_with_replacement(range(types), n))
+        # blocks of 16 rows, the last one short, lay out the same rows
+        with monkeypatch.context() as m:
+            m.setattr(search, "_CHUNK_BITS", 4)
+            blocks = [space.build_sorted(lo, hi) for lo, hi in space.chunk_ranges(space.sorted_rows)]
+        assert len(blocks) == -(-space.sorted_rows // 16)
+        for c in masks:
+            assert np.array_equal(np.concatenate([b[c] for b in blocks]), masks[c])
+
+
 def test_search_budgets_must_be_positive():
     # as in the CLI, a budget below 1 is bad input, not an empty scan
     kb, q = corpus.student_kb(), corpus.query("Student ~[= Tax")
@@ -641,7 +739,7 @@ def test_build_matches_the_row_index_formula(monkeypatch, chunk_bits):
             spaces.append(search._ConfigSpace(n, *wide_vocabulary(n)))
         for space in spaces:
             size = 1 << min(2 * n + 10, search._CHUNK_BITS, space.qbits + space.abits)
-            blocks = list(space.chunk_ranges())
+            blocks = list(space.chunk_ranges(space.total_rows))
             assert blocks == [(lo, lo + size) for lo in range(0, space.total_rows, size)]
             assert blocks[-1][1] == space.total_rows
             for lo, hi in blocks if space is narrow else {blocks[0], blocks[-1]}:
@@ -666,7 +764,7 @@ def test_compaction_matches_reference_where_blocks_empty(monkeypatch):
     atoms, _ = search._vocabulary(kb, (q,))
     space = search._ConfigSpace(2, atoms, search._quantified_subconcepts(list(kb.axioms) + [q]))
     emptied = 0
-    for lo, hi in space.chunk_ranges():
+    for lo, hi in space.chunk_ranges(space.total_rows):
         masks = space.build(lo, hi)
         alive = space.realizable(masks)
         for g in kb.tbox:
