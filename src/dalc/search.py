@@ -13,36 +13,34 @@ configuration is kept only when some role graph realises exactly those bits
 (a per-element check), which makes the abstraction exact: every concrete
 ranked interpretation projects onto a realisable configuration with the same
 axiom values, and every realisable configuration is materialised back into a
-concrete witness.  Results are therefore identical to naive enumeration —
+concrete witness.  Verdicts are therefore identical to naive enumeration —
 ``tests/test_semantics.py`` cross-checks this against the naive search in
 ``tests/generators.py`` on small vocabularies — but reachable within the
 acceptance-time budget.
 
-Each domain size n is scanned in two passes over blocks of 2^(2n+10) rows,
-at most 2^20.  The *existence pass* reads only the rows whose element types
-(an element's w atom and quantifier bits) are non-decreasing, C(2^w+n−1, n)
-of them, under every convex height vector.  It is exact: the GCIs, the DCIs
-and realisability do not depend on the order of the elements, so sorting a
-witness's elements by type, with its height vector, gives one of those rows.
-If it finds none, ``enumerated`` grows by the size's 2^(n·w)·F(n)
-configurations: it counts configurations decided, as a scan one by one
-would.  Otherwise the *ordered pass* scans every row: bit patterns (atom
-extensions then quantifier bits, as one ascending integer) in blocks, height
-vectors in lexicographic order within each block.  So the first witness,
-``enumerate_models`` and ``enumerated`` are those of a scan one height
-vector at a time, which the tests keep as the reference, and reproducible
-for a given block layout.
+Each domain size n is scanned once, over the rows whose element types (an
+element's w quantifier and atom bits) are non-decreasing: C(2^w+n−1, n) of
+them, in blocks of 2^(2n+10) rows, at most 2^20, each under every convex
+height vector.  The scan is exact: the GCIs, the DCIs and realisability do
+not depend on the order of the elements, so sorting any witness's elements
+by type, with its height vector, gives one of these rows.  A size scanned
+to its end adds its 2^(n·w)·F(n) configurations to ``enumerated``: it
+counts configurations decided, as a scan one by one would.  The size where
+the search stops, at its ``limit``-th witness, adds the (row, height vector)
+pairs scanned up to and including that witness.
+Witnesses come in the order domain size, block, height vector (lexicographic)
+and multiset rank of the types, so each has non-decreasing element types.
 
-Both passes test their blocks with ``_witness_words``: the GCIs filter a
-block's rows, and a table per word of 64 height vectors maps each row's DCI
-index ``good | bad << n`` to the bitset of vectors under which it holds.
+``_witness_words`` tests the blocks: the GCIs filter a block's rows, and a
+table per word of 64 height vectors maps each row's DCI index
+``good | bad << n`` to the bitset of vectors under which it holds.
 
 Before any work the search charges a full scan
 Σ_{d ≤ max_domain} F(d) · max(2^(d·(atoms + quantified subconcepts)), 32·4^d)
 with F the ordered Bell numbers (the number of convex height maps): its
 configurations, or, when they are few, the tables it builds for them.  It
 raises ``ResourceLimitError`` if that exceeds ``max_rows``, which bounds the
-work of both passes, or if the sorted rows, ranked in int64, reach 2^62.
+scan's work, or if the sorted rows, ranked in int64, reach 2^62.
 """
 
 from __future__ import annotations
@@ -74,9 +72,10 @@ _WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of a bounded search.  ``interpretation`` is None when nothing
-    was found within the bound, which proves nothing beyond the bound (the
-    search is one-sided)."""
+    """Outcome of a bounded search.  ``interpretation`` is the first witness,
+    with non-decreasing element types, or None when nothing was found within
+    the bound, which proves nothing beyond it (the search is one-sided).
+    ``enumerated`` counts configurations as the module docstring says."""
 
     interpretation: Optional[RankedInterpretation]
     enumerated: int
@@ -126,54 +125,32 @@ def _dci_hold_words(minima: np.ndarray, n: int) -> np.ndarray:
 
 
 def _quantified_subconcepts(axioms: Sequence[Axiom]) -> list[Concept]:
-    # repr is structural, so this order, which fixes the bit layout and hence
+    # repr is structural, so this order, which fixes the type bits and hence
     # the witness order, is stable across runs
     return sorted({c for c in subconcepts(axioms) if isinstance(c, (Exists, Forall))}, key=repr)
 
 
 class _ConfigSpace:
-    """Vectorised evaluation of all abstract configurations for one domain
-    size: per-row atom masks, quantifier bits, realisability, and axiom
-    constraints."""
+    """Vectorised evaluation of the sorted abstract configurations of one
+    domain size: per-row atom masks, quantifier bits, realisability, and
+    axiom constraints."""
 
     def __init__(self, n: int, atoms: Sequence[str], quantified: Sequence[Concept]):
         self.n = n
         self.full = (1 << n) - 1
         self.atoms = list(atoms)
         self.quantified = list(quantified)
-        self.qbits = len(quantified) * n
-        self.abits = len(atoms) * n
-        self.total_rows = 1 << (self.qbits + self.abits)
+        # bit f of an element's type says whether it is in fields[f]
+        self.fields: list[Concept] = self.quantified + [Atom(a) for a in atoms]
+        self.total_rows = 1 << (len(self.fields) * n)
+        self.sorted_rows = math.comb((1 << len(self.fields)) + n - 1, n)
         self.dtype = np.min_scalar_type(self.full)
         self.index_dtype = np.min_scalar_type((1 << (2 * n)) - 1)
-        # atom k is bits qbits + k·n .. of a row index, quantified concept m
-        # bits m·n ..; an element's type is its bit of each field
-        self.fields = [(Atom(a), self.qbits + k * n) for k, a in enumerate(atoms)]
-        self.fields += [(q, m * n) for m, q in enumerate(quantified)]
-        self.sorted_rows = math.comb((1 << len(self.fields)) + n - 1, n)
 
-    def chunk_ranges(self, rows: int):
+    def chunk_ranges(self):
         step = 1 << min(2 * self.n + 10, _CHUNK_BITS)
-        for lo in range(0, rows, step):
-            yield lo, min(lo + step, rows)
-
-    def build(self, lo: int, hi: int) -> dict:
-        """Per-row masks of the rows ``lo .. hi-1``, in the narrowest unsigned
-        dtype that holds ``full``.  A block's size is a power of two and
-        ``lo`` a multiple of it, so each column is the field's bits of ``lo``
-        ORed with an ``arange`` over its bits that vary inside the block, each
-        value repeated and the run tiled."""
-        size = hi - lo
-        width = size.bit_length() - 1
-        assert size == 1 << width and lo % size == 0, "blocks are aligned powers of two"
-        masks: dict[Concept, np.ndarray] = {}
-        for c, shift in self.fields:
-            rep = min(shift, width)
-            low = min(self.n, width - rep)
-            run = np.arange(1 << low, dtype=self.dtype) | ((lo >> shift) & self.full)
-            shape = (size >> (rep + low), 1 << low, 1 << rep)
-            masks[c] = np.broadcast_to(run[None, :, None], shape).reshape(size)
-        return masks
+        for lo in range(0, self.sorted_rows, step):
+            yield lo, min(lo + step, self.sorted_rows)
 
     @cached_property
     def binomials(self) -> list[np.ndarray]:
@@ -184,9 +161,9 @@ class _ConfigSpace:
         return out
 
     def build_sorted(self, lo: int, hi: int) -> dict:
-        """Per-row masks, as ``build`` lays them out, of the rows whose element
-        types are non-decreasing, by multiset rank ``lo .. hi-1``; the field at
-        bit f·n is type bit f.  Types t_0 ≤ .. ≤ t_{n-1} are the set
+        """Per-row masks of the rows whose element types are non-decreasing,
+        by multiset rank ``lo .. hi-1``, in the narrowest unsigned dtype that
+        holds ``full``.  Types t_0 ≤ .. ≤ t_{n-1} are the set
         c_i = t_i + i of colex rank Σ C(c_i, i + 1), so each c_i, top down, is
         the largest c whose C(c, i + 1) fits in what is left of the rank."""
         # one narrow dtype for the types and the masks; bit f of t_i goes to bit i
@@ -198,8 +175,7 @@ class _ConfigSpace:
             types.append((i, (c - i).astype(narrow)))
         types.append((0, rest.astype(narrow)))
         masks: dict[Concept, np.ndarray] = {}
-        for c, shift in self.fields:
-            f = shift // self.n
+        for f, c in enumerate(self.fields):
             column = np.zeros(hi - lo, dtype=narrow)
             for i, t in types:
                 column |= (t >> (f - i) if f >= i else t << (i - f)) & (1 << i)
@@ -283,9 +259,9 @@ class _ConfigSpace:
     def materialize(
         self, row: int, heights: tuple[int, ...], roles: Sequence[str]
     ) -> RankedInterpretation:
-        """Reconstruct a concrete witness from one abstract configuration:
+        """Reconstruct a concrete witness from the sorted row of rank ``row``:
         each demanded successor is the lowest element of its target."""
-        masks = self.build(row, row + 1)
+        masks = self.build_sorted(row, row + 1)
         atom_ext = {a: _bits(int(masks[Atom(a)][0])) for a in self.atoms}
         role_ext: dict[str, set[tuple[int, int]]] = {r: set() for r in roles}
         for role, i, demanded, target in self._demands(masks):
@@ -298,16 +274,16 @@ class _ConfigSpace:
         return RankedInterpretation(base, heights)
 
 
-def _witness_words(space: _ConfigSpace, build, rows: int, gcis, dcis, must_fail: Optional[Axiom]):
-    """Test the rows ``0 .. rows-1`` of ``build`` block by block: yield
+def _witness_words(space: _ConfigSpace, gcis, dcis, must_fail: Optional[Axiom]):
+    """Test the sorted rows of ``space`` block by block, in rank order: yield
     ``(lo, hi, start, bits, keep, sat)`` for each block and word of 64 height
     vectors, from vector ``start`` on, under which some row is a witness.
     Survivor k of the block's GCI filter, whose columns are gathered once, is
-    row ``lo + keep[k]``, and bit j of ``sat[k]`` says whether it is a
-    witness under vector ``start + j``; ``bits`` ORs them."""
+    the row of rank ``lo + keep[k]``, and bit j of ``sat[k]`` says whether it
+    is a witness under vector ``start + j``; ``bits`` ORs them."""
     tables = _min_height_tables(space.n)
-    for lo, hi in space.chunk_ranges(rows):
-        masks = build(lo, hi)
+    for lo, hi in space.chunk_ranges():
+        masks = space.build_sorted(lo, hi)
         columns = list(masks)
         alive = np.ones(space.rows(masks), dtype=bool)
         for g in gcis:
@@ -371,26 +347,20 @@ def _search(
     for n in range(1, max_domain + 1):
         space = _ConfigSpace(n, atoms, quantified)
         hvs = convex_height_vectors(n)
-        axioms = (gcis, dcis, must_fail)
-        if next(_witness_words(space, space.build_sorted, space.sorted_rows, *axioms), None):
-            before = len(found)  # the existence pass found a witness: take them in order
-            ordered = _witness_words(space, space.build, space.total_rows, *axioms)
-            for lo, hi, start, bits, keep, sat in ordered:
-                for j, hv in enumerate(hvs[start : start + _WORD]):
-                    if not bits >> j & 1:
-                        continue
-                    for idx in np.flatnonzero(sat >> np.uint64(j) & np.uint64(1)):
-                        row = int(keep[idx])
-                        witness = space.materialize(lo + row, hv, roles)
-                        if not satisfies_all(witness, must_hold):
-                            raise AssertionError("materialized witness fails the axioms")
-                        if must_fail is not None and satisfies(witness, must_fail):
-                            raise AssertionError("materialized witness satisfies the query")
-                        found.append(witness)
-                        if len(found) >= limit:
-                            return found, examined + lo * len(hvs) + (hi - lo) * (start + j) + row + 1
-            if len(found) == before:
-                raise AssertionError("the sorted rows hold a witness the ordered rows do not")
+        for lo, hi, start, bits, keep, sat in _witness_words(space, gcis, dcis, must_fail):
+            for j, hv in enumerate(hvs[start : start + _WORD]):
+                if not bits >> j & 1:
+                    continue
+                for idx in np.flatnonzero(sat >> np.uint64(j) & np.uint64(1)):
+                    row = int(keep[idx])
+                    witness = space.materialize(lo + row, hv, roles)
+                    if not satisfies_all(witness, must_hold):
+                        raise AssertionError("materialized witness fails the axioms")
+                    if must_fail is not None and satisfies(witness, must_fail):
+                        raise AssertionError("materialized witness satisfies the query")
+                    found.append(witness)
+                    if len(found) >= limit:
+                        return found, examined + lo * len(hvs) + (hi - lo) * (start + j) + row + 1
         examined += space.total_rows * len(hvs)
     return found, examined
 
@@ -422,7 +392,10 @@ def search_countermodel(
 
 
 def enumerate_models(kb: KnowledgeBase, max_domain: int, limit: int) -> list[RankedInterpretation]:
-    """Up to ``limit`` ranked models of ``kb`` in enumeration order."""
+    """Up to ``limit`` ranked models of ``kb`` in the search's witness order,
+    each with non-decreasing element types.  Up to a permutation of its
+    elements, every model within the bound has the atoms, quantifier bits and
+    heights of one that the search can yield."""
     atoms, roles = _vocabulary(kb)
     found, _ = _search(kb.axioms, None, atoms, roles, max_domain, limit=limit)
     return found

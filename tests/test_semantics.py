@@ -418,46 +418,57 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
     assert not search_model(bad, 3).found
 
 
-def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1, first_domain=1):
-    """The configuration scan one height vector at a time, in the oracle's
-    order (domain size, block, height vector, row), counting examined rows
-    the same way; the reference for the bitset search in ``_search``.  It
-    scans the domain sizes ``first_domain .. max_domain``."""
+def reference_witnesses(space, masks, must_hold, must_fail):
+    """Yield ``(hv, sat)`` for each convex height vector of ``space``'s
+    domain size, in order: per row of ``masks``, whether it is a witness
+    under ``hv``, decided one vector at a time and from the masks alone."""
+
+    def violated(a):
+        return space.eval(masks, a.lhs) & ~space.eval(masks, a.rhs) & space.full != 0
+
+    def dci_holds(a, tbl):
+        lhs, rhs = space.eval(masks, a.lhs), space.eval(masks, a.rhs)
+        good, bad = lhs & rhs, lhs & ~rhs & space.full
+        return (bad == 0) | (tbl[good] < tbl[bad])
+
+    alive = space.realizable(masks)
+    for a in must_hold:
+        if isinstance(a, GCI):
+            alive &= ~violated(a)
+    if isinstance(must_fail, GCI):
+        alive &= violated(must_fail)
+    for hv, tbl in zip(convex_height_vectors(space.n), search._min_height_tables(space.n)):
+        sat = alive.copy()
+        for a in must_hold:
+            if isinstance(a, DCI):
+                sat &= dci_holds(a, tbl)
+        if isinstance(must_fail, DCI):
+            sat &= ~dci_holds(must_fail, tbl)
+        yield hv, sat
+
+
+def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
+    """The sorted scan one height vector at a time, in the oracle's order
+    (domain size, block, height vector, rank), counting configurations the
+    same way: all ``total_rows·F(n)`` of each size scanned to its end, and
+    the (row, height vector) pairs up to the ``limit``-th witness; the
+    reference for the bitset search in ``_search``."""
     quantified = search._quantified_subconcepts(
         list(must_hold) + ([must_fail] if must_fail is not None else [])
     )
     found, examined = [], 0
-    for n in range(first_domain, max_domain + 1):
+    for n in range(1, max_domain + 1):
         space = search._ConfigSpace(n, atoms, quantified)
-        for lo, hi in space.chunk_ranges(space.total_rows):
-            masks = space.build(lo, hi)
-
-            def violated(a):
-                return space.eval(masks, a.lhs) & ~space.eval(masks, a.rhs) & space.full != 0
-
-            def dci_holds(a, tbl):
-                lhs, rhs = space.eval(masks, a.lhs), space.eval(masks, a.rhs)
-                good, bad = lhs & rhs, lhs & ~rhs & space.full
-                return (bad == 0) | (tbl[good] < tbl[bad])
-
-            alive = space.realizable(masks)
-            for a in must_hold:
-                if isinstance(a, GCI):
-                    alive &= ~violated(a)
-            if isinstance(must_fail, GCI):
-                alive &= violated(must_fail)
-            for hv, tbl in zip(convex_height_vectors(n), search._min_height_tables(n)):
-                sat = alive.copy()
-                for a in must_hold:
-                    if isinstance(a, DCI):
-                        sat &= dci_holds(a, tbl)
-                if isinstance(must_fail, DCI):
-                    sat &= ~dci_holds(must_fail, tbl)
+        scanned = 0
+        for lo, hi in space.chunk_ranges():
+            masks = space.build_sorted(lo, hi)
+            for hv, sat in reference_witnesses(space, masks, must_hold, must_fail):
                 for idx in np.flatnonzero(sat):
                     found.append(space.materialize(lo + int(idx), hv, roles))
                     if len(found) >= limit:
-                        return found, examined + int(idx) + 1
-                examined += hi - lo
+                        return found, examined + scanned + int(idx) + 1
+                scanned += hi - lo
+        examined += space.total_rows * len(convex_height_vectors(n))
     return found, examined
 
 
@@ -520,53 +531,62 @@ def test_bitset_search_matches_reference_on_random_kbs(monkeypatch, chunk_bits):
         assert_matches_reference(kb, query, 3)
 
 
-def sorted_pass_finds(space, kb, query):
-    """The verdict of ``_search``'s existence pass at ``space``'s domain size."""
+def sorted_scan_finds(space, kb, query):
+    """Whether ``_search``'s scan holds a witness at ``space``'s domain size."""
     gcis = [a for a in kb.axioms if isinstance(a, GCI)]
     dcis = [a for a in kb.axioms if isinstance(a, DCI)]
-    words = search._witness_words(space, space.build_sorted, space.sorted_rows, gcis, dcis, query)
-    return next(words, None) is not None
+    return next(search._witness_words(space, gcis, dcis, query), None) is not None
+
+
+def all_rows_find(space, kb, query):
+    """Whether some row of all ``total_rows``, in every element order and laid
+    out by the int64 row formula, is a witness under some height vector."""
+    for lo in range(0, space.total_rows, 1 << 16):
+        masks = formula_masks(space, lo, min(lo + (1 << 16), space.total_rows))
+        if any(sat.any() for _, sat in reference_witnesses(space, masks, kb.axioms, query)):
+            return True
+    return False
 
 
 @pytest.mark.parametrize("chunk_bits", [4, 20])
 def test_existence_pass_matches_reference_at_each_domain_size(monkeypatch, chunk_bits):
     """Sorting a witness's elements by type keeps it a witness, so the sorted
-    rows hold one exactly at the domain sizes where the full scan does."""
+    rows hold one exactly at the domain sizes where all rows do."""
     verdicts = set()
     for kb, query in random_one_role_kbs():
         if query is None:
             continue
-        atoms, roles = search._vocabulary(kb, (query,))
+        atoms, _ = search._vocabulary(kb, (query,))
         quantified = search._quantified_subconcepts(list(kb.axioms) + [query])
         for n in (1, 2, 3):
-            found, _ = reference_search(kb.axioms, query, atoms, roles, n, first_domain=n)
+            space = search._ConfigSpace(n, atoms, quantified)
+            found = all_rows_find(space, kb, query)
             with monkeypatch.context() as m:
                 m.setattr(search, "_CHUNK_BITS", chunk_bits)
-                space = search._ConfigSpace(n, atoms, quantified)
-                assert sorted_pass_finds(space, kb, query) == bool(found), (kb, query, n)
-            verdicts.add(bool(found))
+                assert sorted_scan_finds(space, kb, query) == found, (kb, query, n)
+            verdicts.add(found)
     assert verdicts == {False, True}
 
 
 @pytest.mark.parametrize("chunk_bits", [None, 4])
 def test_first_witness_in_second_height_word(monkeypatch, chunk_bits):
-    """Four strictly ordered layers are forced: T's minima are not A, A's
-    not B, A&B's not C, and the query asks for an A&B&C element.  With
-    16-row blocks the first block holding a witness has C = {0} and
-    B = {0, 1}, so element 0 sits on top and the first witness lies past
-    height vector 64, in the second word of the bitset."""
+    """Four strictly ordered layers are forced: T's minima are not ¬A, ¬A's
+    not ¬B, ¬A&¬B's not ¬C, and the query asks for a ¬A&¬B&¬C element.
+    Element types are non-decreasing, so the element in none of A, B, C,
+    type 0, comes first and sits on top: the first witness has heights
+    (3, 2, 1, 0), height vector 74, in the second word of the bitset."""
     if chunk_bits is not None:
         monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
     a, b, c = Atom("A"), Atom("B"), Atom("C")
     kb = KnowledgeBase(
-        tbox=(GCI(b, a), GCI(c, b)),
-        dtbox=(DCI(TOP, Not(a)), DCI(a, Not(b)), DCI(And(a, b), Not(c))),
+        tbox=(GCI(Not(b), Not(a)), GCI(Not(c), Not(b))),
+        dtbox=(DCI(TOP, a), DCI(Not(a), b), DCI(And(Not(a), Not(b)), c)),
     )
-    (witness,) = assert_matches_reference(kb, GCI(And(And(a, b), c), BOTTOM), 4)
+    query = GCI(And(And(Not(a), Not(b)), Not(c)), BOTTOM)
+    (witness,) = assert_matches_reference(kb, query, 4)
     index = convex_height_vectors(4).index(witness.heights)
-    if chunk_bits is not None:
-        assert index >= 64
-    assert sorted(witness.heights) == [0, 1, 2, 3]
+    assert index >= 64
+    assert index == 74 and witness.heights == (3, 2, 1, 0)
 
 
 def test_domain_five_spans_several_words():
@@ -596,6 +616,7 @@ def test_scan_size_is_the_rows_of_a_search_without_witness():
     cases = [
         (corpus.boss_kb(), "Worker ~[= exists hasSuperior.Responsible", 2),
         (corpus.student_kb(), "Student ~[= !exists pays.Tax", 3),
+        (corpus.student_kb(), "Student ~[= !exists pays.Tax", 4),
         (KnowledgeBase(), "A ~[= A", 5),
     ]
     for kb, text, bound in cases:
@@ -614,21 +635,41 @@ def test_scan_size_is_the_rows_of_a_search_without_witness():
             search_countermodel(kb, q, bound, charge - 1)
 
 
-def test_search_without_witness_builds_no_ordered_row(monkeypatch):
-    # student's first question has no countermodel: the existence pass rules
-    # out each domain size, and the ordered rows are never built
-    calls = []
-    build = search._ConfigSpace.build
-    monkeypatch.setattr(
-        search._ConfigSpace, "build", lambda self, lo, hi: calls.append(self.n) or build(self, lo, hi)
-    )
-    kb = corpus.student_kb()
-    res = search_countermodel(kb, corpus.query("Student ~[= !exists pays.Tax"), 4)
-    assert not res.found and calls == []
-    assert res.enumerated == sum(2 ** (5 * d) * len(convex_height_vectors(d)) for d in range(1, 5))
-    # a size with a witness is scanned in order, and its witness materialised
-    assert search_countermodel(kb, corpus.query("Student ~[= Tax"), 4).found
-    assert calls and set(calls) == {1}
+def type_fields(kb, query):
+    """The concepts of the search's type bits for ``kb`` and ``query``."""
+    extra = (query,) if query is not None else ()
+    atoms, _ = search._vocabulary(kb, extra)
+    return search._ConfigSpace(1, atoms, search._quantified_subconcepts(list(kb.axioms) + list(extra))).fields
+
+
+def assert_types_non_decreasing(witness, fields):
+    """Element i's type has bit f set iff i is in the extension of field f."""
+    extensions = [extension(witness, c) for c in fields]
+    types = [sum(1 << f for f, e in enumerate(extensions) if i in e) for i in range(witness.base.domain_size)]
+    assert types == sorted(types), (witness.to_json_dict(), types)
+
+
+def test_witnesses_have_non_decreasing_element_types():
+    """Every witness the search returns has its elements sorted by type, and
+    at domain 2 the search finds one exactly when the naive search does."""
+    cases = [(corpus.CORPUS[name](), corpus.query(text)) for name, text, _ in corpus.VERDICTS]
+    cases += [(corpus.CORPUS[name](), None) for name in corpus.CORPUS]
+    cases += random_one_role_kbs()
+    witnesses = 0
+    for kb, query in cases:
+        fields = type_fields(kb, query)
+        for bound in (2, 3):
+            res = search_model(kb, bound) if query is None else search_countermodel(kb, query, bound)
+            if bound == 2:
+                assert res.found == (_search_naive(kb, query, 2) is not None), (kb, query)
+            if res.found:
+                assert_types_non_decreasing(res.interpretation, fields)
+                witnesses += 1
+        fields = type_fields(kb, None)
+        for model in enumerate_models(kb, 3, 12):
+            assert_types_non_decreasing(model, fields)
+            witnesses += 1
+    assert witnesses > len(cases)
 
 
 def test_sorted_rows_past_int64_ranks_are_a_resource_limit(monkeypatch):
@@ -644,13 +685,13 @@ def test_sorted_rows_past_int64_ranks_are_a_resource_limit(monkeypatch):
 
 
 def element_types(space, masks):
-    """Each row's element types, decoded from its masks: bit i of the field
-    at bit f·n is bit f of element i's type."""
+    """Each row's element types, decoded from its masks: bit i of field f's
+    mask is bit f of element i's type."""
     types = np.zeros((space.rows(masks), space.n), dtype=np.int64)
-    for c, shift in space.fields:
+    for f, c in enumerate(space.fields):
         assert masks[c].dtype == np.min_scalar_type(space.full)
         for i in range(space.n):
-            types[:, i] |= (masks[c].astype(np.int64) >> i & 1) << (shift // space.n)
+            types[:, i] |= (masks[c].astype(np.int64) >> i & 1) << f
     return [tuple(t) for t in types.tolist()]
 
 
@@ -670,7 +711,7 @@ def test_build_sorted_yields_each_sorted_type_tuple_once(monkeypatch, vocabulary
         # blocks of 16 rows, the last one short, lay out the same rows
         with monkeypatch.context() as m:
             m.setattr(search, "_CHUNK_BITS", 4)
-            blocks = [space.build_sorted(lo, hi) for lo, hi in space.chunk_ranges(space.sorted_rows)]
+            blocks = [space.build_sorted(lo, hi) for lo, hi in space.chunk_ranges()]
         assert len(blocks) == -(-space.sorted_rows // 16)
         for c in masks:
             assert np.array_equal(np.concatenate([b[c] for b in blocks]), masks[c])
@@ -690,23 +731,41 @@ def test_search_budgets_must_be_positive():
 
 
 def build_layout(space):
-    """(column, shift) of each field of a row index: quantifier bits low,
-    atom bits high, ``n`` bits per field."""
-    atoms = [(Atom(a), space.qbits + k * space.n) for k, a in enumerate(space.atoms)]
-    return atoms + [(q, m * space.n) for m, q in enumerate(space.quantified)]
+    """(column, shift) of each field in the int64 row formula over all
+    ``total_rows`` rows: field f is bits f·n .. f·n + n − 1 of the row."""
+    return [(c, f * space.n) for f, c in enumerate(space.fields)]
 
 
-def assert_build_matches_row_formula(space, lo, hi):
+def formula_masks(space, lo, hi):
+    """The masks of rows ``lo .. hi-1`` of all ``total_rows``, every element
+    order included, from the int64 row formula."""
     rows = np.arange(lo, hi, dtype=np.int64)
-    masks = space.build(lo, hi)
-    layout = build_layout(space)
-    assert set(masks) == {c for c, _ in layout}
-    for c, shift in layout:
+    return {c: ((rows >> shift) & space.full).astype(space.dtype) for c, shift in build_layout(space)}
+
+
+def sorted_type_rows(space):
+    """Every non-decreasing type tuple, in colex order: by the top element's
+    type first, then the next one down, as the multiset ranks order them."""
+    types = np.array(
+        list(itertools.combinations_with_replacement(range(1 << len(space.fields)), space.n)),
+        dtype=np.int64,
+    )
+    return types[np.lexsort(types.T)]
+
+
+def assert_build_sorted_matches_formula(space, types, lo, hi):
+    """``build_sorted``'s columns of ranks ``lo .. hi-1``, each against bit f
+    of every element's type in ``types`` (from ``sorted_type_rows``), and a
+    DCI index over two of them against its int64 formula."""
+    masks = space.build_sorted(lo, hi)
+    assert list(masks) == space.fields
+    columns = []
+    for f, c in enumerate(space.fields):
+        want = sum(((types[lo:hi, i] >> f) & 1) << i for i in range(space.n))
         assert masks[c].dtype == np.min_scalar_type(space.full)
-        assert np.array_equal(masks[c], (rows >> shift) & space.full), (lo, hi, c)
-    # and the DCI index ``good | bad << n`` over two of those columns
-    (a, a_shift), (b, b_shift) = layout[:2]
-    lhs, rhs = (rows >> a_shift) & space.full, (rows >> b_shift) & space.full
+        assert np.array_equal(masks[c], want), (lo, hi, c)
+        columns.append((c, want))
+    (a, lhs), (b, rhs) = columns[:2]
     index = space.dci_index(masks, DCI(a, b))
     assert index.dtype == np.min_scalar_type(4**space.n - 1)
     assert np.array_equal(index, (lhs & rhs) | ((lhs & ~rhs & space.full) << space.n))
@@ -716,61 +775,72 @@ VOCABULARY = (["A", "B"], [Exists("r", Atom("A"))])
 
 
 def wide_vocabulary(n):
-    """One field more than a block of 2**min(2n + 10, 20) rows holds: at the
-    default settings domain size n spans 2 to 32 blocks."""
-    return [f"A{k}" for k in range(min(2 * n + 10, 20) // n)], [Exists("r", Atom("A0"))]
+    """The fewest atoms, beside one quantified concept, whose sorted rows fill
+    more than one block of 2**(2n + 10) rows at domain size n."""
+    atoms = []
+    while math.comb(2 ** (len(atoms) + 1) + n - 1, n) <= 1 << (2 * n + 10):
+        atoms.append(f"A{len(atoms)}")
+    return atoms, [Exists("r", Atom("A0"))]
 
 
 @pytest.mark.parametrize("chunk_bits", [None, 4])
-def test_build_matches_the_row_index_formula(monkeypatch, chunk_bits):
-    """``build`` lays columns out from a block's bits; here each, and a DCI
-    index over two of them, is checked against the int64 formula on the row
-    index, for every block.  The blocks are aligned, in order, of
-    2**min(2n + 10, _CHUNK_BITS, row bits) rows each, and cover every row
-    once; at the default settings up to n = 6, and on a vocabulary wider
-    than a block too, whose first and last blocks are built (at n = 5 and 6
-    it has 32 and 16 blocks of 2**20 rows)."""
+def test_build_sorted_matches_the_rank_formula(monkeypatch, chunk_bits):
+    """``build_sorted`` unranks the multisets of element types; here each
+    block's columns, and a DCI index over two of them, are checked against
+    the colex order of ``combinations_with_replacement``.  The blocks are in
+    order, of 2**min(2n + 10, _CHUNK_BITS) rows each but the last, and cover
+    every rank once, up to n = 6; at the default settings on a
+    vocabulary wide enough for two or more blocks too, for n <= 3 (13, 8 and
+    7 fields, so n = 1 needs 16-bit types)."""
     if chunk_bits is not None:
         monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
-    for n in range(1, 7 if chunk_bits is None else 6):
-        narrow = search._ConfigSpace(n, *VOCABULARY)
-        spaces = [narrow]
-        if chunk_bits is None:
+    for n in range(1, 7):
+        spaces = [search._ConfigSpace(n, *VOCABULARY)]
+        if chunk_bits is None and n <= 3:
             spaces.append(search._ConfigSpace(n, *wide_vocabulary(n)))
         for space in spaces:
-            size = 1 << min(2 * n + 10, search._CHUNK_BITS, space.qbits + space.abits)
-            blocks = list(space.chunk_ranges(space.total_rows))
-            assert blocks == [(lo, lo + size) for lo in range(0, space.total_rows, size)]
-            assert blocks[-1][1] == space.total_rows
-            for lo, hi in blocks if space is narrow else {blocks[0], blocks[-1]}:
-                assert_build_matches_row_formula(space, lo, hi)
+            size = 1 << min(2 * n + 10, search._CHUNK_BITS)
+            blocks = list(space.chunk_ranges())
+            assert blocks == [(lo, min(lo + size, space.sorted_rows)) for lo in range(0, space.sorted_rows, size)]
+            assert len(blocks) > 1 or space is spaces[0]
+            types = sorted_type_rows(space)
+            assert len(types) == space.sorted_rows
+            for lo, hi in blocks:
+                assert_build_sorted_matches_formula(space, types, lo, hi)
 
 
-def test_build_matches_the_row_index_formula_on_one_row_blocks():
-    # the blocks ``materialize`` builds
+def test_build_sorted_on_one_row_blocks():
+    # the blocks ``materialize`` builds are the rows of the full block
     for n in (1, 2, 3):
         space = search._ConfigSpace(n, *VOCABULARY)
-        for row in range(space.total_rows):
-            assert_build_matches_row_formula(space, row, row + 1)
+        full = space.build_sorted(0, space.sorted_rows)
+        for row in range(space.sorted_rows):
+            one = space.build_sorted(row, row + 1)
+            assert list(one) == list(full)
+            for c in full:
+                assert one[c].dtype == full[c].dtype
+                assert one[c].tolist() == full[c][row : row + 1].tolist(), (n, row, c)
 
 
 def test_compaction_matches_reference_where_blocks_empty(monkeypatch):
     """With 16-row blocks, the GCIs of boss.dkb and realisability leave no
-    row in 168 of the 256 domain-2 blocks, so the filtered scan skips
-    whole blocks before its witnesses and through a full scan."""
+    row in 92 of the 130 domain-2 blocks of sorted rows, so the
+    filtered scan skips whole blocks before its witnesses and through a full
+    scan."""
     monkeypatch.setattr(search, "_CHUNK_BITS", 4)
     kb = corpus.boss_kb()
     q = corpus.query("Worker ~[= exists hasSuperior.Responsible")
     atoms, _ = search._vocabulary(kb, (q,))
     space = search._ConfigSpace(2, atoms, search._quantified_subconcepts(list(kb.axioms) + [q]))
     emptied = 0
-    for lo, hi in space.chunk_ranges(space.total_rows):
-        masks = space.build(lo, hi)
+    assert len(list(space.chunk_ranges())) == 130
+    for lo, hi in space.chunk_ranges():
+        masks = space.build_sorted(lo, hi)
         alive = space.realizable(masks)
         for g in kb.tbox:
             alive &= ~space.violated(masks, g)
         emptied += not alive.any()
-    assert emptied == 168
+    assert emptied == 92
     assert not assert_matches_reference(kb, q, 2)
     for text in ("Boss [= bot", "Boss ~[= !Responsible"):
         (witness,) = assert_matches_reference(kb, corpus.query(text), 2)
