@@ -1,7 +1,6 @@
 """Finite-model semantics: preferential and ranked interpretations over small
 domains, satisfaction, height maps, unions, and the KLM-postulate checker.
-Test generators and the naive reference search live in
-``tests/generators.py``.
+Test generators and the naive reference search live in ``tests/generators.py``.
 
 This module is the brute-force oracle the reasoner is validated against, so
 it deliberately evaluates everything from first principles (set-theoretic
@@ -9,8 +8,11 @@ extensions, minima under the preference order) rather than reusing any part
 of the tableau machinery.  It is pure Python, and it does not import the
 bounded model search, ``dalc.search``, which needs NumPy.
 
-Extensions are represented internally as bit masks over the domain
-``{0, .., n-1}``; element ``i`` corresponds to bit ``1 << i``.
+Extensions are bit masks over the domain ``{0, .., n-1}``; element ``i`` is
+bit ``1 << i``.  Ranked and preferential interpretations share one
+preference relation, ``below``: ``below[x]`` masks the elements more typical
+than ``x``, read off the order or off the heights, and every minimum is
+taken from it.
 """
 
 from __future__ import annotations
@@ -89,18 +91,15 @@ class PreferentialInterpretation:
     order: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "order", frozenset(self.order))
-        pairs = self.order
-        n = self.base.domain_size
-        for x, y in pairs:
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValueError(f"pair ({x}, {y}) outside domain of size {n}")
-            if (y, x) in pairs or x == y:
-                raise ValueError(f"order is not a strict partial order at ({x}, {y})")
-        for x, y in pairs:
-            for y2, z in pairs:
-                if y2 == y and (x, z) not in pairs:
-                    raise ValueError(f"order is not transitive at ({x}, {y}, {z})")
+        object.__setattr__(self, "order", _strict_order(self.base.domain_size, self.order))
+
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """``below[x]``: the mask of the elements more typical than ``x``."""
+        masks = [0] * self.base.domain_size
+        for x, y in self.order:
+            masks[y] |= 1 << x
+        return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -120,11 +119,9 @@ class RankedInterpretation:
             raise ValueError(f"height map {self.heights} is not convex")
 
     @cached_property
-    def layer_masks(self) -> tuple[int, ...]:
-        masks = [0] * (max(self.heights) + 1)
-        for x, h in enumerate(self.heights):
-            masks[h] |= 1 << x
-        return tuple(masks)
+    def below(self) -> tuple[int, ...]:
+        """``below[x]``: the mask of the elements at a lower height than ``x``."""
+        return tuple(sum(1 << y for y, g in enumerate(self.heights) if g < h) for h in self.heights)
 
     def as_preferential(self) -> PreferentialInterpretation:
         return PreferentialInterpretation(self.base, order_from_heights(self.heights))
@@ -202,15 +199,17 @@ def extension(i: Interpretation, c: Concept) -> frozenset[int]:
     return _bits(_ext_mask(_base_of(i), c))
 
 
-def _min_mask_ranked(i: RankedInterpretation, c: Concept) -> int:
+def _min_mask(i: PreferentialInterpretation | RankedInterpretation, c: Concept) -> int:
+    """The instances of ``c`` that no instance of ``c`` is more typical than."""
     ext = _ext_mask(i.base, c)
-    if ext == 0:
-        return 0
-    for layer in i.layer_masks:
-        m = ext & layer
-        if m:
-            return m
-    raise AssertionError("non-empty extension must meet some layer")
+    below = i.below
+    m, rest = 0, ext
+    while rest:
+        low = rest & -rest
+        if below[low.bit_length() - 1] & ext == 0:
+            m |= low
+        rest ^= low
+    return m
 
 
 def min_elements(i: PreferentialInterpretation | RankedInterpretation, c: Concept) -> frozenset[int]:
@@ -219,17 +218,12 @@ def min_elements(i: PreferentialInterpretation | RankedInterpretation, c: Concep
     Non-empty whenever the extension is non-empty (smoothness is automatic
     on finite domains).
     """
-    if isinstance(i, RankedInterpretation):
-        return _bits(_min_mask_ranked(i, c))
-    ext = extension(i, c)
-    return frozenset(
-        x for x in ext if not any(y != x and (y, x) in i.order for y in ext)
-    )
+    return _bits(_min_mask(i, c))
 
 
 def height_of_concept(i: RankedInterpretation, c: Concept) -> Rank:
     """The layer index of the minimal instances of ``c``; infinite iff empty."""
-    m = _min_mask_ranked(i, c)
+    m = _min_mask(i, c)
     if m == 0:
         return Rank.infinite()
     return Rank.finite(i.heights[(m & -m).bit_length() - 1])
@@ -238,12 +232,8 @@ def height_of_concept(i: RankedInterpretation, c: Concept) -> Rank:
 def satisfies(i: PreferentialInterpretation | RankedInterpretation, a: Axiom) -> bool:
     """GCI: extension inclusion.  DCI: minimal lhs-instances lie in the rhs."""
     base = _base_of(i)
-    if isinstance(a, GCI):
-        return _ext_mask(base, a.lhs) & ~_ext_mask(base, a.rhs) & base.full_mask == 0
-    if isinstance(i, RankedInterpretation):
-        return _min_mask_ranked(i, a.lhs) & ~_ext_mask(base, a.rhs) & base.full_mask == 0
-    ext_rhs = extension(i, a.rhs)
-    return min_elements(i, a.lhs) <= ext_rhs
+    lhs = _ext_mask(base, a.lhs) if isinstance(a, GCI) else _min_mask(i, a.lhs)
+    return lhs & ~_ext_mask(base, a.rhs) == 0
 
 
 def satisfies_all(i, axioms: Iterable[Axiom]) -> bool:
@@ -255,25 +245,21 @@ def satisfies_all(i, axioms: Iterable[Axiom]) -> bool:
 
 
 class NotModularError(ValueError):
+    """An order that is not strict and modular; ``triple`` holds the offending pair or triple."""
+
     def __init__(self, message: str, triple: tuple):
         super().__init__(message)
         self.triple = triple
 
 
-def heights_from_order(domain_size: int, order: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The unique convex height map inducing the given modular order.
-
-    The construction strips successive layers of minimal elements.  Input
-    must be an irreflexive, transitive relation whose incomparability
-    relation is transitive; violations are rejected with the offending
-    pair or triple named.
-    """
+def _strict_order(n: int, order: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """``order`` as a frozenset of pairs, checked to be a strict partial order on 0..n-1."""
     pairs = frozenset((x, y) for x, y in order)
     for x, y in pairs:
-        if x == y:
-            raise NotModularError(f"order is irreflexive everywhere except ({x}, {x})", (x, x))
-        if not (0 <= x < domain_size and 0 <= y < domain_size):
-            raise ValueError(f"pair ({x}, {y}) outside domain of size {domain_size}")
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"pair ({x}, {y}) outside domain of size {n}")
+        if x == y or (y, x) in pairs:
+            raise NotModularError(f"order is not a strict partial order at ({x}, {y})", (x, y))
     for x, y in pairs:
         for y2, z in pairs:
             if y2 == y and (x, z) not in pairs:
@@ -281,33 +267,35 @@ def heights_from_order(domain_size: int, order: Iterable[tuple[int, int]]) -> tu
                     f"order is not transitive: ({x}, {y}) and ({y}, {z}) without ({x}, {z})",
                     (x, y, z),
                 )
+    return pairs
+
+
+def heights_from_order(domain_size: int, order: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The unique convex height map inducing the given modular order.
+
+    Input must be a strict partial order whose incomparability relation is
+    transitive; violations are rejected with the offending pair or triple
+    named.  In a modular order each layer has strictly more predecessors
+    than the one below it, so an element's height is the dense rank of its
+    number of predecessors.
+    """
+    pairs = _strict_order(domain_size, order)
 
     def incomparable(x: int, y: int) -> bool:
         return (x, y) not in pairs and (y, x) not in pairs
 
-    for x in range(domain_size):
-        for y in range(domain_size):
-            for z in range(domain_size):
-                if x != y and y != z and x != z:
-                    if incomparable(x, y) and incomparable(y, z) and not incomparable(x, z):
-                        raise NotModularError(
-                            "incomparability is not transitive on "
-                            f"({x}, {y}, {z}): {x} and {z} are comparable",
-                            (x, y, z),
-                        )
+    for x, y, z in itertools.permutations(range(domain_size), 3):
+        if incomparable(x, y) and incomparable(y, z) and not incomparable(x, z):
+            raise NotModularError(
+                f"incomparability is not transitive on ({x}, {y}, {z}): {x} and {z} are comparable",
+                (x, y, z),
+            )
 
-    heights = [0] * domain_size
-    remaining = set(range(domain_size))
-    level = 0
-    while remaining:
-        minima = {
-            x for x in remaining if not any((y, x) in pairs for y in remaining)
-        }
-        for x in minima:
-            heights[x] = level
-        remaining -= minima
-        level += 1
-    return tuple(heights)
+    preds = [0] * domain_size
+    for _, y in pairs:
+        preds[y] += 1
+    rank = {p: k for k, p in enumerate(sorted(set(preds)))}
+    return tuple(rank[p] for p in preds)
 
 
 def order_from_heights(heights: Sequence[int]) -> frozenset[tuple[int, int]]:

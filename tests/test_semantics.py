@@ -109,10 +109,7 @@ def test_scenario_satisfaction():
 
 
 def test_min_elements_simple():
-    base = FiniteInterpretation(2, {"A": frozenset({0, 1})}, {})
-    i = RankedInterpretation(base, (2, 0)) if False else RankedInterpretation(
-        FiniteInterpretation(3, {"A": frozenset({0, 2})}, {}), (2, 1, 0)
-    )
+    i = RankedInterpretation(FiniteInterpretation(3, {"A": frozenset({0, 2})}, {}), (2, 1, 0))
     # extension {0 (height 2), 2 (height 0)}: unique minimum
     assert min_elements(i, Atom("A")) == {2}
     assert min_elements(i, Atom("B")) == set()
@@ -127,6 +124,25 @@ def test_min_elements_scenario_preferential_order():
     # the preferential reading of the same arrows agrees
     p = PreferentialInterpretation(scenario_interpretation(), SCENARIO_ORDER)
     assert min_elements(p, Atom("Student")) == {7, 8}
+
+
+def test_ranked_minima_match_least_height_and_preferential_reading():
+    """Minima of a ranked interpretation are its extension's elements at the
+    least height, and the same as those of its preferential reading."""
+    rng = random.Random(13)
+    atoms, roles = ["A", "B", "C"], ["r"]
+    for _ in range(200):
+        i = random_ranked_interpretation(rng, rng.randrange(1, 6), atoms, roles)
+        p = i.as_preferential()
+        c = random_concept(rng, atoms, roles, 2)
+        d = random_concept(rng, atoms, roles, 2)
+        ext = extension(i, c)
+        least = min((i.heights[x] for x in ext), default=None)
+        mins = {x for x in ext if i.heights[x] == least}
+        assert min_elements(i, c) == min_elements(p, c) == mins
+        assert height_of_concept(i, c) == (Rank.infinite() if least is None else Rank.finite(least))
+        holds = mins <= extension(i, d)
+        assert satisfies(i, DCI(c, d)) == satisfies(p, DCI(c, d)) == holds
 
 
 def test_satisfies_dci():
@@ -188,6 +204,32 @@ def test_preferential_interpretation_rejects_pairs_outside_domain():
         PreferentialInterpretation(base, {(0, 1), (1, 0)})
     with pytest.raises(ValueError, match="not transitive"):
         PreferentialInterpretation(base, {(0, 1), (1, 2)})
+
+
+@pytest.mark.parametrize(
+    "order, error, message, offenders",
+    [
+        ({(0, 3)}, ValueError, r"pair \(0, 3\) outside domain of size 3", None),
+        ({(-1, 1)}, ValueError, r"pair \(-1, 1\) outside domain of size 3", None),
+        ({(1, 1)}, NotModularError, r"order is not a strict partial order at \(1, 1\)", [(1, 1)]),
+        # a symmetric pair is named in whichever direction the set yields first
+        ({(0, 1), (1, 0)}, NotModularError, r"order is not a strict partial order at \((0, 1|1, 0)\)",
+         [(0, 1), (1, 0)]),
+        ({(0, 1), (1, 2)}, NotModularError, r"order is not transitive: \(0, 1\) and \(1, 2\) without \(0, 2\)",
+         [(0, 1, 2)]),
+    ],
+)
+def test_preferential_and_heights_reject_the_same_orders(order, error, message, offenders):
+    base = FiniteInterpretation(3, {}, {})
+    raised = []
+    for build in (lambda: PreferentialInterpretation(base, order), lambda: heights_from_order(3, order)):
+        with pytest.raises(error, match=f"^{message}$") as exc:
+            build()
+        assert type(exc.value) is error
+        if offenders is not None:
+            assert exc.value.triple in offenders
+        raised.append((str(exc.value), getattr(exc.value, "triple", None)))
+    assert raised[0] == raised[1]
 
 
 def test_heights_from_order_total_incomparability():
