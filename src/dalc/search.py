@@ -31,9 +31,10 @@ pairs scanned up to and including that witness.
 Witnesses come in the order domain size, block, height vector (lexicographic)
 and multiset rank of the types, so each has non-decreasing element types.
 
-``_witness_words`` tests the blocks: the GCIs filter a block's rows, and a
-table per word of 64 height vectors maps each row's DCI index
-``good | bad << n`` to the bitset of vectors under which it holds.
+``_witness_words`` tests the blocks, ``_Columns`` that the model theory's one
+concept evaluator, ``_ext_mask``, reads as an interpretation: the GCIs filter
+a block's rows, and a table per word of 64 height vectors maps each row's DCI
+index ``good | bad << n`` to the bitset of vectors under which it holds.
 
 Before any work the search charges a full scan
 Σ_{d ≤ max_domain} F(d) · max(2^(d·(atoms + quantified subconcepts)), 32·4^d)
@@ -54,11 +55,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concepts import (
-    And, Atom, Axiom, Concept, DCI, Exists, Forall, GCI, KnowledgeBase, Not, Or, MAX_ROWS,
-    ResourceLimitError, Top, Bottom, atom_names, role_names, subconcepts,
+    Atom, Axiom, Concept, DCI, Exists, Forall, GCI, KnowledgeBase, MAX_ROWS, ResourceLimitError,
+    atom_names, role_names, subconcepts,
 )
 from .semantics import (
-    FiniteInterpretation, RankedInterpretation, _bits, convex_height_vectors, satisfies, satisfies_all,
+    FiniteInterpretation, RankedInterpretation, _bits, _ext_mask, convex_height_vectors, satisfies,
+    satisfies_all,
 )
 
 # Rows are enumerated in blocks of 2**(2n + 10) rows at domain size n, at most
@@ -130,10 +132,26 @@ def _quantified_subconcepts(axioms: Sequence[Axiom]) -> list[Concept]:
     return sorted({c for c in subconcepts(axioms) if isinstance(c, (Exists, Forall))}, key=repr)
 
 
+class _Columns(dict):
+    """A block of rows as ``semantics._ext_mask`` reads an interpretation:
+    the fields' columns of per-row masks, each concept's once evaluated, and
+    ``full_mask``, a column of ``full``.  ``_cache`` is a property, so a block
+    is no reference cycle.  A quantified concept outside the fields raises."""
+
+    atom_ext = role_ext = {}
+
+    def __init__(self, full_mask: np.ndarray, columns=()):
+        super().__init__(columns)
+        self.full_mask = full_mask
+
+    @property
+    def _cache(self) -> _Columns:
+        return self
+
+
 class _ConfigSpace:
-    """Vectorised evaluation of the sorted abstract configurations of one
-    domain size: per-row atom masks, quantifier bits, realisability, and
-    axiom constraints."""
+    """The sorted abstract configurations of one domain size, in ``_Columns``
+    blocks: per-row atom masks, quantifier bits, realisability and axioms."""
 
     def __init__(self, n: int, atoms: Sequence[str], quantified: Sequence[Concept]):
         self.n = n
@@ -160,7 +178,7 @@ class _ConfigSpace:
             out.append(np.concatenate(([0], np.cumsum(out[-1]))))
         return out
 
-    def build_sorted(self, lo: int, hi: int) -> dict:
+    def build_sorted(self, lo: int, hi: int) -> _Columns:
         """Per-row masks of the rows whose element types are non-decreasing,
         by multiset rank ``lo .. hi-1``, in the narrowest unsigned dtype that
         holds ``full``.  Types t_0 ≤ .. ≤ t_{n-1} are the set
@@ -174,7 +192,7 @@ class _ConfigSpace:
             rest -= self.binomials[i][c]
             types.append((i, (c - i).astype(narrow)))
         types.append((0, rest.astype(narrow)))
-        masks: dict[Concept, np.ndarray] = {}
+        masks = _Columns(np.full(hi - lo, self.full, dtype=self.dtype))
         for f, c in enumerate(self.fields):
             column = np.zeros(hi - lo, dtype=narrow)
             for i, t in types:
@@ -182,47 +200,20 @@ class _ConfigSpace:
             masks[c] = column.astype(self.dtype, copy=False)
         return masks
 
-    def rows(self, masks: dict) -> int:
-        # with no atom and no quantified concept a domain size has one row
-        return len(next(iter(masks.values()))) if masks else 1
-
-    def eval(self, masks: dict, c: Concept) -> np.ndarray:
-        cached = masks.get(c)
-        if cached is not None:
-            return cached
-        if isinstance(c, Top):
-            v = np.full(self.rows(masks), self.full, dtype=self.dtype)
-        elif isinstance(c, (Bottom, Atom)):
-            # an atom outside the enumerated vocabulary has an empty extension
-            v = np.zeros(self.rows(masks), dtype=self.dtype)
-        elif isinstance(c, Not):
-            v = self.full & ~self.eval(masks, c.operand)
-        elif isinstance(c, And):
-            v = self.eval(masks, c.left) & self.eval(masks, c.right)
-        elif isinstance(c, Or):
-            v = self.eval(masks, c.left) | self.eval(masks, c.right)
-        else:
-            raise AssertionError(
-                f"quantified subconcept {c!r} missing from configuration space"
-            )
-        masks[c] = v
-        return v
-
-    def violated(self, masks: dict, g: Axiom) -> np.ndarray:
+    def violated(self, masks: _Columns, g: Axiom) -> np.ndarray:
         """Per row, whether some element is in ``g``'s lhs and not its rhs."""
-        return (self.eval(masks, g.lhs) & ~self.eval(masks, g.rhs) & self.full) != 0
+        return (_ext_mask(masks, g.lhs) & ~_ext_mask(masks, g.rhs) & self.full) != 0
 
-    def dci_index(self, masks: dict, d: Axiom) -> np.ndarray:
+    def dci_index(self, masks: _Columns, d: Axiom) -> np.ndarray:
         """Per row, ``good | bad << n``: the lhs-instances of ``d`` in its rhs
         (``good``) and outside it (``bad``), the index ``_dci_hold_words``
         reads, in the narrowest dtype that holds ``4**n - 1``."""
-        lhs = self.eval(masks, d.lhs)
-        rhs = self.eval(masks, d.rhs)
+        lhs, rhs = _ext_mask(masks, d.lhs), _ext_mask(masks, d.rhs)
         index = (lhs & ~rhs & self.full).astype(self.index_dtype) << self.n
         index |= lhs & rhs
         return index
 
-    def _demands(self, masks: dict):
+    def _demands(self, masks: _Columns):
         """Yield ``(role, i, demanded, target)`` for every role, element ``i``
         and quantified concept of that role.  ``demanded`` marks the rows
         where the concept's bit at ``i`` needs a ``role``-successor (an
@@ -233,7 +224,7 @@ class _ConfigSpace:
         for q in self.quantified:
             by_role.setdefault(q.role, []).append(q)
         for role, qs in sorted(by_role.items()):
-            fillers = [(q, self.eval(masks, q.filler)) for q in qs]
+            fillers = [(q, _ext_mask(masks, q.filler)) for q in qs]
             for i in range(self.n):
                 # s: per row, all bits where q's bit at i is set, none where not
                 bits = [(q, fm, (masks[q] >> i & 1) * self.full) for q, fm in fillers]
@@ -249,9 +240,9 @@ class _ConfigSpace:
                     else:
                         yield role, i, ~has, allowed & (self.full & ~fm)
 
-    def realizable(self, masks: dict) -> np.ndarray:
+    def realizable(self, masks: _Columns) -> np.ndarray:
         """Rows for which some role graph yields exactly the quantifier bits."""
-        ok = np.ones(self.rows(masks), dtype=bool)
+        ok = np.ones(len(masks.full_mask), dtype=bool)
         for _, _, demanded, target in self._demands(masks):
             ok &= ~demanded | (target != 0)
         return ok
@@ -284,14 +275,13 @@ def _witness_words(space: _ConfigSpace, gcis, dcis, must_fail: Optional[Axiom]):
     tables = _min_height_tables(space.n)
     for lo, hi in space.chunk_ranges():
         masks = space.build_sorted(lo, hi)
-        columns = list(masks)
-        alive = np.ones(space.rows(masks), dtype=bool)
+        alive = np.ones(hi - lo, dtype=bool)
         for g in gcis:
             alive &= ~space.violated(masks, g)
         if isinstance(must_fail, GCI):
             alive &= space.violated(masks, must_fail)
         keep = np.flatnonzero(alive)
-        masks = {c: masks[c][keep] for c in columns}
+        masks = _Columns(masks.full_mask[keep], {c: masks[c][keep] for c in space.fields})
         if not len(keep) or not (ok := space.realizable(masks)).any():
             continue
         holds = [space.dci_index(masks, d) for d in dcis]

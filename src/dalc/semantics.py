@@ -157,6 +157,7 @@ def _base_of(i: Interpretation) -> FiniteInterpretation:
 
 
 def _ext_mask(base: FiniteInterpretation, c: Concept) -> int:
+    """``c``'s extension mask: an int, or a NumPy column over a block of ``dalc.search``."""
     cached = base._cache.get(c)
     if cached is not None:
         return cached
@@ -164,9 +165,9 @@ def _ext_mask(base: FiniteInterpretation, c: Concept) -> int:
     if isinstance(c, Top):
         m = full
     elif isinstance(c, Bottom):
-        m = 0
+        m = full & 0
     elif isinstance(c, Atom):
-        m = 0
+        m = full & 0
         for x in base.atom_ext.get(c.name, ()):
             m |= 1 << x
     elif isinstance(c, Not):
@@ -201,6 +202,8 @@ def extension(i: Interpretation, c: Concept) -> frozenset[int]:
 
 def _min_mask(i: PreferentialInterpretation | RankedInterpretation, c: Concept) -> int:
     """The instances of ``c`` that no instance of ``c`` is more typical than."""
+    if isinstance(i, FiniteInterpretation):
+        raise TypeError("typicality needs a preferential or ranked interpretation")
     ext = _ext_mask(i.base, c)
     below = i.below
     m, rest = 0, ext

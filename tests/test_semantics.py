@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -150,6 +152,18 @@ def test_satisfies_dci():
     i = RankedInterpretation(base, (0,))
     assert satisfies(i, DCI(Atom("A"), Atom("A")))
     assert not satisfies(i, DCI(Atom("A"), Not(Atom("B"))))
+
+
+def test_dci_on_a_classical_interpretation_is_a_type_error():
+    # a GCI and an extension need no order; a DCI's minima do
+    base = FiniteInterpretation(2, {"A": {0}}, {})
+    assert satisfies(base, GCI(Atom("A"), Atom("A")))
+    assert not satisfies(base, GCI(TOP, Atom("A")))
+    assert extension(base, Not(Atom("A"))) == {1}
+    with pytest.raises(TypeError, match="preferential or ranked interpretation"):
+        satisfies(base, DCI(Atom("A"), Atom("A")))
+    with pytest.raises(TypeError, match="preferential or ranked interpretation"):
+        min_elements(base, Atom("A"))
 
 
 def test_reflexivity_holds_everywhere():
@@ -466,10 +480,10 @@ def reference_witnesses(space, masks, must_hold, must_fail):
     under ``hv``, decided one vector at a time and from the masks alone."""
 
     def violated(a):
-        return space.eval(masks, a.lhs) & ~space.eval(masks, a.rhs) & space.full != 0
+        return sem._ext_mask(masks, a.lhs) & ~sem._ext_mask(masks, a.rhs) & space.full != 0
 
     def dci_holds(a, tbl):
-        lhs, rhs = space.eval(masks, a.lhs), space.eval(masks, a.rhs)
+        lhs, rhs = sem._ext_mask(masks, a.lhs), sem._ext_mask(masks, a.rhs)
         good, bad = lhs & rhs, lhs & ~rhs & space.full
         return (bad == 0) | (tbl[good] < tbl[bad])
 
@@ -729,7 +743,7 @@ def test_sorted_rows_past_int64_ranks_are_a_resource_limit(monkeypatch):
 def element_types(space, masks):
     """Each row's element types, decoded from its masks: bit i of field f's
     mask is bit f of element i's type."""
-    types = np.zeros((space.rows(masks), space.n), dtype=np.int64)
+    types = np.zeros((len(masks.full_mask), space.n), dtype=np.int64)
     for f, c in enumerate(space.fields):
         assert masks[c].dtype == np.min_scalar_type(space.full)
         for i in range(space.n):
@@ -759,6 +773,51 @@ def test_build_sorted_yields_each_sorted_type_tuple_once(monkeypatch, vocabulary
             assert np.array_equal(np.concatenate([b[c] for b in blocks]), masks[c])
 
 
+def test_block_columns_match_each_rows_interpretation():
+    """``_ext_mask`` over a block gives, in each row, the mask it gives over
+    that row's own interpretation: Boolean concepts over the vocabulary's
+    atoms, ⊤, ⊥ and an atom Z outside the vocabulary."""
+    rng = random.Random(19)
+    atoms = ["A", "B", "C"]
+    concepts = [TOP, BOTTOM, Atom("Z"), Not(Atom("Z"))]
+    concepts += [random_concept(rng, atoms + ["Z"], [], 3) for _ in range(60)]
+    checked = 0
+    for n in (1, 2, 3):
+        space = search._ConfigSpace(n, atoms, [])
+        block = space.build_sorted(0, space.sorted_rows)
+        rows = [
+            FiniteInterpretation(n, {a: sem._bits(int(block[Atom(a)][r])) for a in atoms}, {})
+            for r in range(space.sorted_rows)
+        ]
+        for c in concepts:
+            column = sem._ext_mask(block, c)
+            assert isinstance(column, np.ndarray) and column.dtype == space.dtype
+            assert column.tolist() == [sem._ext_mask(row, c) for row in rows], (n, c)
+            checked += len(rows)
+        # a quantified concept is read from its field, never evaluated
+        with pytest.raises(AttributeError):
+            sem._ext_mask(block, Exists("r", Atom("A")))
+    assert checked == len(concepts) * (8 + 36 + 120)
+
+
+def test_a_dropped_block_is_freed_without_the_cycle_collector():
+    """A block is its own ``_cache`` through a property; held in a field, it
+    would make every block a reference cycle that only the collector frees."""
+    space = search._ConfigSpace(2, ["A"], [Exists("r", Atom("A"))])
+    block = space.build_sorted(0, space.sorted_rows)
+    sem._ext_mask(block, Not(Atom("A")))
+    assert block._cache is block
+    full_mask = weakref.ref(block.full_mask)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del block
+        assert full_mask() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_search_budgets_must_be_positive():
     # as in the CLI, a budget below 1 is bad input, not an empty scan
     kb, q = corpus.student_kb(), corpus.query("Student ~[= Tax")
@@ -779,10 +838,13 @@ def build_layout(space):
 
 
 def formula_masks(space, lo, hi):
-    """The masks of rows ``lo .. hi-1`` of all ``total_rows``, every element
+    """The block of rows ``lo .. hi-1`` of all ``total_rows``, every element
     order included, from the int64 row formula."""
     rows = np.arange(lo, hi, dtype=np.int64)
-    return {c: ((rows >> shift) & space.full).astype(space.dtype) for c, shift in build_layout(space)}
+    full_mask = np.full(hi - lo, space.full, dtype=space.dtype)
+    return search._Columns(
+        full_mask, {c: ((rows >> shift) & space.full).astype(space.dtype) for c, shift in build_layout(space)}
+    )
 
 
 def sorted_type_rows(space):
