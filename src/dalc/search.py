@@ -19,22 +19,30 @@ concrete witness.  Verdicts are therefore identical to naive enumeration —
 acceptance-time budget.
 
 Each domain size n is scanned once, over the rows whose element types (an
-element's w quantifier and atom bits) are non-decreasing: C(2^w+n−1, n) of
-them, in blocks of 2^(2n+10) rows, at most 2^20, each under every convex
-height vector.  The scan is exact: the GCIs, the DCIs and realisability do
-not depend on the order of the elements, so sorting any witness's elements
-by type, with its height vector, gives one of these rows.  A size scanned
-to its end adds its 2^(n·w)·F(n) configurations to ``enumerated``: it
-counts configurations decided, as a scan one by one would.  The size where
-the search stops, at its ``limit``-th witness, adds the (row, height vector)
-pairs scanned up to and including that witness.
-Witnesses come in the order domain size, block, height vector (lexicographic)
-and multiset rank of the types, so each has non-decreasing element types.
+element's w quantifier and atom bits) are non-decreasing, each under every
+convex height vector.  The scan is exact: the GCIs, the DCIs and
+realisability do not depend on the order of the elements, so sorting any
+witness's elements by type, with its height vector, gives one of these rows.
+A GCI holds in a row iff it holds at each element, as each quantified
+subconcept is a field of the type.  So the search first keeps the V types
+under which a single element satisfies every GCI, and reads only the
+C(V+n−1, n) rows over them; no row is tested against a GCI.  Each row keeps
+its multiset rank among all C(2^w+n−1, n) sorted rows, and the ranks fall
+in blocks of 2^(2n+10), at most 2^20.  A size scanned to its end adds its
+2^(n·w)·F(n) configurations to ``enumerated``: it counts configurations
+decided, as a scan one by one would.  The size where the search stops, at
+its ``limit``-th witness, adds the (rank, height vector) pairs scanned up to
+and including that witness.  Witnesses come in the order domain size,
+block, height vector (lexicographic) and rank, so each has non-decreasing
+element types.
 
-``_witness_words`` tests the blocks, ``_Columns`` that the model theory's one
-concept evaluator, ``_ext_mask``, reads as an interpretation: the GCIs filter
-a block's rows, and a table per word of 64 height vectors maps each row's DCI
-index ``good | bad << n`` to the bitset of vectors under which it holds.
+``unrank`` builds the rows: a row of size n is one of size n − 1 with a top
+element, and over consecutive rows the top type changes in runs.
+``_witness_words`` tests batches of whole blocks, ``_Columns`` that the
+model theory's one concept evaluator, ``_ext_mask``, reads as an
+interpretation: a query that is a GCI filters a batch's rows, and a table
+per word of 64 height vectors maps each row's DCI index ``good | bad << n``
+to the bitset of vectors under which it holds.
 
 Before any work the search charges a full scan
 Σ_{d ≤ max_domain} F(d) · max(2^(d·(atoms + quantified subconcepts)), 32·4^d)
@@ -63,11 +71,12 @@ from .semantics import (
     satisfies_all,
 )
 
-# Rows are enumerated in blocks of 2**(2n + 10) rows at domain size n, at most
-# 2**_CHUNK_BITS.  Each word of 64 height vectors builds a 4**n-entry table
-# once per block, so 1024·4**n rows keep those rebuilds to a few percent of a
-# block's work.  At n <= 4 each temporary is then at most 2 MB, which glibc
-# reuses from the heap instead of mapping it and faulting it in anew.
+# The ranks of the sorted rows fall in blocks of 2**(2n + 10) at domain size n,
+# at most 2**_CHUNK_BITS, and the rows are read in batches of at most that
+# many.  Each word of 64 height vectors builds a 4**n-entry table once per
+# batch, so 1024·4**n rows keep those rebuilds to a few percent of a full
+# batch's work.  At n <= 4 each temporary is then at most 2 MB, which
+# glibc reuses from the heap instead of mapping it and faulting it in anew.
 _CHUNK_BITS = 20
 _WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
 
@@ -93,7 +102,7 @@ def _scan_sizes(width: int):
     F(d) = Σ_{k=1..d} C(d, k)·F(d−k), times the larger of its 2^(d·width)
     bit patterns and 32·4^d.  The second term is the set-up: each word of 64
     height vectors is tested through a 4^d-entry table rebuilt for every
-    block, which costs about as much as 32·4^d configurations per height
+    batch, which costs about as much as 32·4^d configurations per height
     vector, so a scan with few bit patterns is charged for its tables."""
     bell = [1]
     for d in itertools.count(1):
@@ -135,70 +144,129 @@ def _quantified_subconcepts(axioms: Sequence[Axiom]) -> list[Concept]:
 class _Columns(dict):
     """A block of rows as ``semantics._ext_mask`` reads an interpretation:
     the fields' columns of per-row masks, each concept's once evaluated, and
-    ``full_mask``, a column of ``full``.  ``_cache`` is a property, so a block
-    is no reference cycle.  A quantified concept outside the fields raises."""
+    ``full_mask``, a column of ``full``; ``ranks`` holds each row's multiset
+    rank among all sorted rows.  ``_cache`` is a property, so a block is no
+    reference cycle.  A quantified concept outside the fields raises."""
 
     atom_ext = role_ext = {}
 
-    def __init__(self, full_mask: np.ndarray, columns=()):
+    def __init__(self, full_mask: np.ndarray, columns=(), ranks: Optional[np.ndarray] = None):
         super().__init__(columns)
         self.full_mask = full_mask
+        self.ranks = ranks
 
     @property
     def _cache(self) -> _Columns:
         return self
 
+    def get(self, c, default=None):
+        # a quantified concept is read from its field, never evaluated
+        if isinstance(c, (Exists, Forall)) and c not in self:
+            raise LookupError(f"{c!r} is not a field of the block")
+        return super().get(c, default)
+
+    def take(self, rows, fields: Sequence[Concept]) -> _Columns:
+        """The block of ``rows`` (an index array or a slice), with ``fields``'s columns."""
+        return _Columns(self.full_mask[rows], {c: self[c][rows] for c in fields}, self.ranks[rows])
+
+
+def _colex_offsets(tops: np.ndarray, n: int) -> np.ndarray:
+    """C(t + n − 1, n) for each t of ``tops``: the sorted rows of n elements
+    whose top type is below t."""
+    if n == 1:
+        return tops
+    return np.array([math.comb(t + n - 1, n) for t in tops.tolist()], dtype=np.int64)
+
 
 class _ConfigSpace:
-    """The sorted abstract configurations of one domain size, in ``_Columns``
-    blocks: per-row atom masks, quantifier bits, realisability and axioms."""
+    """The sorted abstract configurations of one domain size over ``types``,
+    an ascending array of element types (all 2^w by default), in ``_Columns``
+    blocks: per-row atom masks, quantifier bits, realisability and axioms.
+    ``prefix``, if given, is the space of size n − 1 over the same types."""
 
-    def __init__(self, n: int, atoms: Sequence[str], quantified: Sequence[Concept]):
+    def __init__(
+        self, n: int, atoms: Sequence[str], quantified: Sequence[Concept], types=None, prefix=None
+    ):
         self.n = n
         self.full = (1 << n) - 1
         self.atoms = list(atoms)
         self.quantified = list(quantified)
         # bit f of an element's type says whether it is in fields[f]
         self.fields: list[Concept] = self.quantified + [Atom(a) for a in atoms]
-        self.total_rows = 1 << (len(self.fields) * n)
-        self.sorted_rows = math.comb((1 << len(self.fields)) + n - 1, n)
+        width = len(self.fields)
+        self.total_rows = 1 << (width * n)
+        self.sorted_rows = math.comb((1 << width) + n - 1, n)
+        # mapping the types to their numbers keeps the colex order, so each
+        # row's rank among all sorted rows is its types' offsets summed
+        self.types = np.arange(1 << width, dtype=np.int64) if types is None else types
+        # row r has the top type u with starts[u] <= r < starts[u + 1]
+        self.starts = _colex_offsets(np.arange(len(self.types) + 1, dtype=np.int64), n)
+        self.offsets = _colex_offsets(self.types, n)
+        self.rows = int(self.starts[-1])
         self.dtype = np.min_scalar_type(self.full)
         self.index_dtype = np.min_scalar_type((1 << (2 * n)) - 1)
+        self._prefix = prefix
+
+    @property
+    def chunk_bits(self) -> int:
+        return min(2 * self.n + 10, _CHUNK_BITS)
 
     def chunk_ranges(self):
-        step = 1 << min(2 * self.n + 10, _CHUNK_BITS)
+        """The blocks ``lo .. hi-1`` of the ranks of all sorted rows, in order."""
+        step = 1 << self.chunk_bits
         for lo in range(0, self.sorted_rows, step):
             yield lo, min(lo + step, self.sorted_rows)
 
     @cached_property
-    def binomials(self) -> list[np.ndarray]:
-        """binomials[i][c] = C(c, i + 1) = Σ_{j<c} C(j, i) for c < 2**len(fields) + i."""
-        out = [np.arange(1 << len(self.fields), dtype=np.int64)]
-        for _ in range(1, self.n):
-            out.append(np.concatenate(([0], np.cumsum(out[-1]))))
-        return out
+    def _lower(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row of size n − 1 over ``types``, which the rows of size n
+        extend: its masks, one line per field, and its ranks."""
+        if self.n == 1:
+            return np.zeros((len(self.fields), 1), self.dtype), np.zeros(1, np.int64)
+        return (self._prefix or _ConfigSpace(self.n - 1, self.atoms, self.quantified, self.types)).table
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``unrank`` of every row, which the space of size n + 1 extends."""
+        return self.unrank(0, self.rows)
+
+    def unrank(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The masks, one line per field, and the ranks of the rows
+        ``lo .. hi-1`` over ``types``, whose element types are non-decreasing,
+        in colex order.  Row r with top type u is row r − starts[u] of size
+        n − 1 with an element of type ``types[u]`` on top, and over
+        consecutive rows u changes in runs."""
+        u0, u1 = np.searchsorted(self.starts, (lo, hi - 1), side="right") - 1
+        starts = self.starts[u0 : u1 + 2]
+        runs = np.minimum(starts[1:], hi) - np.maximum(starts[:-1], lo)
+        index = np.arange(lo, hi) - np.repeat(starts[:-1], runs)
+        masks, ranks = self._lower
+        shifts = np.arange(len(self.fields))[:, None]
+        top = (self.types[u0 : u1 + 1] >> shifts & 1).astype(self.dtype) << (self.n - 1)
+        masks = masks.take(index, axis=1) | np.repeat(top, runs, axis=1)
+        return masks, ranks[index] + np.repeat(self.offsets[u0 : u1 + 1], runs)
 
     def build_sorted(self, lo: int, hi: int) -> _Columns:
-        """Per-row masks of the rows whose element types are non-decreasing,
-        by multiset rank ``lo .. hi-1``, in the narrowest unsigned dtype that
-        holds ``full``.  Types t_0 ≤ .. ≤ t_{n-1} are the set
-        c_i = t_i + i of colex rank Σ C(c_i, i + 1), so each c_i, top down, is
-        the largest c whose C(c, i + 1) fits in what is left of the rank."""
-        # one narrow dtype for the types and the masks; bit f of t_i goes to bit i
-        narrow = np.min_scalar_type(max((1 << len(self.fields)) - 1, self.full))
-        rest, types = np.arange(lo, hi, dtype=np.int64), []
-        for i in range(self.n - 1, 0, -1):
-            c = np.searchsorted(self.binomials[i], rest, side="right") - 1
-            rest -= self.binomials[i][c]
-            types.append((i, (c - i).astype(narrow)))
-        types.append((0, rest.astype(narrow)))
-        masks = _Columns(np.full(hi - lo, self.full, dtype=self.dtype))
-        for f, c in enumerate(self.fields):
-            column = np.zeros(hi - lo, dtype=narrow)
-            for i, t in types:
-                column |= (t >> (f - i) if f >= i else t << (i - f)) & (1 << i)
-            masks[c] = column.astype(self.dtype, copy=False)
-        return masks
+        """The rows ``lo .. hi-1`` over ``types`` as a block, in the narrowest
+        unsigned dtype that holds ``full``."""
+        masks, ranks = self.table if (lo, hi) == (0, self.rows) else self.unrank(lo, hi)
+        return _Columns(np.full(hi - lo, self.full, dtype=self.dtype), zip(self.fields, masks), ranks)
+
+    def batches(self):
+        """Yield ``(first, block)`` for each batch of rows, from row ``first``
+        on, in order: at most 2^chunk_bits rows, whose ranks fill whole blocks."""
+        bits, first = self.chunk_bits, 0
+        while first < self.rows:
+            end = min(first + (1 << bits), self.rows)
+            block = self.build_sorted(first, end)
+            if end < self.rows:
+                # the last row's block may go on past end: it starts the next
+                # batch, unless it fills this one
+                cut = int(np.searchsorted(block.ranks, block.ranks[-1] >> bits << bits))
+                if cut:
+                    block, end = block.take(slice(cut), self.fields), first + cut
+            yield first, block
+            first = end
 
     def violated(self, masks: _Columns, g: Axiom) -> np.ndarray:
         """Per row, whether some element is in ``g``'s lhs and not its rhs."""
@@ -250,7 +318,7 @@ class _ConfigSpace:
     def materialize(
         self, row: int, heights: tuple[int, ...], roles: Sequence[str]
     ) -> RankedInterpretation:
-        """Reconstruct a concrete witness from the sorted row of rank ``row``:
+        """Reconstruct a concrete witness from row ``row`` over ``types``:
         each demanded successor is the lowest element of its target."""
         masks = self.build_sorted(row, row + 1)
         atom_ext = {a: _bits(int(masks[Atom(a)][0])) for a in self.atoms}
@@ -265,39 +333,71 @@ class _ConfigSpace:
         return RankedInterpretation(base, heights)
 
 
-def _witness_words(space: _ConfigSpace, gcis, dcis, must_fail: Optional[Axiom]):
-    """Test the sorted rows of ``space`` block by block, in rank order: yield
-    ``(lo, hi, start, bits, keep, sat)`` for each block and word of 64 height
-    vectors, from vector ``start`` on, under which some row is a witness.
-    Survivor k of the block's GCI filter, whose columns are gathered once, is
-    the row of rank ``lo + keep[k]``, and bit j of ``sat[k]`` says whether it
-    is a witness under vector ``start + j``; ``bits`` ORs them."""
-    tables = _min_height_tables(space.n)
-    for lo, hi in space.chunk_ranges():
-        masks = space.build_sorted(lo, hi)
-        alive = np.ones(hi - lo, dtype=bool)
+def _valid_types(
+    atoms: Sequence[str], quantified: Sequence[Concept], gcis: Sequence[Axiom]
+) -> np.ndarray:
+    """The element types, ascending, of the single elements that satisfy
+    every GCI.  A GCI holds in a row iff it holds at each element, as each
+    quantified subconcept is a field of the type, so only rows over these
+    types can be witnesses."""
+    width, kept = len(atoms) + len(quantified), []
+    if not gcis:
+        return np.arange(1 << width, dtype=np.int64)
+    for lo in range(0, 1 << width, 1 << 16):  # a few MB at a time
+        types = np.arange(lo, min(lo + (1 << 16), 1 << width), dtype=np.int64)
+        one = _ConfigSpace(1, atoms, quantified, types)
+        masks = one.build_sorted(0, one.rows)
+        alive = np.ones(one.rows, dtype=bool)
         for g in gcis:
-            alive &= ~space.violated(masks, g)
+            alive &= ~one.violated(masks, g)
+        kept.append(one.types[alive])
+    return np.concatenate(kept)
+
+
+def _witness_words(space: _ConfigSpace, dcis, must_fail: Optional[Axiom]):
+    """Test the rows of ``space`` batch by batch, in rank order: yield
+    ``(lo, hi, start, bits, rows, ranks, sat)`` for each block ``lo .. hi-1``
+    of the ranks and word of 64 height vectors, from vector ``start`` on,
+    under which some row of the block is a witness.  Row k of the block's
+    rows (those that fail ``must_fail``, if it is a GCI) is row ``rows[k]``
+    of ``space``, of rank ``ranks[k]``, and bit j of ``sat[k]`` says whether
+    it is a witness under vector ``start + j``; ``bits`` ORs them."""
+    tables, bits = _min_height_tables(space.n), space.chunk_bits
+    for first, masks in space.batches():
+        rows = np.arange(first, first + len(masks.ranks))
         if isinstance(must_fail, GCI):
-            alive &= space.violated(masks, must_fail)
-        keep = np.flatnonzero(alive)
-        masks = _Columns(masks.full_mask[keep], {c: masks[c][keep] for c in space.fields})
-        if not len(keep) or not (ok := space.realizable(masks)).any():
+            keep = np.flatnonzero(space.violated(masks, must_fail))
+            masks, rows = masks.take(keep, space.fields), rows[keep]
+        if not len(rows) or not (ok := space.realizable(masks)).any():
             continue
         holds = [space.dci_index(masks, d) for d in dcis]
         fails = space.dci_index(masks, must_fail) if isinstance(must_fail, DCI) else None
-        for start in range(0, len(tables), _WORD):
-            minima = tables[start : start + _WORD]
-            every = np.uint64((1 << len(minima)) - 1)
-            table = _dci_hold_words(minima, space.n)
-            sat = np.where(ok, every, np.uint64(0))
-            # indexing, not ``take``, which first copies ``index`` to intp
-            for index in holds:
-                sat &= table[index]
-            if fails is not None:
-                sat &= (table ^ every)[fails]
-            if bits := int(np.bitwise_or.reduce(sat)):
-                yield lo, hi, start, bits, keep, sat
+
+        def words(part):
+            for start in range(0, len(tables), _WORD):
+                minima = tables[start : start + _WORD]
+                every = np.uint64((1 << len(minima)) - 1)
+                table = _dci_hold_words(minima, space.n)
+                sat = np.where(ok[part], every, np.uint64(0))
+                # indexing, not ``take``, which first copies ``index`` to intp
+                for index in holds:
+                    sat &= table[index[part]]
+                if fails is not None:
+                    sat &= (table ^ every)[fails[part]]
+                if hit := int(np.bitwise_or.reduce(sat)):
+                    yield start, hit, sat
+
+        blocks = masks.ranks >> bits
+        edges = [0, *(np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist(), len(rows)]
+        # witnesses come block by block, so a batch of several blocks is tested
+        # whole first, with one table per word: most batches hold none
+        if len(edges) > 2 and next(words(slice(None)), None) is None:
+            continue
+        for s, e in zip(edges, edges[1:]):
+            lo = int(blocks[s]) << bits
+            hi = min(lo + (1 << bits), space.sorted_rows)
+            for start, hit, sat in words(slice(s, e)):
+                yield lo, hi, start, hit, rows[s:e], masks.ranks[s:e], sat
 
 
 def _search(
@@ -319,38 +419,39 @@ def _search(
             raise ValueError(f"{name} must be positive, got {value}")
     relevant = list(must_hold) + ([must_fail] if must_fail is not None else [])
     quantified = _quantified_subconcepts(relevant)
+    width = len(atoms) + len(quantified)
     scan = 0
-    for size in itertools.islice(_scan_sizes(len(atoms) + len(quantified)), max_domain):
+    for size in itertools.islice(_scan_sizes(width), max_domain):
         scan += size
         if scan > max_rows:
             raise ResourceLimitError(
                 f"the oracle's scan up to domain size {max_domain} exceeds "
                 f"{max_rows} configurations"
             )
-    if _ConfigSpace(max_domain, atoms, quantified).sorted_rows >= 1 << 62:
+    if math.comb((1 << width) + max_domain - 1, max_domain) >= 1 << 62:
         raise ResourceLimitError(f"the oracle cannot rank the sorted rows of domain size {max_domain}")
-    gcis = [a for a in must_hold if isinstance(a, GCI)]
+    types = _valid_types(atoms, quantified, [a for a in must_hold if isinstance(a, GCI)])
     dcis = [a for a in must_hold if isinstance(a, DCI)]
     found: list[RankedInterpretation] = []
-    examined = 0
+    examined, space = 0, None
 
     for n in range(1, max_domain + 1):
-        space = _ConfigSpace(n, atoms, quantified)
+        space = _ConfigSpace(n, atoms, quantified, types, space)
         hvs = convex_height_vectors(n)
-        for lo, hi, start, bits, keep, sat in _witness_words(space, gcis, dcis, must_fail):
+        for lo, hi, start, bits, rows, ranks, sat in _witness_words(space, dcis, must_fail):
             for j, hv in enumerate(hvs[start : start + _WORD]):
                 if not bits >> j & 1:
                     continue
                 for idx in np.flatnonzero(sat >> np.uint64(j) & np.uint64(1)):
-                    row = int(keep[idx])
-                    witness = space.materialize(lo + row, hv, roles)
+                    witness = space.materialize(int(rows[idx]), hv, roles)
                     if not satisfies_all(witness, must_hold):
                         raise AssertionError("materialized witness fails the axioms")
                     if must_fail is not None and satisfies(witness, must_fail):
                         raise AssertionError("materialized witness satisfies the query")
                     found.append(witness)
                     if len(found) >= limit:
-                        return found, examined + lo * len(hvs) + (hi - lo) * (start + j) + row + 1
+                        scanned = lo * len(hvs) + (hi - lo) * (start + j) + int(ranks[idx]) - lo + 1
+                        return found, examined + scanned
         examined += space.total_rows * len(hvs)
     return found, examined
 

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import weakref
 
 import numpy as np
@@ -588,10 +589,13 @@ def test_bitset_search_matches_reference_on_random_kbs(monkeypatch, chunk_bits):
 
 
 def sorted_scan_finds(space, kb, query):
-    """Whether ``_search``'s scan holds a witness at ``space``'s domain size."""
+    """Whether ``_search``'s scan, over the types that pass every GCI, holds a
+    witness at ``space``'s domain size."""
     gcis = [a for a in kb.axioms if isinstance(a, GCI)]
     dcis = [a for a in kb.axioms if isinstance(a, DCI)]
-    return next(search._witness_words(space, gcis, dcis, query), None) is not None
+    types = search._valid_types(space.atoms, space.quantified, gcis)
+    valid = search._ConfigSpace(space.n, space.atoms, space.quantified, types)
+    return next(search._witness_words(valid, dcis, query), None) is not None
 
 
 def all_rows_find(space, kb, query):
@@ -794,8 +798,10 @@ def test_block_columns_match_each_rows_interpretation():
             assert isinstance(column, np.ndarray) and column.dtype == space.dtype
             assert column.tolist() == [sem._ext_mask(row, c) for row in rows], (n, c)
             checked += len(rows)
-        # a quantified concept is read from its field, never evaluated
-        with pytest.raises(AttributeError):
+        # a quantified concept is read from its field, never evaluated, and
+        # one outside the fields is named
+        missing = re.escape("Exists(role='r', filler=Atom(name='A')) is not a field of the block")
+        with pytest.raises(LookupError, match=missing):
             sem._ext_mask(block, Exists("r", Atom("A")))
     assert checked == len(concepts) * (8 + 36 + 120)
 
@@ -953,6 +959,47 @@ def test_compaction_matches_reference_where_blocks_empty(monkeypatch):
     assert [m.to_json_dict() for m in models] == [
         m.to_json_dict() for m in assert_matches_reference(kb, None, 3, limit=12)
     ]
+
+
+def count_built_rows(monkeypatch):
+    """Count, per domain size, the rows ``build_sorted`` unranks."""
+    built, build = {}, search._ConfigSpace.build_sorted
+
+    def counted(space, lo, hi):
+        built[space.n] = built.get(space.n, 0) + hi - lo
+        return build(space, lo, hi)
+
+    monkeypatch.setattr(search._ConfigSpace, "build_sorted", counted)
+    return built
+
+
+def test_the_scan_builds_only_rows_over_the_types_that_pass_every_gci(monkeypatch):
+    """student's GCIs hold for a single element of 24 of its 32 types, so
+    ruling out a countermodel at domain 4 unranks the C(27, 4) rows over
+    them, not all C(35, 4) sorted rows."""
+    kb, q = corpus.student_kb(), corpus.query("Student ~[= !exists pays.Tax")
+    atoms, _ = search._vocabulary(kb, (q,))
+    quantified = search._quantified_subconcepts(list(kb.axioms) + [q])
+    assert len(search._valid_types(atoms, quantified, kb.tbox)) == 24
+    assert search._ConfigSpace(4, atoms, quantified).sorted_rows == 52_360
+    built = count_built_rows(monkeypatch)
+    assert not search_countermodel(kb, q, 4).found
+    assert built[4] == math.comb(24 + 4 - 1, 4) == 17_550
+
+
+@pytest.mark.parametrize("query", [None, DCI(Atom("A"), Atom("B")), GCI(Atom("A"), Atom("B"))])
+def test_a_kb_with_no_valid_type_builds_no_row(monkeypatch, query):
+    """Under ⊤ ⊑ ⊥ no type passes, so no domain size unranks a row: only
+    the filter reads the four single-element types of atoms A and B.  Every
+    size still counts all its configurations, as the reference does."""
+    kb = KnowledgeBase(tbox=(GCI(TOP, BOTTOM),), dtbox=(DCI(Atom("A"), Atom("B")),))
+    atoms, roles = search._vocabulary(kb, (query,) if query is not None else ())
+    built = count_built_rows(monkeypatch)
+    found, examined = search._search(kb.axioms, query, atoms, roles, 4)
+    assert not found and built == {1: 4}
+    assert examined == sum(4**d * len(convex_height_vectors(d)) for d in range(1, 5))
+    monkeypatch.undo()
+    assert not assert_matches_reference(kb, query, 4)
 
 
 def test_interpretation_json_dump():
