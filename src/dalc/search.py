@@ -22,34 +22,37 @@ Each domain size n is scanned once, over the rows whose element types (an
 element's w quantifier and atom bits) are non-decreasing, each under every
 convex height vector.  The scan is exact: the GCIs, the DCIs and
 realisability do not depend on the order of the elements, so sorting any
-witness's elements by type, with its height vector, gives one of these rows.
-A GCI holds in a row iff it holds at each element, as each quantified
-subconcept is a field of the type.  So the search first keeps the V types
-under which a single element satisfies every GCI, and reads only the
-C(V+n−1, n) rows over them; no row is tested against a GCI.  Each row keeps
-its multiset rank among all C(2^w+n−1, n) sorted rows, and the ranks fall
-in blocks of 2^(2n+10), at most 2^20.  A size scanned to its end adds its
-2^(n·w)·F(n) configurations to ``enumerated``: it counts configurations
-decided, as a scan one by one would.  The size where the search stops, at
-its ``limit``-th witness, adds the (rank, height vector) pairs scanned up to
-and including that witness.  Witnesses come in the order domain size,
-block, height vector (lexicographic) and rank, so each has non-decreasing
-element types.
+witness's elements by type, with its height vector, gives one of these rows
+(a lex-leader symmetry break, Crawford et al., KR 1996).  A GCI holds in a
+row iff it holds at each element, as each quantified subconcept is a field
+of the type.  So the search first keeps the V types under which a single
+element satisfies every GCI, and reads only the C(V+n−1, n) rows over them,
+numbered in colex order, in batches of at most 2^min(2n+10, 20) rows; no row
+is tested against a GCI.  A size scanned to its end adds its 2^(n·w)·F(n)
+configurations to ``enumerated``: it counts configurations decided, as a
+scan one by one would.  The size where the search stops, at its
+``limit``-th witness, adds the (row, height vector) pairs scanned up to and
+including that witness: F(n) per row of the batches before its own, then
+its batch's rows under each vector before the witness's, then the rows of
+the batch up to the witness, so at least 1.  Witnesses come in the order
+domain size, batch, height vector (lexicographic) and row, so each has
+non-decreasing element types.
 
 ``unrank`` builds the rows: a row of size n is one of size n − 1 with a top
 element, and over consecutive rows the top type changes in runs.
-``_witness_words`` tests batches of whole blocks, ``_Columns`` that the
-model theory's one concept evaluator, ``_ext_mask``, reads as an
-interpretation: a query that is a GCI filters a batch's rows, and a table
-per word of 64 height vectors maps each row's DCI index ``good | bad << n``
-to the bitset of vectors under which it holds.
+``_witness_words`` tests each batch as a ``_Columns`` block, which the model
+theory's one concept evaluator, ``_ext_mask``, reads as an interpretation: a
+query that is a GCI filters a batch's rows, and a table per word of 64
+height vectors, built once per process, maps each row's DCI index
+``good | bad << n`` to the bitset of vectors under which it holds.
 
 Before any work the search charges a full scan
 Σ_{d ≤ max_domain} F(d) · max(2^(d·(atoms + quantified subconcepts)), 32·4^d)
 with F the ordered Bell numbers (the number of convex height maps): its
 configurations, or, when they are few, the tables it builds for them.  It
 raises ``ResourceLimitError`` if that exceeds ``max_rows``, which bounds the
-scan's work, or if the sorted rows, ranked in int64, reach 2^62.
+scan's work, or if the sorted rows over all 2^w types, numbered in int64,
+reach 2^62; that also keeps the type filter from listing 2^32 types.
 """
 
 from __future__ import annotations
@@ -71,12 +74,10 @@ from .semantics import (
     satisfies_all,
 )
 
-# The ranks of the sorted rows fall in blocks of 2**(2n + 10) at domain size n,
-# at most 2**_CHUNK_BITS, and the rows are read in batches of at most that
-# many.  Each word of 64 height vectors builds a 4**n-entry table once per
-# batch, so 1024·4**n rows keep those rebuilds to a few percent of a full
-# batch's work.  At n <= 4 each temporary is then at most 2 MB, which
-# glibc reuses from the heap instead of mapping it and faulting it in anew.
+# The rows of domain size n are read in batches of at most 2**(2n + 10), and
+# at most 2**_CHUNK_BITS.  A batch's DCI indices (intp) and its two uint64
+# buffers then take at most 8 MB each, and at n <= 4 at most 2 MB, which glibc
+# reuses from the heap instead of mapping it and faulting it in anew.
 _CHUNK_BITS = 20
 _WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
 
@@ -101,9 +102,9 @@ def _scan_sizes(width: int):
     charged: F(d) convex height vectors, from the ordered Bell recurrence
     F(d) = Σ_{k=1..d} C(d, k)·F(d−k), times the larger of its 2^(d·width)
     bit patterns and 32·4^d.  The second term is the set-up: each word of 64
-    height vectors is tested through a 4^d-entry table rebuilt for every
-    batch, which costs about as much as 32·4^d configurations per height
-    vector, so a scan with few bit patterns is charged for its tables."""
+    height vectors is tested through a 4^d-entry table, which costs about as
+    much as 32·4^d configurations per height vector, so a scan with few bit
+    patterns is charged for its tables."""
     bell = [1]
     for d in itertools.count(1):
         bell.append(sum(math.comb(d, k) * bell[d - k] for k in range(1, d + 1)))
@@ -122,17 +123,25 @@ def _min_height_tables(n: int) -> np.ndarray:
     return tables
 
 
-def _dci_hold_words(minima: np.ndarray, n: int) -> np.ndarray:
-    """words[good | bad << n] has bit j set iff a DCI holds under the height
-    vector of ``minima[j]`` (at most 64 rows of ``_min_height_tables(n)``)
-    when its lhs-instances split into ``good`` (in the rhs) and ``bad`` (not
-    in the rhs): there is no bad instance, or the least good height lies
-    strictly below the least bad one."""
+# 128 words of 4**7 uint64 entries are 16 MB, at the largest domain size the
+# default budget admits; every word of the sizes up to 6, 88 of them, fits.
+@lru_cache(maxsize=128)
+def _dci_hold_words(n: int, start: int) -> np.ndarray:
+    """words[good | bad << n] has bit j set iff a DCI holds under height
+    vector ``start + j`` (one of the 64 from ``start`` on) when its
+    lhs-instances split into ``good`` (in the rhs) and ``bad`` (not in the
+    rhs): there is no bad instance, or the least good height lies strictly
+    below the least bad one.  Read-only, as it is shared."""
+    minima = _min_height_tables(n)[start : start + _WORD]
     index = np.arange(1 << (2 * n))
     good, bad = index & ((1 << n) - 1), index >> n
-    holds = (bad == 0) | (minima[:, good] < minima[:, bad])
-    shifts = np.arange(len(minima), dtype=np.uint64)[:, None]
-    return np.bitwise_or.reduce(holds.astype(np.uint64) << shifts, axis=0)
+    holds = np.zeros((_WORD, len(index)), dtype=bool)
+    holds[: len(minima)] = (bad == 0) | (minima[:, good] < minima[:, bad])
+    # eight bytes of bits per index, the first vector's the lowest
+    packed = np.packbits(holds, axis=0, bitorder="little")
+    words = np.ascontiguousarray(packed.T).view("<u8").ravel().astype(np.uint64)
+    words.flags.writeable = False
+    return words
 
 
 def _quantified_subconcepts(axioms: Sequence[Axiom]) -> list[Concept]:
@@ -144,16 +153,15 @@ def _quantified_subconcepts(axioms: Sequence[Axiom]) -> list[Concept]:
 class _Columns(dict):
     """A block of rows as ``semantics._ext_mask`` reads an interpretation:
     the fields' columns of per-row masks, each concept's once evaluated, and
-    ``full_mask``, a column of ``full``; ``ranks`` holds each row's multiset
-    rank among all sorted rows.  ``_cache`` is a property, so a block is no
-    reference cycle.  A quantified concept outside the fields raises."""
+    ``full_mask``, a column of ``full``.  ``_cache`` is a property, so a
+    block is no reference cycle.  A quantified concept outside the fields
+    raises."""
 
     atom_ext = role_ext = {}
 
-    def __init__(self, full_mask: np.ndarray, columns=(), ranks: Optional[np.ndarray] = None):
+    def __init__(self, full_mask: np.ndarray, columns=()):
         super().__init__(columns)
         self.full_mask = full_mask
-        self.ranks = ranks
 
     @property
     def _cache(self) -> _Columns:
@@ -167,15 +175,7 @@ class _Columns(dict):
 
     def take(self, rows, fields: Sequence[Concept]) -> _Columns:
         """The block of ``rows`` (an index array or a slice), with ``fields``'s columns."""
-        return _Columns(self.full_mask[rows], {c: self[c][rows] for c in fields}, self.ranks[rows])
-
-
-def _colex_offsets(tops: np.ndarray, n: int) -> np.ndarray:
-    """C(t + n − 1, n) for each t of ``tops``: the sorted rows of n elements
-    whose top type is below t."""
-    if n == 1:
-        return tops
-    return np.array([math.comb(t + n - 1, n) for t in tops.tolist()], dtype=np.int64)
+        return _Columns(self.full_mask[rows], {c: self[c][rows] for c in fields})
 
 
 class _ConfigSpace:
@@ -195,78 +195,56 @@ class _ConfigSpace:
         self.fields: list[Concept] = self.quantified + [Atom(a) for a in atoms]
         width = len(self.fields)
         self.total_rows = 1 << (width * n)
-        self.sorted_rows = math.comb((1 << width) + n - 1, n)
-        # mapping the types to their numbers keeps the colex order, so each
-        # row's rank among all sorted rows is its types' offsets summed
         self.types = np.arange(1 << width, dtype=np.int64) if types is None else types
-        # row r has the top type u with starts[u] <= r < starts[u + 1]
-        self.starts = _colex_offsets(np.arange(len(self.types) + 1, dtype=np.int64), n)
-        self.offsets = _colex_offsets(self.types, n)
+        # row r has the top type u with starts[u] <= r < starts[u + 1], where
+        # starts[u] = C(u + n − 1, n) counts the rows whose top type is below u
+        self.starts = np.arange(len(self.types) + 1, dtype=np.int64)
+        if n > 1:
+            self.starts = np.array([math.comb(u + n - 1, n) for u in self.starts.tolist()], dtype=np.int64)
         self.rows = int(self.starts[-1])
         self.dtype = np.min_scalar_type(self.full)
-        self.index_dtype = np.min_scalar_type((1 << (2 * n)) - 1)
         self._prefix = prefix
 
-    @property
-    def chunk_bits(self) -> int:
-        return min(2 * self.n + 10, _CHUNK_BITS)
-
-    def chunk_ranges(self):
-        """The blocks ``lo .. hi-1`` of the ranks of all sorted rows, in order."""
-        step = 1 << self.chunk_bits
-        for lo in range(0, self.sorted_rows, step):
-            yield lo, min(lo + step, self.sorted_rows)
-
     @cached_property
-    def _lower(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every row of size n − 1 over ``types``, which the rows of size n
-        extend: its masks, one line per field, and its ranks."""
+    def _lower(self) -> np.ndarray:
+        """The masks, one line per field, of every row of size n − 1 over
+        ``types``, which the rows of size n extend."""
         if self.n == 1:
-            return np.zeros((len(self.fields), 1), self.dtype), np.zeros(1, np.int64)
+            return np.zeros((len(self.fields), 1), self.dtype)
         return (self._prefix or _ConfigSpace(self.n - 1, self.atoms, self.quantified, self.types)).table
 
     @cached_property
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
+    def table(self) -> np.ndarray:
         """``unrank`` of every row, which the space of size n + 1 extends."""
         return self.unrank(0, self.rows)
 
-    def unrank(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The masks, one line per field, and the ranks of the rows
-        ``lo .. hi-1`` over ``types``, whose element types are non-decreasing,
-        in colex order.  Row r with top type u is row r − starts[u] of size
-        n − 1 with an element of type ``types[u]`` on top, and over
-        consecutive rows u changes in runs."""
+    def unrank(self, lo: int, hi: int) -> np.ndarray:
+        """The masks, one line per field, of the rows ``lo .. hi-1`` over
+        ``types``, whose element types are non-decreasing, in colex order.
+        Row r with top type u is row r − starts[u] of size n − 1 with an
+        element of type ``types[u]`` on top, and over consecutive rows u
+        changes in runs."""
         u0, u1 = np.searchsorted(self.starts, (lo, hi - 1), side="right") - 1
         starts = self.starts[u0 : u1 + 2]
         runs = np.minimum(starts[1:], hi) - np.maximum(starts[:-1], lo)
         index = np.arange(lo, hi) - np.repeat(starts[:-1], runs)
-        masks, ranks = self._lower
         shifts = np.arange(len(self.fields))[:, None]
         top = (self.types[u0 : u1 + 1] >> shifts & 1).astype(self.dtype) << (self.n - 1)
-        masks = masks.take(index, axis=1) | np.repeat(top, runs, axis=1)
-        return masks, ranks[index] + np.repeat(self.offsets[u0 : u1 + 1], runs)
+        return self._lower.take(index, axis=1) | np.repeat(top, runs, axis=1)
 
     def build_sorted(self, lo: int, hi: int) -> _Columns:
         """The rows ``lo .. hi-1`` over ``types`` as a block, in the narrowest
         unsigned dtype that holds ``full``."""
-        masks, ranks = self.table if (lo, hi) == (0, self.rows) else self.unrank(lo, hi)
-        return _Columns(np.full(hi - lo, self.full, dtype=self.dtype), zip(self.fields, masks), ranks)
+        masks = self.table if (lo, hi) == (0, self.rows) else self.unrank(lo, hi)
+        return _Columns(np.full(hi - lo, self.full, dtype=self.dtype), zip(self.fields, masks))
 
     def batches(self):
-        """Yield ``(first, block)`` for each batch of rows, from row ``first``
-        on, in order: at most 2^chunk_bits rows, whose ranks fill whole blocks."""
-        bits, first = self.chunk_bits, 0
-        while first < self.rows:
-            end = min(first + (1 << bits), self.rows)
-            block = self.build_sorted(first, end)
-            if end < self.rows:
-                # the last row's block may go on past end: it starts the next
-                # batch, unless it fills this one
-                cut = int(np.searchsorted(block.ranks, block.ranks[-1] >> bits << bits))
-                if cut:
-                    block, end = block.take(slice(cut), self.fields), first + cut
-            yield first, block
-            first = end
+        """Yield ``(rows, block)`` for each batch, a range of at most
+        2^min(2n + 10, _CHUNK_BITS) rows, and its block, in order."""
+        step = 1 << min(2 * self.n + 10, _CHUNK_BITS)
+        for first in range(0, self.rows, step):
+            rows = range(first, min(first + step, self.rows))
+            yield rows, self.build_sorted(rows.start, rows.stop)
 
     def violated(self, masks: _Columns, g: Axiom) -> np.ndarray:
         """Per row, whether some element is in ``g``'s lhs and not its rhs."""
@@ -275,9 +253,9 @@ class _ConfigSpace:
     def dci_index(self, masks: _Columns, d: Axiom) -> np.ndarray:
         """Per row, ``good | bad << n``: the lhs-instances of ``d`` in its rhs
         (``good``) and outside it (``bad``), the index ``_dci_hold_words``
-        reads, in the narrowest dtype that holds ``4**n - 1``."""
+        reads, as intp, which ``np.take`` reads without a copy."""
         lhs, rhs = _ext_mask(masks, d.lhs), _ext_mask(masks, d.rhs)
-        index = (lhs & ~rhs & self.full).astype(self.index_dtype) << self.n
+        index = (lhs & ~rhs & self.full).astype(np.intp) << self.n
         index |= lhs & rhs
         return index
 
@@ -355,49 +333,39 @@ def _valid_types(
 
 
 def _witness_words(space: _ConfigSpace, dcis, must_fail: Optional[Axiom]):
-    """Test the rows of ``space`` batch by batch, in rank order: yield
-    ``(lo, hi, start, bits, rows, ranks, sat)`` for each block ``lo .. hi-1``
-    of the ranks and word of 64 height vectors, from vector ``start`` on,
-    under which some row of the block is a witness.  Row k of the block's
-    rows (those that fail ``must_fail``, if it is a GCI) is row ``rows[k]``
-    of ``space``, of rank ``ranks[k]``, and bit j of ``sat[k]`` says whether
-    it is a witness under vector ``start + j``; ``bits`` ORs them."""
-    tables, bits = _min_height_tables(space.n), space.chunk_bits
-    for first, masks in space.batches():
-        rows = np.arange(first, first + len(masks.ranks))
+    """Test the rows of ``space`` batch by batch, in order: yield ``(batch,
+    start, bits, rows, sat)`` for each batch, a range of rows, and word of 64
+    height vectors, from vector ``start`` on, under which some row of the
+    batch is a witness.  Row k of the batch's realisable rows (that also
+    fail ``must_fail``, if it is a GCI) is row ``rows[k]`` of ``space``, and
+    bit j of ``sat[k]`` says whether it is a witness under vector
+    ``start + j``; ``bits`` ORs them.  ``sat`` is the batch's buffer: the
+    next word overwrites it."""
+    vectors = len(_min_height_tables(space.n))
+    for batch, masks in space.batches():
+        keep = space.realizable(masks)
         if isinstance(must_fail, GCI):
-            keep = np.flatnonzero(space.violated(masks, must_fail))
-            masks, rows = masks.take(keep, space.fields), rows[keep]
-        if not len(rows) or not (ok := space.realizable(masks)).any():
+            keep &= space.violated(masks, must_fail)
+        if not len(rows := np.flatnonzero(keep)):
             continue
+        masks = masks.take(rows, space.fields)
+        rows += batch.start
         holds = [space.dci_index(masks, d) for d in dcis]
         fails = space.dci_index(masks, must_fail) if isinstance(must_fail, DCI) else None
-
-        def words(part):
-            for start in range(0, len(tables), _WORD):
-                minima = tables[start : start + _WORD]
-                every = np.uint64((1 << len(minima)) - 1)
-                table = _dci_hold_words(minima, space.n)
-                sat = np.where(ok[part], every, np.uint64(0))
-                # indexing, not ``take``, which first copies ``index`` to intp
-                for index in holds:
-                    sat &= table[index[part]]
-                if fails is not None:
-                    sat &= (table ^ every)[fails[part]]
-                if hit := int(np.bitwise_or.reduce(sat)):
-                    yield start, hit, sat
-
-        blocks = masks.ranks >> bits
-        edges = [0, *(np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist(), len(rows)]
-        # witnesses come block by block, so a batch of several blocks is tested
-        # whole first, with one table per word: most batches hold none
-        if len(edges) > 2 and next(words(slice(None)), None) is None:
-            continue
-        for s, e in zip(edges, edges[1:]):
-            lo = int(blocks[s]) << bits
-            hi = min(lo + (1 << bits), space.sorted_rows)
-            for start, hit, sat in words(slice(s, e)):
-                yield lo, hi, start, hit, rows[s:e], masks.ranks[s:e], sat
+        # one buffer each for the witnesses and the table words gathered; the
+        # indices are in range, and "clip" fills ``out`` directly, unbuffered
+        sat, gathered = np.empty(len(rows), np.uint64), np.empty(len(rows), np.uint64)
+        for start in range(0, vectors, _WORD):
+            table = _dci_hold_words(space.n, start)
+            sat.fill((1 << min(_WORD, vectors - start)) - 1)
+            for index in holds:
+                np.take(table, index, out=gathered, mode="clip")
+                sat &= gathered
+            if fails is not None:
+                np.take(table, fails, out=gathered, mode="clip")
+                sat &= np.invert(gathered, out=gathered)
+            if hit := int(np.bitwise_or.reduce(sat)):
+                yield batch, start, hit, rows, sat
 
 
 def _search(
@@ -438,20 +406,20 @@ def _search(
     for n in range(1, max_domain + 1):
         space = _ConfigSpace(n, atoms, quantified, types, space)
         hvs = convex_height_vectors(n)
-        for lo, hi, start, bits, rows, ranks, sat in _witness_words(space, dcis, must_fail):
+        for batch, start, bits, rows, sat in _witness_words(space, dcis, must_fail):
             for j, hv in enumerate(hvs[start : start + _WORD]):
                 if not bits >> j & 1:
                     continue
-                for idx in np.flatnonzero(sat >> np.uint64(j) & np.uint64(1)):
-                    witness = space.materialize(int(rows[idx]), hv, roles)
+                for row in rows[np.flatnonzero(sat >> np.uint64(j) & np.uint64(1))].tolist():
+                    witness = space.materialize(row, hv, roles)
                     if not satisfies_all(witness, must_hold):
                         raise AssertionError("materialized witness fails the axioms")
                     if must_fail is not None and satisfies(witness, must_fail):
                         raise AssertionError("materialized witness satisfies the query")
                     found.append(witness)
                     if len(found) >= limit:
-                        scanned = lo * len(hvs) + (hi - lo) * (start + j) + int(ranks[idx]) - lo + 1
-                        return found, examined + scanned
+                        scanned = batch.start * len(hvs) + len(batch) * (start + j)
+                        return found, examined + scanned + row - batch.start + 1
         examined += space.total_rows * len(hvs)
     return found, examined
 

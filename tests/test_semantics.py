@@ -17,6 +17,7 @@ from dalc.concepts import (
     Forall,
     GCI,
     KnowledgeBase,
+    MAX_ROWS,
     Not,
     ResourceLimitError,
     TOP,
@@ -369,6 +370,38 @@ def test_min_height_tables_are_the_least_height_in_each_mask():
                 assert table[mask] == min(hv[i] for i in range(n) if mask >> i & 1)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_memoised_hold_words_match_the_min_height_tables(n):
+    """Each word of 64 height vectors' table, memoised, has bit j of entry
+    ``good | bad << n`` set iff no lhs-instance is bad or the least good
+    height under vector ``start + j`` lies below the least bad one."""
+    tables = search._min_height_tables(n)
+    index = np.arange(4**n)
+    good, bad = index & (2**n - 1), index >> n
+    for start in range(0, len(tables), 64):
+        words = search._dci_hold_words(n, start)
+        assert words is search._dci_hold_words(n, start)
+        assert words.dtype == np.uint64 and words.shape == (4**n,) and not words.flags.writeable
+        for j in range(64):
+            bit = (words >> np.uint64(j) & np.uint64(1)).astype(bool)
+            if start + j < len(tables):
+                table = tables[start + j]
+                assert np.array_equal(bit, (bad == 0) | (table[good] < table[bad])), (start, j)
+            else:
+                assert not bit.any(), (start, j)
+
+
+def test_the_hold_word_memo_is_bounded():
+    """The default budget admits domain size 7 at most, even with one bit
+    pattern; there the memo holds at most 32 MB of 4**7-entry tables, and it
+    holds every word of the sizes up to 6."""
+    charges = list(itertools.accumulate(itertools.islice(search._scan_sizes(0), 8)))
+    assert charges[6] <= MAX_ROWS < charges[7]
+    maxsize = search._dci_hold_words.cache_info().maxsize
+    assert maxsize * 4**7 * 8 <= 32 << 20
+    assert sum(-(-len(convex_height_vectors(n)) // 64) for n in range(1, 7)) <= maxsize
+
+
 def test_search_model_running_example():
     res = search_model(corpus.student_kb(), 3)
     assert res.found
@@ -506,26 +539,35 @@ def reference_witnesses(space, masks, must_hold, must_fail):
 
 def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
     """The sorted scan one height vector at a time, in the oracle's order
-    (domain size, block, height vector, rank), counting configurations the
+    (domain size, batch, height vector, row), counting configurations the
     same way: all ``total_rows·F(n)`` of each size scanned to its end, and
     the (row, height vector) pairs up to the ``limit``-th witness; the
-    reference for the bitset search in ``_search``."""
+    reference for the bitset search in ``_search``.  Its rows are the sorted
+    rows over all types in which every GCI holds, in colex order, cut into
+    batches of 2**min(2n + 10, _CHUNK_BITS)."""
     quantified = search._quantified_subconcepts(
         list(must_hold) + ([must_fail] if must_fail is not None else [])
     )
     found, examined = [], 0
     for n in range(1, max_domain + 1):
         space = search._ConfigSpace(n, atoms, quantified)
-        scanned = 0
-        for lo, hi in space.chunk_ranges():
-            masks = space.build_sorted(lo, hi)
-            for hv, sat in reference_witnesses(space, masks, must_hold, must_fail):
+        every = space.build_sorted(0, space.rows)
+        valid = np.ones(space.rows, dtype=bool)
+        for a in must_hold:
+            if isinstance(a, GCI):
+                valid &= sem._ext_mask(every, a.lhs) & ~sem._ext_mask(every, a.rhs) & space.full == 0
+        valid = np.flatnonzero(valid)
+        vectors = convex_height_vectors(n)
+        size = 1 << min(2 * n + 10, search._CHUNK_BITS)
+        for lo in range(0, len(valid), size):
+            batch = valid[lo : lo + size]
+            masks = every.take(batch, space.fields)
+            for k, (hv, sat) in enumerate(reference_witnesses(space, masks, must_hold, must_fail)):
                 for idx in np.flatnonzero(sat):
-                    found.append(space.materialize(lo + int(idx), hv, roles))
+                    found.append(space.materialize(int(batch[idx]), hv, roles))
                     if len(found) >= limit:
-                        return found, examined + scanned + int(idx) + 1
-                scanned += hi - lo
-        examined += space.total_rows * len(convex_height_vectors(n))
+                        return found, examined + lo * len(vectors) + len(batch) * k + int(idx) + 1
+        examined += space.total_rows * len(vectors)
     return found, examined
 
 
@@ -552,7 +594,8 @@ def test_bitset_search_matches_reference_on_corpus(monkeypatch, chunk_bits):
             m.to_json_dict() for m in assert_matches_reference(kb, None, 3, limit=12)
         ]
     # the oracle's default bound: boss's countermodel has three elements, and
-    # domain 3 spans four blocks of 2**16 rows at the default settings
+    # domain 3 reads 11,480 rows over its 40 valid types: one batch at the
+    # default settings, 23 of 2**9 rows
     (witness,) = assert_matches_reference(
         corpus.boss_kb(), corpus.query("Worker ~[= exists hasSuperior.Responsible"), 4
     )
@@ -763,16 +806,16 @@ def test_build_sorted_yields_each_sorted_type_tuple_once(monkeypatch, vocabulary
     for n in range(1, 6):
         space = search._ConfigSpace(n, *vocabulary)
         types = 2 ** len(space.fields)
-        assert space.sorted_rows == math.comb(types + n - 1, n)
-        masks = space.build_sorted(0, space.sorted_rows)
+        assert space.rows == math.comb(types + n - 1, n)
+        masks = space.build_sorted(0, space.rows)
         rows = element_types(space, masks)
-        assert len(rows) == space.sorted_rows
+        assert len(rows) == space.rows
         assert sorted(rows) == list(itertools.combinations_with_replacement(range(types), n))
-        # blocks of 16 rows, the last one short, lay out the same rows
+        # batches of 16 rows, the last one short, lay out the same rows
         with monkeypatch.context() as m:
             m.setattr(search, "_CHUNK_BITS", 4)
-            blocks = [space.build_sorted(lo, hi) for lo, hi in space.chunk_ranges()]
-        assert len(blocks) == -(-space.sorted_rows // 16)
+            blocks = [block for _, block in space.batches()]
+        assert len(blocks) == -(-space.rows // 16)
         for c in masks:
             assert np.array_equal(np.concatenate([b[c] for b in blocks]), masks[c])
 
@@ -788,10 +831,10 @@ def test_block_columns_match_each_rows_interpretation():
     checked = 0
     for n in (1, 2, 3):
         space = search._ConfigSpace(n, atoms, [])
-        block = space.build_sorted(0, space.sorted_rows)
+        block = space.build_sorted(0, space.rows)
         rows = [
             FiniteInterpretation(n, {a: sem._bits(int(block[Atom(a)][r])) for a in atoms}, {})
-            for r in range(space.sorted_rows)
+            for r in range(space.rows)
         ]
         for c in concepts:
             column = sem._ext_mask(block, c)
@@ -810,7 +853,7 @@ def test_a_dropped_block_is_freed_without_the_cycle_collector():
     """A block is its own ``_cache`` through a property; held in a field, it
     would make every block a reference cycle that only the collector frees."""
     space = search._ConfigSpace(2, ["A"], [Exists("r", Atom("A"))])
-    block = space.build_sorted(0, space.sorted_rows)
+    block = space.build_sorted(0, space.rows)
     sem._ext_mask(block, Not(Atom("A")))
     assert block._cache is block
     full_mask = weakref.ref(block.full_mask)
@@ -866,7 +909,7 @@ def sorted_type_rows(space):
 def assert_build_sorted_matches_formula(space, types, lo, hi):
     """``build_sorted``'s columns of ranks ``lo .. hi-1``, each against bit f
     of every element's type in ``types`` (from ``sorted_type_rows``), and a
-    DCI index over two of them against its int64 formula."""
+    DCI index over two of them, as intp, against its formula."""
     masks = space.build_sorted(lo, hi)
     assert list(masks) == space.fields
     columns = []
@@ -877,7 +920,7 @@ def assert_build_sorted_matches_formula(space, types, lo, hi):
         columns.append((c, want))
     (a, lhs), (b, rhs) = columns[:2]
     index = space.dci_index(masks, DCI(a, b))
-    assert index.dtype == np.min_scalar_type(4**space.n - 1)
+    assert index.dtype == np.intp
     assert np.array_equal(index, (lhs & rhs) | ((lhs & ~rhs & space.full) << space.n))
 
 
@@ -910,21 +953,21 @@ def test_build_sorted_matches_the_rank_formula(monkeypatch, chunk_bits):
             spaces.append(search._ConfigSpace(n, *wide_vocabulary(n)))
         for space in spaces:
             size = 1 << min(2 * n + 10, search._CHUNK_BITS)
-            blocks = list(space.chunk_ranges())
-            assert blocks == [(lo, min(lo + size, space.sorted_rows)) for lo in range(0, space.sorted_rows, size)]
-            assert len(blocks) > 1 or space is spaces[0]
+            batches = [rows for rows, _ in space.batches()]
+            assert batches == [range(lo, min(lo + size, space.rows)) for lo in range(0, space.rows, size)]
+            assert len(batches) > 1 or space is spaces[0]
             types = sorted_type_rows(space)
-            assert len(types) == space.sorted_rows
-            for lo, hi in blocks:
-                assert_build_sorted_matches_formula(space, types, lo, hi)
+            assert len(types) == space.rows
+            for rows in batches:
+                assert_build_sorted_matches_formula(space, types, rows.start, rows.stop)
 
 
 def test_build_sorted_on_one_row_blocks():
     # the blocks ``materialize`` builds are the rows of the full block
     for n in (1, 2, 3):
         space = search._ConfigSpace(n, *VOCABULARY)
-        full = space.build_sorted(0, space.sorted_rows)
-        for row in range(space.sorted_rows):
+        full = space.build_sorted(0, space.rows)
+        for row in range(space.rows):
             one = space.build_sorted(row, row + 1)
             assert list(one) == list(full)
             for c in full:
@@ -933,24 +976,21 @@ def test_build_sorted_on_one_row_blocks():
 
 
 def test_compaction_matches_reference_where_blocks_empty(monkeypatch):
-    """With 16-row blocks, the GCIs of boss.dkb and realisability leave no
-    row in 92 of the 130 domain-2 blocks of sorted rows, so the
-    filtered scan skips whole blocks before its witnesses and through a full
-    scan."""
+    """With 16-row batches, realisability leaves no row in 23 of the 52
+    domain-2 batches over the 40 types that pass boss.dkb's GCIs, so the
+    filtered scan skips whole batches before its witnesses and through a
+    full scan."""
     monkeypatch.setattr(search, "_CHUNK_BITS", 4)
     kb = corpus.boss_kb()
     q = corpus.query("Worker ~[= exists hasSuperior.Responsible")
     atoms, _ = search._vocabulary(kb, (q,))
-    space = search._ConfigSpace(2, atoms, search._quantified_subconcepts(list(kb.axioms) + [q]))
-    emptied = 0
-    assert len(list(space.chunk_ranges())) == 130
-    for lo, hi in space.chunk_ranges():
-        masks = space.build_sorted(lo, hi)
-        alive = space.realizable(masks)
-        for g in kb.tbox:
-            alive &= ~space.violated(masks, g)
-        emptied += not alive.any()
-    assert emptied == 92
+    quantified = search._quantified_subconcepts(list(kb.axioms) + [q])
+    types = search._valid_types(atoms, quantified, kb.tbox)
+    assert len(types) == 40
+    space = search._ConfigSpace(2, atoms, quantified, types)
+    batches = list(space.batches())
+    assert [len(rows) for rows, _ in batches] == [16] * 51 + [4]
+    assert sum(not space.realizable(block).any() for _, block in batches) == 23
     assert not assert_matches_reference(kb, q, 2)
     for text in ("Boss [= bot", "Boss ~[= !Responsible"):
         (witness,) = assert_matches_reference(kb, corpus.query(text), 2)
@@ -981,7 +1021,7 @@ def test_the_scan_builds_only_rows_over_the_types_that_pass_every_gci(monkeypatc
     atoms, _ = search._vocabulary(kb, (q,))
     quantified = search._quantified_subconcepts(list(kb.axioms) + [q])
     assert len(search._valid_types(atoms, quantified, kb.tbox)) == 24
-    assert search._ConfigSpace(4, atoms, quantified).sorted_rows == 52_360
+    assert search._ConfigSpace(4, atoms, quantified).rows == 52_360
     built = count_built_rows(monkeypatch)
     assert not search_countermodel(kb, q, 4).found
     assert built[4] == math.comb(24 + 4 - 1, 4) == 17_550
@@ -1000,6 +1040,36 @@ def test_a_kb_with_no_valid_type_builds_no_row(monkeypatch, query):
     assert examined == sum(4**d * len(convex_height_vectors(d)) for d in range(1, 5))
     monkeypatch.undo()
     assert not assert_matches_reference(kb, query, 4)
+
+
+def full_count(kb, query, max_domain):
+    """``enumerated`` of a search up to ``max_domain`` that finds nothing:
+    every configuration of each size."""
+    extra = [query] if query is not None else []
+    atoms, _ = search._vocabulary(kb, extra)
+    width = len(atoms) + len(search._quantified_subconcepts(list(kb.axioms) + extra))
+    return sum(2 ** (d * width) * len(convex_height_vectors(d)) for d in range(1, max_domain + 1))
+
+
+def test_found_searches_count_from_one_up_to_the_sizes_they_reached():
+    """The size that holds the witness adds at least 1, and at most its full
+    count, to the full counts of the sizes below it.  Every corpus KB has a
+    model at its first row and height vector, and the countermodels the
+    oracle finds for the corpus questions are pinned."""
+    for name in corpus.CORPUS:
+        res = search_model(corpus.CORPUS[name](), 4)
+        assert res.found and res.enumerated == 1, name
+    cases = [(corpus.CORPUS[name](), corpus.query(text)) for name, text, _ in corpus.VERDICTS]
+    cases += random_one_role_kbs()
+    counts = []
+    for kb, query in cases:
+        res = search_model(kb, 3) if query is None else search_countermodel(kb, query, 3)
+        if res.found:
+            n = res.interpretation.base.domain_size
+            assert full_count(kb, query, n - 1) < res.enumerated <= full_count(kb, query, n), (kb, query)
+        counts.append(res.enumerated if res.found else None)
+    assert counts[: len(corpus.VERDICTS)] == [None, None, None, 550, 548, None, 78_510]
+    assert sum(c is not None for c in counts) > len(corpus.VERDICTS)
 
 
 def test_interpretation_json_dump():
