@@ -29,12 +29,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .closure import Ranking, compute_ranking, rationally_deducible, tstar_inconsistent
-from .concepts import MAX_ROWS, Atom, Axiom, BOTTOM, GCI, KnowledgeBase, atom_names
+from .concepts import MAX_ROWS, Atom, Axiom, BOTTOM, GCI, KnowledgeBase, _Value, atom_names
 from .parser import ParseError, axiom_to_json, parse_kb, parse_query, render_axiom
 from .tableau import DEFAULT_CONFIG, EntailmentStats, ResourceLimitError, TableauConfig, entails
 
@@ -77,8 +76,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 ARG_PARSER = build_arg_parser()  # built once: ``main`` may run many times per process
 
 
-@dataclass
-class _Ranked:
+class _Ranked(_Value):
     """The inputs of rank, query and check, and the tableau work they share."""
 
     kb: KnowledgeBase

@@ -23,6 +23,7 @@ from .concepts import (
     KnowledgeBase,
     Not,
     TOP,
+    _Value,
     conjoin,
     materialise,
 )
@@ -30,8 +31,7 @@ from .ranks import Rank
 from .tableau import CompiledTBox, DEFAULT_CONFIG, EntailmentStats, TableauConfig, entails
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(_Value):
     """Output of ``compute_ranking``.
 
     ``e_seq`` is the exceptionality sequence E0 ⊇ E1 ⊇ ... ⊇ En of the final
@@ -52,8 +52,8 @@ class Ranking:
     materialisations: tuple[Concept, ...]
 
 
-@dataclass(frozen=True)
-class QueryResult:
+@dataclass(init=False, repr=False, eq=False)  # for dataclasses.fields
+class QueryResult(_Value):
     """Verdict plus provenance: the level that decided the query (infinite
     when the TBox-only fallback fired) and the classical checks it spent,
     which are all the checks the query made."""

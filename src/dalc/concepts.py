@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Sequence
 
 # (class, *fields) -> the live concept with those fields.  Children in a key
@@ -22,17 +22,66 @@ _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
 
 
-class _Interned:
-    """Shared constructor of the concept classes.  It runs instead of a
-    dataclass ``__init__`` (the classes set ``init=False``), so building an
-    existing concept only looks it up."""
+class _Value:
+    """Shared base of the value classes, in place of the methods ``dataclass``
+    would compile at import.  Fields are the annotated names, after the bases';
+    a class attribute of that name is a default.  Instances compare and hash by
+    type and fields, and are frozen unless the class or a base is ``mutable``."""
+
+    __match_args__ = ()  # the field names, set by __init_subclass__
+
+    def __init_subclass__(cls, mutable: bool = False):
+        cls.__match_args__ += tuple(cls.__dict__.get("__annotations__", ()))
+        if mutable:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        names = cls.__match_args__
+        values = dict(zip(names, args))
+        for n in names[len(args):]:
+            if n in kwargs or hasattr(cls, n):  # by keyword, else the class's default
+                values[n] = kwargs.pop(n, getattr(cls, n, None))
+        if kwargs or len(args) > len(names) or len(values) < len(names):
+            raise TypeError(f"{cls.__name__} takes fields {names}")
+        return tuple(values.values())
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):  # not via __dict__: that slows every read
+            object.__setattr__(self, name, value)
+        if hasattr(self, "__post_init__"):  # validates or normalises the fields
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, *self._values()))
+
+    def __repr__(self) -> str:  # a class with no fields, as Top, reads as its name
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))
+        return type(self).__qualname__ + (f"({fields})" if self.__match_args__ else "")
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _Interned(_Value):
+    """Shared constructor of the concept classes: one live instance per field values."""
+
+    __init__, __eq__, __hash__ = object.__init__, object.__eq__, object.__hash__
 
     def __new__(cls, *args, **kwargs):
-        fields = cls.__match_args__
-        if kwargs:  # keyword construction, as in dataclasses.replace
-            args += tuple(kwargs.pop(n) for n in fields[len(args):] if n in kwargs)
-        if kwargs or len(args) != len(fields):
-            raise TypeError(f"{cls.__name__} takes fields {fields}")
+        if kwargs or len(args) != len(cls.__match_args__):  # keywords, as from dataclasses.replace
+            args = cls._bind(args, kwargs)
         key = (cls, *args)
         self = _INTERNED.get(key)
         if self is not None:
@@ -41,61 +90,65 @@ class _Interned:
             self = _INTERNED.get(key)
             if self is None:
                 self = object.__new__(cls)
-                for name, value in zip(fields, args):
-                    object.__setattr__(self, name, value)
+                _Value.__init__(self, *args)
                 _INTERNED[key] = self
         return self
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+        return type(self), self._values()
 
 
-# Identity equality and hashing (eq=False); fields set by _Interned.__new__.
-_concept = dataclass(frozen=True, eq=False, init=False)
+_concept = dataclass(init=False, repr=False, eq=False)  # fields() and replace(); no method
 
 
 @_concept
 class Top(_Interned):
-    def __repr__(self) -> str:
-        return "Top"
+    """The top concept ⊤."""
+
 
 
 @_concept
 class Bottom(_Interned):
-    def __repr__(self) -> str:
-        return "Bottom"
+    """The bottom concept ⊥."""
+
 
 
 @_concept
 class Atom(_Interned):
+    """A concept name."""
     name: str
 
 
 @_concept
 class Not(_Interned):
+    """Negation ¬C."""
     operand: "Concept"
 
 
 @_concept
 class And(_Interned):
+    """Conjunction C ⊓ D."""
     left: "Concept"
     right: "Concept"
 
 
 @_concept
 class Or(_Interned):
+    """Disjunction C ⊔ D."""
     left: "Concept"
     right: "Concept"
 
 
 @_concept
 class Exists(_Interned):
+    """Existential restriction ∃r.C."""
     role: str
     filler: "Concept"
 
 
 @_concept
 class Forall(_Interned):
+    """Universal restriction ∀r.C."""
     role: str
     filler: "Concept"
 
@@ -106,16 +159,14 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-@dataclass(frozen=True)
-class GCI:
+class GCI(_Value):
     """Strict subsumption axiom: every instance of ``lhs`` is one of ``rhs``."""
 
     lhs: Concept
     rhs: Concept
 
 
-@dataclass(frozen=True)
-class DCI:
+class DCI(_Value):
     """Defeasible subsumption axiom: typical instances of ``lhs`` are ``rhs``."""
 
     lhs: Concept
@@ -125,8 +176,7 @@ class DCI:
 Axiom = GCI | DCI
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(_Value):
     """A finite TBox of GCIs plus a finite DTBox of DCIs, in source order."""
 
     tbox: tuple[GCI, ...] = ()

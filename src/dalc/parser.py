@@ -27,7 +27,6 @@ anything after it, on its line or a later one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from .concepts import (
@@ -46,6 +45,7 @@ from .concepts import (
     Not,
     Or,
     Top,
+    _Value,
 )
 
 RESERVED = {"top", "bot", "exists", "forall"}
@@ -57,8 +57,7 @@ _TOKEN_RE = re.compile(
 _LINE_END = "expected end of line, found {}"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(_Value):
     """1-based position of a token or axiom in its source file."""
 
     file: str
@@ -69,8 +68,7 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParsedDocument:
+class ParsedDocument(_Value):
     kb: KnowledgeBase
     axiom_spans: tuple[SourceSpan, ...]  # aligned with tbox then dtbox
 
@@ -86,8 +84,7 @@ class UnknownDirectiveError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(_Value):
     kind: str  # "name", "keyword", "[=", "~[=", "(", ")", "&", "|", "!", ".", "eol", "eof"
     text: str
     span: SourceSpan
@@ -119,8 +116,7 @@ def _describe(tok: _Token) -> str:
     return {"eof": "end of input", "eol": "end of line"}.get(tok.kind, repr(tok.text))
 
 
-@dataclass
-class _Parser:
+class _Parser(_Value, mutable=True):
     """Recursive descent over the tokens of one line."""
 
     tokens: list[_Token]

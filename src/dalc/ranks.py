@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
+
+from .concepts import _Value
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Rank:
+class Rank(_Value):
     """Either a finite rank ``finite(i)`` or the infinite rank.
 
     ``value`` is ``None`` for the infinite rank.  Infinite compares greater

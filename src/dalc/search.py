@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -67,7 +66,7 @@ import numpy as np
 
 from .concepts import (
     Atom, Axiom, Concept, DCI, Exists, Forall, GCI, KnowledgeBase, MAX_ROWS, ResourceLimitError,
-    atom_names, role_names, subconcepts,
+    _Value, atom_names, role_names, subconcepts,
 )
 from .semantics import (
     FiniteInterpretation, RankedInterpretation, _bits, _ext_mask, convex_height_vectors, satisfies,
@@ -82,8 +81,7 @@ _CHUNK_BITS = 20
 _WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Value):
     """Outcome of a bounded search.  ``interpretation`` is the first witness,
     with non-decreasing element types, or None when nothing was found within
     the bound, which proves nothing beyond it (the search is one-sided).

@@ -18,7 +18,6 @@ taken from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +36,7 @@ from .concepts import (
     TOP,
     Top,
     Bottom,
+    _Value,
 )
 from .ranks import Rank
 from . import __getattr__  # dalc's hook: the benchmark's tests import search_countermodel here
@@ -46,27 +46,20 @@ from . import __getattr__  # dalc's hook: the benchmark's tests import search_co
 # Interpretation structures
 
 
-@dataclass(frozen=True)
-class FiniteInterpretation:
+class FiniteInterpretation(_Value):
     """A classical interpretation over domain ``{0, .., domain_size-1}``."""
 
     domain_size: int
     atom_ext: Mapping[str, frozenset[int]]
     role_ext: Mapping[str, frozenset[tuple[int, int]]]
-    # extension masks, keyed by concept
-    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.domain_size < 1:
             raise ValueError("domain must be non-empty")
-        object.__setattr__(
-            self, "atom_ext", {a: frozenset(e) for a, e in self.atom_ext.items()}
-        )
-        object.__setattr__(
-            self,
-            "role_ext",
-            {r: frozenset((x, y) for x, y in e) for r, e in self.role_ext.items()},
-        )
+        object.__setattr__(self, "_cache", {})  # extension masks, keyed by concept
+        object.__setattr__(self, "atom_ext", {a: frozenset(e) for a, e in self.atom_ext.items()})
+        role_ext = {r: frozenset((x, y) for x, y in e) for r, e in self.role_ext.items()}
+        object.__setattr__(self, "role_ext", role_ext)
         for a, e in self.atom_ext.items():
             if any(x < 0 or x >= self.domain_size for x in e):
                 raise ValueError(f"atom {a} extension outside domain")
@@ -82,8 +75,7 @@ class FiniteInterpretation:
         return (1 << self.domain_size) - 1
 
 
-@dataclass(frozen=True)
-class PreferentialInterpretation:
+class PreferentialInterpretation(_Value):
     """A finite interpretation plus a smooth strict partial order on elements
     (``(x, y)`` in ``order`` reads ``x`` is more typical than ``y``)."""
 
@@ -102,8 +94,7 @@ class PreferentialInterpretation:
         return tuple(masks)
 
 
-@dataclass(frozen=True)
-class RankedInterpretation:
+class RankedInterpretation(_Value):
     """A finite interpretation plus a convex height map (layer per element)."""
 
     base: FiniteInterpretation
@@ -386,8 +377,7 @@ def convex_height_vectors(n: int) -> tuple[tuple[int, ...], ...]:
 # KLM postulate checking
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     rule: str
     instance: tuple
 

@@ -20,7 +20,6 @@ full it is emptied, and a dropped verdict is only decided again.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -36,12 +35,12 @@ from .concepts import (
     Or,
     ResourceLimitError,
     TOP,
+    _Value,
     nnf,
 )
 
 
-@dataclass(frozen=True)
-class TableauConfig:
+class TableauConfig(_Value):
     """The budget of each classical check: at most ``max_nodes`` tableau
     nodes (the CLI's ``--max-nodes``), whether or not an ``EntailmentStats``
     observes it.  Every role successor is a node, so this also bounds how
@@ -58,8 +57,7 @@ class TableauConfig:
 DEFAULT_CONFIG = TableauConfig()
 
 
-@dataclass
-class EntailmentStats:
+class EntailmentStats(_Value, mutable=True):
     """Per-session counters; pass one object through a batch of calls to
     observe how many classical checks and tableau nodes a procedure spends.
     They only count: ``TableauConfig`` bounds each check on its own.  A
