@@ -10,7 +10,6 @@ at most ``n + 2`` further classical checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .concepts import (
@@ -52,7 +51,6 @@ class Ranking(_Value):
     materialisations: tuple[Concept, ...]
 
 
-@dataclass(init=False, repr=False, eq=False)  # for dataclasses.fields
 class QueryResult(_Value):
     """Verdict plus provenance: the level that decided the query (infinite
     when the TBox-only fallback fired) and the classical checks it spent,

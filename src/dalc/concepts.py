@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Sequence
 
 # (class, *fields) -> the live concept with those fields.  Children in a key
@@ -52,8 +51,10 @@ class _Value:
             args = self._bind(args, kwargs)
         for name, value in zip(names, args):  # not via __dict__: that slows every read
             object.__setattr__(self, name, value)
-        if hasattr(self, "__post_init__"):  # validates or normalises the fields
-            self.__post_init__()
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Where a class overrides it, validates or normalises the fields."""
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__match_args__))
@@ -69,7 +70,7 @@ class _Value:
         return type(self).__qualname__ + (f"({fields})" if self.__match_args__ else "")
 
     def __setattr__(self, name, *value):
-        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
 
@@ -80,7 +81,7 @@ class _Interned(_Value):
     __init__, __eq__, __hash__ = object.__init__, object.__eq__, object.__hash__
 
     def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls.__match_args__):  # keywords, as from dataclasses.replace
+        if kwargs or len(args) != len(cls.__match_args__):  # by keyword, or a default
             args = cls._bind(args, kwargs)
         key = (cls, *args)
         self = _INTERNED.get(key)
@@ -98,55 +99,42 @@ class _Interned(_Value):
         return type(self), self._values()
 
 
-_concept = dataclass(init=False, repr=False, eq=False)  # fields() and replace(); no method
-
-
-@_concept
 class Top(_Interned):
     """The top concept ⊤."""
 
 
-
-@_concept
 class Bottom(_Interned):
     """The bottom concept ⊥."""
 
 
-
-@_concept
 class Atom(_Interned):
     """A concept name."""
     name: str
 
 
-@_concept
 class Not(_Interned):
     """Negation ¬C."""
     operand: "Concept"
 
 
-@_concept
 class And(_Interned):
     """Conjunction C ⊓ D."""
     left: "Concept"
     right: "Concept"
 
 
-@_concept
 class Or(_Interned):
     """Disjunction C ⊔ D."""
     left: "Concept"
     right: "Concept"
 
 
-@_concept
 class Exists(_Interned):
     """Existential restriction ∃r.C."""
     role: str
     filler: "Concept"
 
 
-@_concept
 class Forall(_Interned):
     """Universal restriction ∀r.C."""
     role: str

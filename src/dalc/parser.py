@@ -16,18 +16,19 @@ and ``forall`` are reserved.  Quantifier fillers bind at unary precedence,
 so ``exists r.A & B`` parses as ``(exists r.A) & B``.
 
 The input is read a line at a time (lines end at ``\\n``; a column is an
-offset in the line plus one), and every line is tokenised before any is
-parsed.  So of several errors the one reported is the first ``@`` directive
-opening a line (documents only), else the first stray character, else the
-first syntax error.  ``parse_kb`` reads an axiom from each non-blank line;
-``parse_query`` and ``parse_concept`` read one axiom or concept, and report
-anything after it, on its line or a later one.
+offset in the line plus one), and every line is tokenised, into plain
+``(kind, text, column)`` tuples, before any is parsed.  So of several errors
+the one reported is the first ``@`` directive opening a line (documents
+only), else the first stray character, else the first syntax error.
+``parse_kb`` reads an axiom from each non-blank line; ``parse_query`` and
+``parse_concept`` read one axiom or concept, and report anything after it,
+on its line or a later one.  A ``SourceSpan`` is built only where an axiom
+starts and for an error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from .concepts import (
     BOTTOM,
@@ -54,11 +55,11 @@ RESERVED = {"top", "bot", "exists", "forall"}
 _TOKEN_RE = re.compile(
     r"[ \t\r]*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>~?\[=|[()&|!.])|(?P<bad>.)|$)"
 )
-_LINE_END = "expected end of line, found {}"
+_DIRECTIVE_RE = re.compile(r"^[ \t]*(@\S*)", re.MULTILINE)
 
 
 class SourceSpan(_Value):
-    """1-based position of a token or axiom in its source file."""
+    """1-based position of an axiom or an error in its source file."""
 
     file: str
     line: int
@@ -84,63 +85,44 @@ class UnknownDirectiveError(ParseError):
     pass
 
 
-class _Token(_Value):
-    kind: str  # "name", "keyword", "[=", "~[=", "(", ")", "&", "|", "!", ".", "eol", "eof"
-    text: str
-    span: SourceSpan
+class _Parser:
+    """Recursive descent over the tokens of one line.  A token is a ``(kind,
+    text, column)`` tuple; its kind is "name", a reserved word, an operator,
+    or "eol" ("eof" on the last line), which ends every line's tokens."""
 
+    def __init__(self, file: str, line: int, tokens: list[tuple[str, str, int]]):
+        self.file, self.line, self.tokens, self.pos = file, line, tokens, 0
 
-def _lines(text: str, filename: str) -> tuple[list[list[_Token]], _Token]:
-    """The tokens of each non-blank line, ending in ``eol`` (``eof`` on the
-    last line), and the ``eof`` token.  Raises at the first stray character."""
-    rows = text.split("\n")
-    lines = []
-    for n, row in enumerate(rows, 1):
-        code = row.partition("#")[0]
-        tokens = []
-        m = _TOKEN_RE.match(code)
-        while m.lastgroup:
-            tok, span = m.group(m.lastgroup), SourceSpan(filename, n, m.start(m.lastgroup) + 1)
-            if m.lastgroup == "bad":
-                raise ParseError(f"unexpected character {tok!r}", span)
-            kind = tok if m.lastgroup == "op" else "keyword" if tok in RESERVED else "name"
-            tokens.append(_Token(kind, tok, span))
-            m = _TOKEN_RE.match(code, m.end())
-        end = _Token("eof" if n == len(rows) else "eol", "", SourceSpan(filename, n, len(row) + 1))
-        if tokens:
-            lines.append(tokens + [end])
-    return lines, end
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.tokens[0][2])
 
+    def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
+        """``message`` at ``tok``, with ``{}`` standing for what was found there."""
+        found = {"eof": "end of input", "eol": "end of line"}.get(tok[0], repr(tok[1]))
+        return ParseError(message.format(found), SourceSpan(self.file, self.line, tok[2]))
 
-def _describe(tok: _Token) -> str:
-    return {"eof": "end of input", "eol": "end of line"}.get(tok.kind, repr(tok.text))
-
-
-class _Parser(_Value, mutable=True):
-    """Recursive descent over the tokens of one line."""
-
-    tokens: list[_Token]
-    pos: int = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {_describe(tok)}", tok.span)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> str:
+        tok = self.advance()
+        if tok[0] != kind:
+            raise self.error("expected " + what + ", found {}", tok)
+        return tok[1]
+
+    def end(self, trailing: str) -> None:
+        """Report the token at hand with ``trailing`` unless it ends the line."""
+        tok = self.tokens[self.pos]
+        if tok[0] != "eol" and tok[0] != "eof":
+            raise self.error(trailing, tok)
 
     # concept := disj ; disj := conj ('|' conj)* ; conj := unary ('&' unary)*
     def concept(self) -> Concept:
         parts = [self.conj()]
-        while self.peek().kind == "|":
-            self.advance()
+        while self.tokens[self.pos][0] == "|":
+            self.pos += 1
             parts.append(self.conj())
         out = parts[-1]
         for p in reversed(parts[:-1]):
@@ -149,8 +131,8 @@ class _Parser(_Value, mutable=True):
 
     def conj(self) -> Concept:
         parts = [self.unary()]
-        while self.peek().kind == "&":
-            self.advance()
+        while self.tokens[self.pos][0] == "&":
+            self.pos += 1
             parts.append(self.unary())
         out = parts[-1]
         for p in reversed(parts[:-1]):
@@ -158,78 +140,87 @@ class _Parser(_Value, mutable=True):
         return out
 
     def unary(self) -> Concept:
-        tok = self.advance()
-        if tok.kind == "!":
+        tok = kind, text, _ = self.advance()
+        if kind == "!":
             return Not(self.unary())
-        if tok.kind == "keyword":
-            if tok.text in ("top", "bot"):
-                return TOP if tok.text == "top" else BOTTOM
+        if kind == "name":
+            return Atom(text)
+        if kind == "exists" or kind == "forall":
             role = self.expect("name", "a role name")
             self.expect(".", "'.'")
-            ctor = Exists if tok.text == "exists" else Forall
-            return ctor(role.text, self.unary())
-        if tok.kind == "name":
-            return Atom(tok.text)
-        if tok.kind == "(":
+            return (Exists if kind == "exists" else Forall)(role, self.unary())
+        if kind == "top" or kind == "bot":
+            return TOP if kind == "top" else BOTTOM
+        if kind == "(":
             c = self.concept()
             self.expect(")", "')'")
             return c
-        raise ParseError(f"expected a concept, found {_describe(tok)}", tok.span)
+        raise self.error("expected a concept, found {}", tok)
 
     def axiom(self) -> Axiom:
         lhs = self.concept()
         tok = self.advance()
-        if tok.kind not in ("[=", "~[="):
-            raise ParseError(f"expected '[=' or '~[=', found {_describe(tok)}", tok.span)
-        return (GCI if tok.kind == "[=" else DCI)(lhs, self.concept())
+        if tok[0] != "[=" and tok[0] != "~[=":
+            raise self.error("expected '[=' or '~[=', found {}", tok)
+        return (GCI if tok[0] == "[=" else DCI)(lhs, self.concept())
 
 
-def _parse(text: str, filename: str, trailing: str) -> Iterator[_Parser]:
-    """A parser per non-blank line, run by the caller before it asks for the
-    next, so the grammar recurses from the caller's frame.  Input left on a
-    line is reported with ``trailing``.  Only a document (``trailing`` is
-    ``_LINE_END``) has many lines; elsewhere a second non-blank line is left
-    over, and a blank input is parsed at its end."""
-    lines, end = _lines(text, filename)
-    document = trailing == _LINE_END
-    for n, tokens in enumerate(lines if document else lines or [[end]]):
-        if n and not document:
-            raise ParseError(trailing.format(_describe(tokens[0])), tokens[0].span)
-        parser = _Parser(tokens)
-        yield parser
-        tok = parser.peek()
-        if tok.kind not in ("eol", "eof"):
-            raise ParseError(trailing.format(_describe(tok)), tok.span)
+def _lines(text: str, filename: str) -> tuple[list[_Parser], _Parser]:
+    """A parser over each non-blank line, and one over the end of the input
+    alone.  Raises at the first stray character."""
+    rows = text.split("\n")
+    lines = []
+    for n, row in enumerate(rows, 1):
+        tokens = []
+        for m in _TOKEN_RE.finditer(row.partition("#")[0]):
+            group = m.lastgroup
+            if group is None:  # the end of the line
+                break
+            tok, column = m.group(group), m.start(group) + 1
+            if group == "bad":
+                raise ParseError(f"unexpected character {tok!r}", SourceSpan(filename, n, column))
+            tokens.append((tok if group == "op" or tok in RESERVED else "name", tok, column))
+        end = ("eof" if n == len(rows) else "eol", "", len(row) + 1)
+        if tokens:
+            tokens.append(end)
+            lines.append(_Parser(filename, n, tokens))
+    return lines, _Parser(filename, len(rows), [end])
 
 
 def parse_kb(text: str, filename: str = "<string>") -> ParsedDocument:
     """Parse a knowledge-base document, preserving axiom order and duplicates."""
-    for n, row in enumerate(text.split("\n"), 1):
-        m = re.match(r"[ \t]*@\S*", row)
-        if m:
-            raise UnknownDirectiveError(
-                f"unknown directive {m.group().strip()!r}", SourceSpan(filename, n, 1)
-            )
+    m = _DIRECTIVE_RE.search(text)
+    if m:
+        line = text.count("\n", 0, m.start()) + 1
+        raise UnknownDirectiveError(f"unknown directive {m.group(1)!r}", SourceSpan(filename, line, 1))
     parsed = {GCI: [], DCI: []}
-    for parser in _parse(text, filename, _LINE_END):
-        span, axiom = parser.peek().span, parser.axiom()
-        parsed[type(axiom)].append((axiom, span))
+    for parser in _lines(text, filename)[0]:
+        axiom = parser.axiom()
+        parser.end("expected end of line, found {}")
+        parsed[type(axiom)].append((axiom, parser.span()))
     kb = KnowledgeBase(tuple(a for a, _ in parsed[GCI]), tuple(a for a, _ in parsed[DCI]))
     return ParsedDocument(kb, tuple(s for _, s in parsed[GCI] + parsed[DCI]))
 
 
+def _read_one(text: str, filename: str, read, trailing: str):
+    """``read`` one item from the first non-blank line (from the end of a
+    blank input), and report anything after it, on its line or a later one,
+    with ``trailing``."""
+    lines, end = _lines(text, filename)
+    item = read(lines[0] if lines else end)
+    for parser in lines[:2]:  # a second line is left over from its first token
+        parser.end(trailing)
+    return item
+
+
 def parse_query(text: str, filename: str = "<query>") -> Axiom:
     """Parse exactly one axiom (strict or defeasible)."""
-    for parser in _parse(text, filename, "expected a single axiom"):
-        axiom = parser.axiom()
-    return axiom
+    return _read_one(text, filename, _Parser.axiom, "expected a single axiom")
 
 
 def parse_concept(text: str, filename: str = "<concept>") -> Concept:
     """Parse a bare concept expression."""
-    for parser in _parse(text, filename, "expected end of input, found {}"):
-        concept = parser.concept()
-    return concept
+    return _read_one(text, filename, _Parser.concept, "expected end of input, found {}")
 
 
 # Rendering: minimal parentheses under the grammar's precedence.

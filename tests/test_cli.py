@@ -425,6 +425,8 @@ import sys
 import dalc
 assert "numpy" not in sys.modules
 from dalc.cli import main
+# the value classes record their fields without dataclasses (and so inspect)
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 from dalc.closure import compute_ranking
 for argv in (["rank", {kb!r}], ["query", {kb!r}, "-q", "A ~[= B"], ["check", {kb!r}]):
     assert main(argv) == 0
@@ -481,6 +483,22 @@ def test_nesting_too_deep_is_a_resource_limit(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+def test_documented_nesting_parses_at_the_default_recursion_limit():
+    # The README promises about 330 parentheses or 990 `!` under Python's
+    # default recursion limit: the grammar recurses three frames deep per
+    # parenthesis and one per `!` or quantifier.
+    code = """
+import sys
+from dalc.parser import parse_concept, parse_kb
+assert sys.getrecursionlimit() == 1000
+for nested in ("(" * 300 + "B" + ")" * 300, "!" * 950 + "B", "exists r." * 950 + "B"):
+    parse_kb("A [= " + nested)
+    parse_concept(nested)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_role_chain_answers(capsys, tmp_path):

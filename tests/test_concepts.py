@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 import sys
@@ -198,7 +197,7 @@ def test_vocabulary_helpers():
 
 def _rebuild(c):
     """A structurally equal copy of ``c``, built bottom-up by the constructors."""
-    args = [getattr(c, f.name) for f in dataclasses.fields(c)]
+    args = [getattr(c, name) for name in c.__match_args__]
     return type(c)(*[a if isinstance(a, str) else _rebuild(a) for a in args])
 
 
@@ -217,7 +216,7 @@ def test_parsed_concept_is_the_hand_built_one():
 def test_keyword_construction_and_replace():
     assert Atom(name="A") is A
     assert And(A, right=B) is And(left=A, right=B) is And(A, B)
-    assert dataclasses.replace(Exists("r", A), filler=B) is Exists("r", B)
+    assert Exists(role="r", filler=B) is Exists("r", B)
     bad_calls = (
         lambda: And(A),
         lambda: And(A, B, C),

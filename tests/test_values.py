@@ -6,15 +6,18 @@ import copy
 import importlib
 import inspect
 import pickle
+import pkgutil
 from functools import cached_property
 
 import pytest
 
+import dalc
+from corpus import KB_DIR
 from dalc.closure import QueryResult, Ranking
 from dalc.concepts import (
     BOTTOM, DCI, GCI, TOP, And, Atom, Bottom, Exists, Forall, KnowledgeBase, Not, Or, Top,
 )
-from dalc.parser import ParsedDocument, SourceSpan
+from dalc.parser import ParsedDocument, SourceSpan, parse_kb
 from dalc.ranks import Rank
 from dalc.search import SearchResult
 from dalc.semantics import FiniteInterpretation, PreferentialInterpretation, RankedInterpretation, Violation
@@ -136,6 +139,20 @@ def test_concepts_pickle_and_copy_to_the_same_object():
         assert isinstance(c, (Top, Bottom)) or type(c)(*(getattr(c, n) for n in c.__match_args__)) is c
 
 
+def test_the_parser_builds_one_span_per_axiom(monkeypatch):
+    # a span marks where an axiom starts, or an error; tokens carry only columns
+    built = []
+
+    class Counted(SourceSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(dalc.parser, "SourceSpan", Counted)
+    doc = parse_kb((KB_DIR / "boss.dkb").read_text(), "boss.dkb")
+    assert len(doc.kb.axioms) > 1 and built == list(doc.axiom_spans)
+
+
 def test_a_stats_subclass_calling_super_init_still_counts():
     # the benchmark records each EntailmentStats the CLI creates this way
     created = []
@@ -153,8 +170,7 @@ def test_a_stats_subclass_calling_super_init_still_counts():
     assert Recorded(2).checks == 2 and Recorded(2) != EntailmentStats(2)
 
 
-MODULES = ["dalc.cli", "dalc.closure", "dalc.concepts", "dalc.parser", "dalc.ranks",
-           "dalc.search", "dalc.semantics", "dalc.tableau"]
+MODULES = [f"dalc.{m.name}" for m in pkgutil.iter_modules(dalc.__path__)]
 
 
 def _functions(cls):
