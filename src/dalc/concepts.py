@@ -199,35 +199,34 @@ def nnf(c: Concept) -> Concept:
     Equivalence-preserving under the set-theoretic semantics (De Morgan, the
     quantifier dualities and the ⊤/⊥ laws), and idempotent.
     """
-    while isinstance(c, Not):  # push the negation inward by one constructor
+    while (kind := c.__class__) is Not:  # push the negation inward by one constructor
         inner = c.operand
-        if isinstance(inner, Atom):
+        kind = inner.__class__
+        if kind is Atom:
             return c
-        if isinstance(inner, (Top, Bottom)):
-            return BOTTOM if isinstance(inner, Top) else TOP
-        if isinstance(inner, Not):
+        if kind is Not:
             c = inner.operand
-        elif isinstance(inner, (And, Or)):
-            dual = Or if isinstance(inner, And) else And
-            c = dual(Not(inner.left), Not(inner.right))
-        elif isinstance(inner, (Exists, Forall)):
-            dual = Forall if isinstance(inner, Exists) else Exists
-            c = dual(inner.role, Not(inner.filler))
+        elif kind is Top or kind is Bottom:
+            return BOTTOM if kind is Top else TOP
+        elif kind is And or kind is Or:
+            c = (Or if kind is And else And)(Not(inner.left), Not(inner.right))
+        elif kind is Exists or kind is Forall:
+            c = (Forall if kind is Exists else Exists)(inner.role, Not(inner.filler))
         else:
             raise TypeError("not a concept: %r" % (inner,))
-    if isinstance(c, (And, Or)):
-        zero, unit = (BOTTOM, TOP) if isinstance(c, And) else (TOP, BOTTOM)
+    if kind is And or kind is Or:
+        zero, unit = (BOTTOM, TOP) if kind is And else (TOP, BOTTOM)
         left, right = nnf(c.left), nnf(c.right)
         if left is zero or right is zero:
             return zero
         if left is unit:
             return right
-        return left if right is unit else type(c)(left, right)
-    if isinstance(c, (Exists, Forall)):
+        return left if right is unit else kind(left, right)
+    if kind is Exists or kind is Forall:
         filler = nnf(c.filler)
-        zero = BOTTOM if isinstance(c, Exists) else TOP
-        return zero if filler is zero else type(c)(c.role, filler)
-    if isinstance(c, (Top, Bottom, Atom)):
+        zero = BOTTOM if kind is Exists else TOP
+        return zero if filler is zero else kind(c.role, filler)
+    if kind is Atom or kind is Top or kind is Bottom:
         return c
     raise TypeError("not a concept: %r" % (c,))
 

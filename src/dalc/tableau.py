@@ -7,7 +7,9 @@ restrictions spawn role successors, and ancestor subset-blocking guarantees
 termination.  A node's Or-branches are popped off an explicit stack, depth
 first and left branch first; only role successors recurse, so a check takes
 one Python frame per role level.  This is the only decision procedure the
-defeasible engine relies on.
+defeasible engine relies on.  A node classifies a concept by its exact class,
+which ``nnf`` guarantees; its remaining cost is re-reading the whole label
+that its branch inherited.
 
 A TBox is compiled once into a ``CompiledTBox``: its constraints, and a cache
 of the successor labels its checks have decided (Horrocks & Patel-Schneider,
@@ -135,14 +137,13 @@ def is_satisfiable(
         def add(c: Concept) -> bool:
             if c in seen:
                 return True
-            if isinstance(c, Bottom):
-                return False
-            if isinstance(c, Atom) and c in neg:
-                return False
-            if isinstance(c, Not):
+            kind = c.__class__
+            if kind is Not:
                 if c.operand in seen:
                     return False
                 neg.add(c.operand)
+            elif kind is Bottom or kind is Atom and c in neg:
+                return False
             seen.add(c)
             items.append(c)
             return True
@@ -158,11 +159,11 @@ def is_satisfiable(
             # The label closed under conjunction (``items`` grows as it is
             # read); a clash closes the branch.
             if not all(map(add, branches.pop())) or not all(
-                add(c.left) and add(c.right) for c in items if isinstance(c, And)
+                add(c.left) and add(c.right) for c in items if c.__class__ is And
             ):
                 continue
             split = next(
-                (c for c in items if isinstance(c, Or) and c.left not in seen and c.right not in seen), None
+                (c for c in items if c.__class__ is Or and c.left not in seen and c.right not in seen), None
             )
             if split is not None:
                 extended = tuple(items)  # the left branch is popped first
@@ -175,9 +176,9 @@ def is_satisfiable(
                 break
             low = _UNBLOCKED
             for e in items:
-                if isinstance(e, Exists):
+                if e.__class__ is Exists:
                     successor = (e.filler,) + tuple(
-                        f.filler for f in items if isinstance(f, Forall) and f.role == e.role
+                        f.filler for f in items if f.__class__ is Forall and f.role == e.role
                     ) + universal
                     sub = expand(successor, ancestors + (label_set,))
                     if sub is None:

@@ -1,7 +1,8 @@
 """Seeded random interpretations and concepts for the tests, the naive
 enumeration that the oracle's configuration-space search is checked against,
 the filter that its height vectors are checked against, and the recursive
-tableau that the stack-based one is checked against."""
+tableau and ``isinstance`` negation normal form that the stack-based tableau
+and ``dalc.concepts.nnf`` are checked against."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import Optional, Sequence
 
 from dalc.concepts import (
     BOTTOM, GCI, TOP, And, Atom, Axiom, Bottom, Concept, Exists, Forall, KnowledgeBase, Not, Or,
-    ResourceLimitError, nnf,
+    ResourceLimitError, Top,
 )
 from dalc.search import _vocabulary
 from dalc.semantics import (
@@ -116,6 +117,42 @@ def random_concept(rng, atoms: Sequence[str], roles: Sequence[str], depth: int) 
     )
 
 
+def reference_nnf(c: Concept) -> Concept:
+    """``dalc.concepts.nnf`` as it was when it dispatched with ``isinstance``,
+    which also let instances of subclasses of the concept classes through."""
+    while isinstance(c, Not):  # push the negation inward by one constructor
+        inner = c.operand
+        if isinstance(inner, Atom):
+            return c
+        if isinstance(inner, (Top, Bottom)):
+            return BOTTOM if isinstance(inner, Top) else TOP
+        if isinstance(inner, Not):
+            c = inner.operand
+        elif isinstance(inner, (And, Or)):
+            dual = Or if isinstance(inner, And) else And
+            c = dual(Not(inner.left), Not(inner.right))
+        elif isinstance(inner, (Exists, Forall)):
+            dual = Forall if isinstance(inner, Exists) else Exists
+            c = dual(inner.role, Not(inner.filler))
+        else:
+            raise TypeError("not a concept: %r" % (inner,))
+    if isinstance(c, (And, Or)):
+        zero, unit = (BOTTOM, TOP) if isinstance(c, And) else (TOP, BOTTOM)
+        left, right = reference_nnf(c.left), reference_nnf(c.right)
+        if left is zero or right is zero:
+            return zero
+        if left is unit:
+            return right
+        return left if right is unit else type(c)(left, right)
+    if isinstance(c, (Exists, Forall)):
+        filler = reference_nnf(c.filler)
+        zero = BOTTOM if isinstance(c, Exists) else TOP
+        return zero if filler is zero else type(c)(c.role, filler)
+    if isinstance(c, (Top, Bottom, Atom)):
+        return c
+    raise TypeError("not a concept: %r" % (c,))
+
+
 class _Tableau:
     """Reference tableau: one Python frame per Or-branch as well as per role
     successor.  With a label cache, ``dalc.tableau.is_satisfiable`` on a
@@ -217,8 +254,9 @@ def reference_is_satisfiable(
 ) -> bool:
     """``dalc.tableau.is_satisfiable`` before Or-branches moved onto an
     explicit stack (without the role-depth budget it then had), with a label
-    cache of its own for this one call, or, with ``cached=False``, none."""
+    cache of its own for this one call, or, with ``cached=False``, none.
+    Labels are built by ``reference_nnf``."""
     if stats is None:
         stats = EntailmentStats()
-    universal = tuple(u for g in tbox if (u := nnf(Or(Not(g.lhs), g.rhs))) is not TOP)
-    return _Tableau(universal, cfg, stats, cached).satisfiable((nnf(c),) + universal)
+    universal = tuple(u for g in tbox if (u := reference_nnf(Or(Not(g.lhs), g.rhs))) is not TOP)
+    return _Tableau(universal, cfg, stats, cached).satisfiable((reference_nnf(c),) + universal)

@@ -30,10 +30,10 @@ from dalc.concepts import (
 from dalc.parser import parse_concept
 from dalc.search import _quantified_subconcepts
 from dalc.semantics import extension
-from dalc.tableau import entails
+from dalc.tableau import entails, is_satisfiable
 from dalc.concepts import GCI
 import corpus
-from generators import random_concept, random_ranked_interpretation
+from generators import random_concept, random_ranked_interpretation, reference_nnf
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -122,6 +122,46 @@ def test_nnf_preserves_extensions():
         i = random_ranked_interpretation(rng, rng.randrange(1, 4), ["A", "B", "C"], ["r", "s"])
         c = random_concept(rng, ["A", "B", "C"], ["r", "s"], 3)
         assert extension(i, c) == extension(i, nnf(c))
+
+
+def test_nnf_matches_the_isinstance_reference():
+    rng = random.Random(24)
+    for roles in ([], ["r", "s"]):
+        for depth in range(5):
+            for _ in range(100):
+                c = random_concept(rng, ["A", "B", "C"], roles, depth)
+                assert nnf(c) is reference_nnf(c)
+                assert nnf(Not(c)) is reference_nnf(Not(c))
+
+
+class _SubAtom(Atom):
+    """Not a concept: the concept classes are final."""
+
+
+class _SubAnd(And):
+    """Not a concept: the concept classes are final."""
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        _SubAtom("A"),
+        _SubAnd(A, B),
+        Not(_SubAtom("A")),
+        Not(_SubAnd(A, B)),
+        Or(B, Exists("r", _SubAtom("A"))),
+        Forall("r", Not(Not(_SubAnd(A, B)))),
+    ],
+    ids=["atom", "and", "negated-atom", "negated-and", "nested-atom", "nested-and"],
+)
+def test_only_the_eight_concept_classes_are_concepts(c):
+    # the tableau dispatches on exact classes, and trusts nnf to refuse the rest
+    with pytest.raises(TypeError, match="not a concept"):
+        nnf(c)
+    with pytest.raises(TypeError, match="not a concept"):
+        is_satisfiable(c)
+    with pytest.raises(TypeError, match="not a concept"):
+        is_satisfiable(A, [GCI(c, B)])
 
 
 def test_subconcept_closure_conjunction():
