@@ -6,22 +6,26 @@
     dalc oracle KB.dkb [-q AXIOM] [--max-domain N] [--max-rows N]
                                 bounded model / countermodel search
 
-Every command runs one pipeline: load the KB, parse the query, and (except
-``oracle``) rank the KB once with one per-check tableau budget
+Every command is one function ``(ns, kb, q) -> Output`` in one table,
+``COMMANDS``, which also gives the argument parser its subcommand names and
+help texts (each function's one-line docstring).  ``main`` loads the KB and
+parses the query, then calls the command's function; that runs only the work
+it prints and turns the result into JSON or text lines.  rank, query and
+check first rank the KB once, with one per-check tableau budget
 (``--max-nodes``, which also bounds how deep a check's successors nest) and
-one stats object; a renderer per command then runs only the checks it prints
-and turns the result into JSON or text lines.  The ⊤ ⊑ ⊥ check runs only
-where T* has not yet been shown consistent: in ``check`` when the ranking
-has no level, and in ``query`` when, besides, the verdict is true at
+one stats object; ``oracle`` runs the model search instead.  The ⊤ ⊑ ⊥ check
+runs only where T* has not yet been shown consistent: in ``check`` when the
+ranking has no level, and in ``query`` when, besides, the verdict is true at
 infinity; that verdict holds either way, so if the check hits a resource
 limit ``query`` prints it with T*'s consistency unknown (``kb_inconsistent:
 null``).  The argument parser is built once per process.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
-limit: an exhausted tableau budget, an oracle scan over its row budget, or
-nesting too deep to recurse through, 3 = internal error, 0 otherwise, as for
-a ``query`` answered before its ⊤ ⊑ ⊥ check ran out).
+limit: an exhausted tableau budget, an oracle scan over its row budget or
+over too wide a vocabulary, or nesting too deep to recurse through,
+3 = internal error, 0 otherwise, as for a ``query`` answered before its
+⊤ ⊑ ⊥ check ran out).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from pathlib import Path
 from typing import Optional
 
 from .closure import Ranking, compute_ranking, rationally_deducible, tstar_inconsistent
-from .concepts import MAX_ROWS, Atom, Axiom, BOTTOM, GCI, KnowledgeBase, _Value, atom_names
+from .concepts import MAX_ROWS, Atom, Axiom, BOTTOM, GCI, KnowledgeBase, atom_names
 from .parser import ParseError, axiom_to_json, parse_kb, parse_query, render_axiom
 from .tableau import DEFAULT_CONFIG, EntailmentStats, ResourceLimitError, TableauConfig, entails
 
@@ -49,45 +53,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = _ArgumentParser(
-        prog="dalc", description="Defeasible ALC reasoner (rational closure)."
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("rank", "compute and display the DCI ranking"),
-        ("query", "answer a rational-closure query"),
-        ("check", "consistency report for the knowledge base"),
-        ("oracle", "bounded ranked-model search (one-sided)"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("path", help="knowledge base file (.dkb)")
-        if name in ("query", "oracle"):
-            p.add_argument("-q", "--query", default=None, help="axiom to query")
-        p.add_argument("--json", action="store_true", dest="json_out")
-        if name == "oracle":
-            p.add_argument("--max-domain", type=int, default=4)
-            p.add_argument("--max-rows", type=int, default=MAX_ROWS)
-        else:
-            p.add_argument("--max-nodes", type=int, default=DEFAULT_CONFIG.max_nodes)
-    return ap
+def _ranked(
+    ns: argparse.Namespace, kb: KnowledgeBase
+) -> tuple[Ranking, TableauConfig, EntailmentStats]:
+    """Rank ``kb`` under the command's per-check tableau budget.  Returns the
+    ranking, the budget and the one stats object that the ranking's checks
+    and the command's own checks share."""
+    cfg = TableauConfig(ns.max_nodes)
+    stats = EntailmentStats()
+    return compute_ranking(kb, cfg, stats), cfg, stats
 
 
-ARG_PARSER = build_arg_parser()  # built once: ``main`` may run many times per process
-
-
-class _Ranked(_Value):
-    """The inputs of rank, query and check, and the tableau work they share."""
-
-    kb: KnowledgeBase
-    query: Optional[Axiom]
-    ranking: Ranking
-    cfg: TableauConfig
-    stats: EntailmentStats
-
-
-def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
-    ranking = r.ranking
+def _rank(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
+    """compute and display the DCI ranking"""
+    ranking, _, stats = _ranked(ns, kb)
     if ns.json_out:
         return {
             "tstar": [axiom_to_json(a) for a in ranking.tstar],
@@ -95,13 +74,13 @@ def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
             "partition": [
                 [axiom_to_json(d) for d in part] for part in ranking.partition
             ],
-            "stats": {"entailment_checks": r.stats.checks, "tableau_nodes": r.stats.nodes_expanded},
+            "stats": {"entailment_checks": stats.checks, "tableau_nodes": stats.nodes_expanded},
         }
     lines = ["T* (normalized TBox):"]
     if not ranking.tstar:
         lines.append("  (empty)")
     for i, a in enumerate(ranking.tstar):  # the promoted GCIs follow the TBox
-        marker = "   [promoted from DTBox]" if i >= len(r.kb.tbox) else ""
+        marker = "   [promoted from DTBox]" if i >= len(kb.tbox) else ""
         lines.append(f"  {render_axiom(a)}{marker}")
     lines.append("Partition of D*:")
     if not ranking.partition:
@@ -111,13 +90,15 @@ def _rank(ns: argparse.Namespace, r: _Ranked) -> Output:
         lines.extend(f"    {render_axiom(d)}" for d in part)
     lines.append(
         "Entailment checks: ranking=%d; tableau nodes: ranking=%d"
-        % (r.stats.checks, r.stats.nodes_expanded)
+        % (stats.checks, stats.nodes_expanded)
     )
     return lines
 
 
-def _query(ns: argparse.Namespace, r: _Ranked) -> Output:
-    result = rationally_deducible(r.ranking, r.query, r.cfg, r.stats)
+def _query(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
+    """answer a rational-closure query"""
+    ranking, cfg, stats = _ranked(ns, kb)
+    result = rationally_deducible(ranking, q, cfg, stats)
     rank = result.decided_at
     # a compatible level, or a refuted subsumption, has shown T* consistent;
     # an inconsistent T* entails every query, so a true verdict stands even
@@ -125,7 +106,7 @@ def _query(ns: argparse.Namespace, r: _Ranked) -> Output:
     inconsistent: Optional[bool] = False
     if result.verdict and rank.is_infinite:
         try:
-            inconsistent = tstar_inconsistent(r.ranking, r.cfg, r.stats)
+            inconsistent = tstar_inconsistent(ranking, cfg, stats)
         except ResourceLimitError:
             inconsistent = None
     if ns.json_out:
@@ -146,14 +127,16 @@ def _query(ns: argparse.Namespace, r: _Ranked) -> Output:
     return lines
 
 
-def _check(ns: argparse.Namespace, r: _Ranked) -> Output:
-    inconsistent = tstar_inconsistent(r.ranking, r.cfg, r.stats)
+def _check(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
+    """consistency report for the knowledge base"""
+    ranking, cfg, stats = _ranked(ns, kb)
+    inconsistent = tstar_inconsistent(ranking, cfg, stats)
     unsat = [
         a
-        for a in sorted(atom_names(r.kb.axioms))
-        if entails(r.ranking.tstar, GCI(Atom(a), BOTTOM), r.cfg, r.stats)
+        for a in sorted(atom_names(kb.axioms))
+        if entails(ranking.tstar, GCI(Atom(a), BOTTOM), cfg, stats)
     ]
-    infinite = r.ranking.moved_to_tbox
+    infinite = ranking.moved_to_tbox
     if ns.json_out:
         return {
             "consistent": not inconsistent,
@@ -182,6 +165,7 @@ def search_countermodel(*args, **kwargs):
 
 
 def _oracle(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
+    """bounded ranked-model search (one-sided)"""
     if q is not None:
         result = search_countermodel(kb, q, ns.max_domain, ns.max_rows)
         kind = "countermodel"
@@ -211,7 +195,29 @@ def _oracle(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Ou
     return lines
 
 
-RENDERERS = {"rank": _rank, "query": _query, "check": _check}
+COMMANDS = {"rank": _rank, "query": _query, "check": _check, "oracle": _oracle}
+
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    ap = _ArgumentParser(
+        prog="dalc", description="Defeasible ALC reasoner (rational closure)."
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        p.add_argument("path", help="knowledge base file (.dkb)")
+        if name in ("query", "oracle"):
+            p.add_argument("-q", "--query", default=None, help="axiom to query")
+        p.add_argument("--json", action="store_true", dest="json_out")
+        if name == "oracle":
+            p.add_argument("--max-domain", type=int, default=4)
+            p.add_argument("--max-rows", type=int, default=MAX_ROWS)
+        else:
+            p.add_argument("--max-nodes", type=int, default=DEFAULT_CONFIG.max_nodes)
+    return ap
+
+
+ARG_PARSER = build_arg_parser()  # built once: ``main`` may run many times per process
 
 
 def _bad_flag(ns: argparse.Namespace) -> Optional[str]:
@@ -241,19 +247,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         kb = parse_kb(text, ns.path).kb
         q = parse_query(ns.query) if getattr(ns, "query", None) is not None else None
-        if ns.command == "oracle":
-            out = _oracle(ns, kb, q)
-        else:
-            cfg = TableauConfig(ns.max_nodes)
-            stats = EntailmentStats()
-            ranked = _Ranked(kb, q, compute_ranking(kb, cfg, stats), cfg, stats)
-            out = RENDERERS[ns.command](ns, ranked)
+        out = COMMANDS[ns.command](ns, kb, q)
     except ParseError as e:
         return _fail(f"parse error: {e}")
     except ResourceLimitError as e:
         return _fail(f"resource limit: {e}", 2)
     except RecursionError:
-        # The parser and the renderers recurse once per nesting level; the
+        # The parser and the commands recurse once per nesting level; the
         # tableau reports its own nesting limit as a ResourceLimitError.
         limit = sys.getrecursionlimit()
         return _fail(f"resource limit: nesting too deep (recursion limit {limit})", 2)

@@ -52,7 +52,12 @@ with F the ordered Bell numbers (the number of convex height maps): its
 configurations, or, when they are few, the tables it builds for them.  It
 raises ``ResourceLimitError`` if that exceeds ``max_rows``, which bounds the
 scan's work, or if the sorted rows over all 2^w types, numbered in int64,
-reach 2^62; that also keeps the type filter from listing 2^32 types.
+reach 2^62.  Neither bounds the type filter, which reads all 2^w element
+types before any scan: at domain size 1 the default budget admits w = 39,
+and the int64 guard w = 61.  So the search also refuses w > 24 (_MAX_WIDTH),
+where the filter alone takes seconds and hundreds of MB.  ``_search`` takes
+the knowledge base and works out the atoms and roles itself, from the axioms
+and the query.
 """
 
 from __future__ import annotations
@@ -79,6 +84,10 @@ from .semantics import (
 # reuses from the heap instead of mapping it and faulting it in anew.
 _CHUNK_BITS = 20
 _WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
+# The most atoms plus quantified subconcepts w the search reads the 2^w
+# element types of: at w = 24 a search at domain size 1 takes about 5 s and
+# 260 MB on a 2-core VM, and each further two symbols about 4 times that.
+_MAX_WIDTH = 24
 
 
 class SearchResult(_Value):
@@ -366,25 +375,30 @@ def _witness_words(space: _ConfigSpace, dcis, must_fail: Optional[Axiom]):
                 yield batch, start, hit, rows, sat
 
 
+def _vocabulary(kb: KnowledgeBase, extra: Sequence[Axiom] = ()) -> tuple[list[str], list[str]]:
+    items = list(kb.axioms) + list(extra)
+    return sorted(atom_names(items)), sorted(role_names(items))
+
+
 def _search(
-    must_hold: Sequence[Axiom],
+    kb: KnowledgeBase,
     must_fail: Optional[Axiom],
-    atoms: Sequence[str],
-    roles: Sequence[str],
     max_domain: int,
     limit: int = 1,
     max_rows: int = MAX_ROWS,
 ) -> tuple[list[RankedInterpretation], int]:
     """Scan all ranked interpretations up to ``max_domain`` (via the abstract
-    configuration space) for models of ``must_hold`` that, when requested,
-    falsify ``must_fail``.  Returns up to ``limit`` witnesses plus the number
-    of candidate configurations examined.  Raises ``ResourceLimitError``
-    before any work when a full scan would examine more than ``max_rows``."""
+    configuration space) for models of ``kb`` that, when requested, falsify
+    ``must_fail``, over the atoms and roles of both.  Returns up to ``limit``
+    witnesses plus the number of candidate configurations examined.  Raises
+    ``ResourceLimitError`` before any work when a full scan would examine
+    more than ``max_rows``, or the vocabulary is too wide to filter."""
     for name, value in (("max_domain", max_domain), ("limit", limit), ("max_rows", max_rows)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
-    relevant = list(must_hold) + ([must_fail] if must_fail is not None else [])
-    quantified = _quantified_subconcepts(relevant)
+    extra = [must_fail] if must_fail is not None else []
+    atoms, roles = _vocabulary(kb, extra)
+    quantified = _quantified_subconcepts(list(kb.axioms) + extra)
     width = len(atoms) + len(quantified)
     scan = 0
     for size in itertools.islice(_scan_sizes(width), max_domain):
@@ -396,8 +410,13 @@ def _search(
             )
     if math.comb((1 << width) + max_domain - 1, max_domain) >= 1 << 62:
         raise ResourceLimitError(f"the oracle cannot rank the sorted rows of domain size {max_domain}")
-    types = _valid_types(atoms, quantified, [a for a in must_hold if isinstance(a, GCI)])
-    dcis = [a for a in must_hold if isinstance(a, DCI)]
+    if width > _MAX_WIDTH:
+        raise ResourceLimitError(
+            f"the oracle cannot filter the element types of {width} atoms and quantified "
+            f"subconcepts (at most {_MAX_WIDTH})"
+        )
+    types = _valid_types(atoms, quantified, [a for a in kb.axioms if isinstance(a, GCI)])
+    dcis = [a for a in kb.axioms if isinstance(a, DCI)]
     found: list[RankedInterpretation] = []
     examined, space = 0, None
 
@@ -410,7 +429,7 @@ def _search(
                     continue
                 for row in rows[np.flatnonzero(sat >> np.uint64(j) & np.uint64(1))].tolist():
                     witness = space.materialize(row, hv, roles)
-                    if not satisfies_all(witness, must_hold):
+                    if not satisfies_all(witness, kb.axioms):
                         raise AssertionError("materialized witness fails the axioms")
                     if must_fail is not None and satisfies(witness, must_fail):
                         raise AssertionError("materialized witness satisfies the query")
@@ -422,19 +441,13 @@ def _search(
     return found, examined
 
 
-def _vocabulary(kb: KnowledgeBase, extra: Sequence[Axiom] = ()) -> tuple[list[str], list[str]]:
-    items = list(kb.axioms) + list(extra)
-    return sorted(atom_names(items)), sorted(role_names(items))
-
-
 def search_model(
     kb: KnowledgeBase, max_domain: int, max_rows: int = MAX_ROWS
 ) -> SearchResult:
     """First ranked model of ``kb`` with at most ``max_domain`` elements, or
     absent.  Absence does not prove unsatisfiability (one-sided).  Raises
     ``ResourceLimitError`` if a full scan exceeds ``max_rows`` configurations."""
-    atoms, roles = _vocabulary(kb)
-    found, examined = _search(kb.axioms, None, atoms, roles, max_domain, 1, max_rows)
+    found, examined = _search(kb, None, max_domain, 1, max_rows)
     return SearchResult(found[0] if found else None, examined)
 
 
@@ -443,8 +456,7 @@ def search_countermodel(
 ) -> SearchResult:
     """First ranked model of ``kb`` violating ``query`` within the bound, or
     absent (one-sided in the same way), under the same row budget."""
-    atoms, roles = _vocabulary(kb, (query,))
-    found, examined = _search(kb.axioms, query, atoms, roles, max_domain, 1, max_rows)
+    found, examined = _search(kb, query, max_domain, 1, max_rows)
     return SearchResult(found[0] if found else None, examined)
 
 
@@ -453,6 +465,5 @@ def enumerate_models(kb: KnowledgeBase, max_domain: int, limit: int) -> list[Ran
     each with non-decreasing element types.  Up to a permutation of its
     elements, every model within the bound has the atoms, quantifier bits and
     heights of one that the search can yield."""
-    atoms, roles = _vocabulary(kb)
-    found, _ = _search(kb.axioms, None, atoms, roles, max_domain, limit=limit)
+    found, _ = _search(kb, None, max_domain, limit=limit)
     return found

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -296,13 +297,17 @@ def test_oracle_over_row_budget_is_a_resource_limit(capsys, tmp_path):
     # Six flat defaults over twelve atoms need 2^36 * 13 configurations at
     # domain 3 alone; the empty KB at domain 30 needs F(30) height vectors.
     # With few bit patterns the tables are charged: `top [= bot` at domain 12
-    # and one atom at domain 8 would spend minutes building them.  All are
-    # refused before any search.
+    # and one atom at domain 8 would spend minutes building them.  Thirty
+    # atoms at domain 1 are within the budget, but filtering their 2^30
+    # element types would take gigabytes.  All are refused before any search.
     flat = tmp_path / "flat6.dkb"
     flat.write_text("".join(f"A{i} ~[= B{i}\n" for i in range(6)))
     inconsistent = tmp_path / "topbot.dkb"
     inconsistent.write_text("top [= bot\n")
+    wide = tmp_path / "wide30.dkb"
+    wide.write_text("A0 [= A1\n" + "".join(f"A{i} ~[= A{i + 1}\n" for i in range(29)))
     for argv in (
+        ("oracle", str(wide), "--max-domain", "1"),
         ("oracle", str(flat), "-q", "A0 ~[= B1", "--max-domain", "3"),
         ("oracle", f"{KB}/empty.dkb", "--max-domain", "30"),
         ("oracle", str(inconsistent), "--max-domain", "12"),
@@ -315,6 +320,68 @@ def test_oracle_over_row_budget_is_a_resource_limit(capsys, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+def test_a_query_s_own_names_reach_the_witness(capsys):
+    # likes and Pizza occur only in the query; the search works them out
+    code, out, _ = run(
+        capsys, "oracle", f"{KB}/student.dkb", "-q", "Student ~[= exists likes.Pizza", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    interp = doc["interpretation"]
+    assert doc["found"] and interp["domain"] == 1
+    assert "Pizza" in interp["atoms"]
+    assert set(interp["roles"]) == {"likes", "pays"}
+    assert doc["enumerated"] == 17
+
+
+def test_the_benchmark_finds_its_call_sites(monkeypatch):
+    """The benchmark wraps the CLI's functions at the names it calls them
+    by, and counts checks through the ``EntailmentStats`` objects the CLI
+    builds: one per ranking command, none for the oracle."""
+    import dalc.cli
+    import dalc.closure
+    import dalc.parser
+    import dalc.tableau
+
+    monkeypatch.syspath_prepend(str(corpus.KB_DIR.parent / "dalcbench"))
+    from layers import instrument
+    from spans import Tracer
+
+    built = []
+
+    class Counted(EntailmentStats):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(dalc.cli, "EntailmentStats", Counted)
+    live = types.SimpleNamespace(
+        cli=dalc.cli, closure=dalc.closure, parser=dalc.parser, tableau=dalc.tableau
+    )
+    unpatched = dict(vars(dalc.cli))
+    tracer = Tracer()
+    try:
+        assert instrument(tracer, live) == []
+        at_cli = {a for a, f in vars(dalc.cli).items() if unpatched.get(a) is not f} - {"main"}
+        kb = f"{KB}/student.dkb"
+        for argv, stats in (
+            (["rank", kb], 1),
+            (["check", kb], 1),
+            (["query", kb, "-q", "Student ~[= !exists pays.Tax"], 1),
+            (["oracle", kb, "--max-domain", "2"], 0),
+            (["oracle", kb, "-q", "Student ~[= exists likes.Pizza"], 0),
+        ):
+            built.clear()
+            assert dalc.cli.main(argv) == 0, argv
+            assert len(built) == stats, argv
+    finally:
+        tracer.unpatch()
+    # each name patched in dalc.cli is what the CLI calls: it opens a span
+    # right inside main's
+    called = {s.name for s in tracer.spans if s.parent is not None and s.parent.name == "cli.main"}
+    assert len(called) == len(at_cli)
 
 
 def test_missing_file(capsys):

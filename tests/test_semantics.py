@@ -21,6 +21,7 @@ from dalc.concepts import (
     Not,
     ResourceLimitError,
     TOP,
+    conjoin,
 )
 import dalc.search as search
 import dalc.semantics as sem
@@ -573,7 +574,7 @@ def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
 
 def assert_matches_reference(kb, query, max_domain, limit=1):
     atoms, roles = search._vocabulary(kb, (query,) if query is not None else ())
-    found, examined = search._search(kb.axioms, query, atoms, roles, max_domain, limit)
+    found, examined = search._search(kb, query, max_domain, limit)
     ref_found, ref_examined = reference_search(
         kb.axioms, query, atoms, roles, max_domain, limit
     )
@@ -782,9 +783,24 @@ def test_sorted_rows_past_int64_ranks_are_a_resource_limit(monkeypatch):
         raise AssertionError("the search started scanning")
 
     monkeypatch.setattr(search, "_witness_words", scan)
-    atoms = [f"A{k}" for k in range(32)]
+    query = GCI(conjoin([Atom(f"A{k}") for k in range(31)]), Atom("A31"))
     with pytest.raises(ResourceLimitError, match="cannot rank the sorted rows of domain size 2"):
-        search._search([], GCI(Atom("A0"), Atom("A1")), atoms, [], 2, max_rows=1 << 66)
+        search._search(KnowledgeBase(), query, 2, max_rows=1 << 66)
+
+
+def test_a_vocabulary_of_24_symbols_reaches_the_type_filter(monkeypatch):
+    # 24 atoms is the widest vocabulary the search filters; at domain size 1
+    # the default budget admits it, and so does the width cap
+    class Reached(Exception):
+        pass
+
+    def valid_types(*args):
+        raise Reached
+
+    monkeypatch.setattr(search, "_valid_types", valid_types)
+    kb = KnowledgeBase(dtbox=[DCI(Atom(f"A{k}"), Atom(f"A{k + 1}")) for k in range(23)])
+    with pytest.raises(Reached):
+        search._search(kb, None, 1)
 
 
 def element_types(space, masks):
@@ -1033,9 +1049,8 @@ def test_a_kb_with_no_valid_type_builds_no_row(monkeypatch, query):
     the filter reads the four single-element types of atoms A and B.  Every
     size still counts all its configurations, as the reference does."""
     kb = KnowledgeBase(tbox=(GCI(TOP, BOTTOM),), dtbox=(DCI(Atom("A"), Atom("B")),))
-    atoms, roles = search._vocabulary(kb, (query,) if query is not None else ())
     built = count_built_rows(monkeypatch)
-    found, examined = search._search(kb.axioms, query, atoms, roles, 4)
+    found, examined = search._search(kb, query, 4)
     assert not found and built == {1: 4}
     assert examined == sum(4**d * len(convex_height_vectors(d)) for d in range(1, 5))
     monkeypatch.undo()
