@@ -7,18 +7,17 @@
                                 bounded model / countermodel search
 
 Every command is one function ``(ns, kb, q) -> Output`` in one table,
-``COMMANDS``, which also gives the argument parser its subcommand names and
-help texts (each function's one-line docstring).  ``main`` loads the KB and
-parses the query, then calls the command's function; that runs only the work
-it prints and turns the result into JSON or text lines.  rank, query and
-check first rank the KB once, with one per-check tableau budget
-(``--max-nodes``, which also bounds how deep a check's successors nest) and
-one stats object; ``oracle`` runs the model search instead.  The ⊤ ⊑ ⊥ check
-runs only where T* has not yet been shown consistent: in ``check`` when the
-ranking has no level, and in ``query`` when, besides, the verdict is true at
-infinity; that verdict holds either way, so if the check hits a resource
-limit ``query`` prints it with T*'s consistency unknown (``kb_inconsistent:
-null``).  The argument parser is built once per process.
+``COMMANDS``, whose docstrings are the subcommands' help texts: ``main``
+loads the KB, parses the query and calls it, and it runs only the work it
+prints and turns the result into JSON or text lines.  rank, query and check
+rank the KB once, with one per-check tableau budget (``--max-nodes``, which
+also bounds how deep a check's successors nest) and one stats object.  The
+⊤ ⊑ ⊥ check runs only where T* has not yet been shown consistent: in
+``check`` when the ranking has no level, and in ``query`` when, besides,
+the verdict is true at infinity; that verdict holds either way, so if the
+check hits a resource limit ``query`` prints it with T*'s consistency
+unknown (``kb_inconsistent: null``).  The argument parser is built once per
+process.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
@@ -56,9 +55,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _ranked(
     ns: argparse.Namespace, kb: KnowledgeBase
 ) -> tuple[Ranking, TableauConfig, EntailmentStats]:
-    """Rank ``kb`` under the command's per-check tableau budget.  Returns the
-    ranking, the budget and the one stats object that the ranking's checks
-    and the command's own checks share."""
+    """The ranking of ``kb`` under the command's per-check tableau budget,
+    the budget, and the one stats object the command's checks share."""
     cfg = TableauConfig(ns.max_nodes)
     stats = EntailmentStats()
     return compute_ranking(kb, cfg, stats), cfg, stats

@@ -53,11 +53,10 @@ configurations, or, when they are few, the tables it builds for them.  It
 raises ``ResourceLimitError`` if that exceeds ``max_rows``, which bounds the
 scan's work, or if the sorted rows over all 2^w types, numbered in int64,
 reach 2^62.  Neither bounds the type filter, which reads all 2^w element
-types before any scan: at domain size 1 the default budget admits w = 39,
-and the int64 guard w = 61.  So the search also refuses w > 24 (_MAX_WIDTH),
-where the filter alone takes seconds and hundreds of MB.  ``_search`` takes
-the knowledge base and works out the atoms and roles itself, from the axioms
-and the query.
+types first (at domain size 1 the default budget admits w = 39, the int64
+guard w = 61), so the search also refuses w > 24 (``_MAX_WIDTH``).
+``_search`` takes the knowledge base and works out its atoms and roles from
+the axioms and the query.
 """
 
 from __future__ import annotations
@@ -375,11 +374,6 @@ def _witness_words(space: _ConfigSpace, dcis, must_fail: Optional[Axiom]):
                 yield batch, start, hit, rows, sat
 
 
-def _vocabulary(kb: KnowledgeBase, extra: Sequence[Axiom] = ()) -> tuple[list[str], list[str]]:
-    items = list(kb.axioms) + list(extra)
-    return sorted(atom_names(items)), sorted(role_names(items))
-
-
 def _search(
     kb: KnowledgeBase,
     must_fail: Optional[Axiom],
@@ -439,6 +433,11 @@ def _search(
                         return found, examined + scanned + row - batch.start + 1
         examined += space.total_rows * len(hvs)
     return found, examined
+
+
+def _vocabulary(kb: KnowledgeBase, extra: Sequence[Axiom] = ()) -> tuple[list[str], list[str]]:
+    items = list(kb.axioms) + list(extra)
+    return sorted(atom_names(items)), sorted(role_names(items))
 
 
 def search_model(
