@@ -7,17 +7,17 @@
                                 bounded model / countermodel search
 
 Every command is one function ``(ns, kb, q) -> Output`` in one table,
-``COMMANDS``, whose docstrings are the subcommands' help texts: ``main``
-loads the KB, parses the query and calls it, and it runs only the work it
-prints and turns the result into JSON or text lines.  rank, query and check
-rank the KB once, with one per-check tableau budget (``--max-nodes``, which
-also bounds how deep a check's successors nest) and one stats object.  The
-⊤ ⊑ ⊥ check runs only where T* has not yet been shown consistent: in
-``check`` when the ranking has no level, and in ``query`` when, besides,
-the verdict is true at infinity; that verdict holds either way, so if the
-check hits a resource limit ``query`` prints it with T*'s consistency
-unknown (``kb_inconsistent: null``).  The argument parser is built once per
-process.
+``COMMANDS``, beside its help text (a string, which ``python -OO`` keeps):
+``main`` loads the KB, parses the query and calls it, and it runs only the
+work it prints and turns the result into JSON or text lines.  rank, query
+and check rank the KB once, with one per-check tableau budget
+(``--max-nodes``, which also bounds how deep a check's successors nest) and
+one stats object.  The ⊤ ⊑ ⊥ check runs only where T* has not yet been
+shown consistent: in ``check`` when the ranking has no level, and in
+``query`` when, besides, the verdict is true at infinity; that verdict holds
+either way, so if the check hits a resource limit ``query`` prints it with
+T*'s consistency unknown (``kb_inconsistent: null``).  The argument parser
+is built once per process.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
@@ -63,7 +63,6 @@ def _ranked(
 
 
 def _rank(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
-    """compute and display the DCI ranking"""
     ranking, _, stats = _ranked(ns, kb)
     if ns.json_out:
         return {
@@ -94,7 +93,6 @@ def _rank(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Outp
 
 
 def _query(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
-    """answer a rational-closure query"""
     ranking, cfg, stats = _ranked(ns, kb)
     result = rationally_deducible(ranking, q, cfg, stats)
     rank = result.decided_at
@@ -126,7 +124,6 @@ def _query(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Out
 
 
 def _check(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
-    """consistency report for the knowledge base"""
     ranking, cfg, stats = _ranked(ns, kb)
     inconsistent = tstar_inconsistent(ranking, cfg, stats)
     unsat = [
@@ -163,7 +160,6 @@ def search_countermodel(*args, **kwargs):
 
 
 def _oracle(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
-    """bounded ranked-model search (one-sided)"""
     if q is not None:
         result = search_countermodel(kb, q, ns.max_domain, ns.max_rows)
         kind = "countermodel"
@@ -193,7 +189,12 @@ def _oracle(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Ou
     return lines
 
 
-COMMANDS = {"rank": _rank, "query": _query, "check": _check, "oracle": _oracle}
+COMMANDS = {
+    "rank": ("compute and display the DCI ranking", _rank),
+    "query": ("answer a rational-closure query", _query),
+    "check": ("consistency report for the knowledge base", _check),
+    "oracle": ("bounded ranked-model search (one-sided)", _oracle),
+}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -201,8 +202,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="dalc", description="Defeasible ALC reasoner (rational closure)."
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__)
+    for name, (help_text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("path", help="knowledge base file (.dkb)")
         if name in ("query", "oracle"):
             p.add_argument("-q", "--query", default=None, help="axiom to query")
@@ -245,7 +246,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         kb = parse_kb(text, ns.path).kb
         q = parse_query(ns.query) if getattr(ns, "query", None) is not None else None
-        out = COMMANDS[ns.command](ns, kb, q)
+        out = COMMANDS[ns.command][1](ns, kb, q)
     except ParseError as e:
         return _fail(f"parse error: {e}")
     except ResourceLimitError as e:

@@ -38,13 +38,14 @@ the batch up to the witness, so at least 1.  Witnesses come in the order
 domain size, batch, height vector (lexicographic) and row, so each has
 non-decreasing element types.
 
-``unrank`` builds the rows: a row of size n is one of size n − 1 with a top
-element, and over consecutive rows the top type changes in runs.
-``_witness_words`` tests each batch as a ``_Columns`` block, which the model
-theory's one concept evaluator, ``_ext_mask``, reads as an interpretation: a
-query that is a GCI filters a batch's rows, and a table per word of 64
-height vectors, built once per process, maps each row's DCI index
-``good | bad << n`` to the bitset of vectors under which it holds.
+``unrank`` builds the rows: size 1 reads each type as a row, and a row of
+size n > 1 is one of size n − 1 with a top element, whose type changes in
+runs over consecutive rows.  ``_witness_words`` tests each batch as a
+``_Columns`` block, which the model theory's one concept evaluator,
+``_ext_mask``, reads as an interpretation: realisability, where there are
+quantified subconcepts, and a query that is a GCI filter a batch's rows, and
+a table per word of 64 height vectors, built once per process, maps each
+row's DCI index ``good | bad << n`` to the bitset of vectors where it holds.
 
 Before any work the search charges a full scan
 Σ_{d ≤ max_domain} F(d) · max(2^(d·(atoms + quantified subconcepts)), 32·4^d)
@@ -55,8 +56,8 @@ scan's work, or if the sorted rows over all 2^w types, numbered in int64,
 reach 2^62.  Neither bounds the type filter, which reads all 2^w element
 types first (at domain size 1 the default budget admits w = 39, the int64
 guard w = 61), so the search also refuses w > 24 (``_MAX_WIDTH``).
-``_search`` takes the knowledge base and works out its atoms and roles from
-the axioms and the query.
+``_search`` works out the atoms, roles and quantified subconcepts of the
+knowledge base and the query in one walk.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import numpy as np
 
 from .concepts import (
     Atom, Axiom, Concept, DCI, Exists, Forall, GCI, KnowledgeBase, MAX_ROWS, ResourceLimitError,
-    _Value, atom_names, role_names, subconcepts,
+    _Value, subconcepts,
 )
 from .semantics import (
     FiniteInterpretation, RankedInterpretation, _bits, _ext_mask, convex_height_vectors, satisfies,
@@ -84,8 +85,8 @@ from .semantics import (
 _CHUNK_BITS = 20
 _WORD = 64  # height vectors tested per pass over a block, one per uint64 bit
 # The most atoms plus quantified subconcepts w the search reads the 2^w
-# element types of: at w = 24 a search at domain size 1 takes about 5 s and
-# 260 MB on a 2-core VM, and each further two symbols about 4 times that.
+# element types of: at w = 24 a search at domain size 1 takes about 2 s and
+# 110 MB on a 2-core VM, and each further two symbols 3 to 4 times that.
 _MAX_WIDTH = 24
 
 
@@ -150,12 +151,6 @@ def _dci_hold_words(n: int, start: int) -> np.ndarray:
     return words
 
 
-def _quantified_subconcepts(axioms: Sequence[Axiom]) -> list[Concept]:
-    # repr is structural, so this order, which fixes the type bits and hence
-    # the witness order, is stable across runs
-    return sorted({c for c in subconcepts(axioms) if isinstance(c, (Exists, Forall))}, key=repr)
-
-
 class _Columns(dict):
     """A block of rows as ``semantics._ext_mask`` reads an interpretation:
     the fields' columns of per-row masks, each concept's once evaluated, and
@@ -188,36 +183,30 @@ class _ConfigSpace:
     """The sorted abstract configurations of one domain size over ``types``,
     an ascending array of element types (all 2^w by default), in ``_Columns``
     blocks: per-row atom masks, quantifier bits, realisability and axioms.
-    ``prefix``, if given, is the space of size n − 1 over the same types."""
+    Bit f of a type says whether an element is in ``fields[f]``.  ``prefix``,
+    if given, is the space of size n − 1 over the same fields and types."""
 
-    def __init__(
-        self, n: int, atoms: Sequence[str], quantified: Sequence[Concept], types=None, prefix=None
-    ):
+    def __init__(self, n: int, fields: list[Concept], types=None, prefix=None):
         self.n = n
         self.full = (1 << n) - 1
-        self.atoms = list(atoms)
-        self.quantified = list(quantified)
-        # bit f of an element's type says whether it is in fields[f]
-        self.fields: list[Concept] = self.quantified + [Atom(a) for a in atoms]
-        width = len(self.fields)
-        self.total_rows = 1 << (width * n)
-        self.types = np.arange(1 << width, dtype=np.int64) if types is None else types
-        # row r has the top type u with starts[u] <= r < starts[u + 1], where
-        # starts[u] = C(u + n − 1, n) counts the rows whose top type is below u
-        self.starts = np.arange(len(self.types) + 1, dtype=np.int64)
+        self.fields = fields
+        self.quantified = [c for c in fields if isinstance(c, (Exists, Forall))]
+        self.total_rows = 1 << (len(fields) * n)
+        self.types = _valid_types(fields, ()) if types is None else types
+        self.rows = len(self.types)
         if n > 1:
-            self.starts = np.array([math.comb(u + n - 1, n) for u in self.starts.tolist()], dtype=np.int64)
-        self.rows = int(self.starts[-1])
+            # row r has the top type u with starts[u] <= r < starts[u + 1], where
+            # starts[u] = C(u + n − 1, n) counts the rows whose top type is below u
+            self.starts = np.array([math.comb(u + n - 1, n) for u in range(self.rows + 1)], dtype=np.int64)
+            self.rows = int(self.starts[-1])
         self.dtype = np.min_scalar_type(self.full)
         self._prefix = prefix
 
     @cached_property
     def _lower(self) -> np.ndarray:
         """The masks, one line per field, of every row of size n − 1 over
-        ``types``, which the rows of size n extend."""
-        if self.n == 1:
-            return np.zeros((len(self.fields), 1), self.dtype)
-        return (self._prefix or _ConfigSpace(self.n - 1, self.atoms, self.quantified, self.types)).table
+        ``types``, which the rows of size n > 1 extend."""
+        return (self._prefix or _ConfigSpace(self.n - 1, self.fields, self.types)).table
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -227,16 +216,22 @@ class _ConfigSpace:
     def unrank(self, lo: int, hi: int) -> np.ndarray:
         """The masks, one line per field, of the rows ``lo .. hi-1`` over
         ``types``, whose element types are non-decreasing, in colex order.
-        Row r with top type u is row r − starts[u] of size n − 1 with an
-        element of type ``types[u]`` on top, and over consecutive rows u
-        changes in runs."""
+        Row r of size 1 is ``types[r]``'s bits.  Row r of size n > 1 with top
+        type u is row r − starts[u] of size n − 1 with an element of type
+        ``types[u]`` on top, and over consecutive rows u changes in runs."""
+        if self.n == 1:
+            return self._bits(self.types[lo:hi])
         u0, u1 = np.searchsorted(self.starts, (lo, hi - 1), side="right") - 1
         starts = self.starts[u0 : u1 + 2]
         runs = np.minimum(starts[1:], hi) - np.maximum(starts[:-1], lo)
         index = np.arange(lo, hi) - np.repeat(starts[:-1], runs)
-        shifts = np.arange(len(self.fields))[:, None]
-        top = (self.types[u0 : u1 + 1] >> shifts & 1).astype(self.dtype) << (self.n - 1)
+        top = self._bits(self.types[u0 : u1 + 1]) << self.dtype.type(self.n - 1)
         return self._lower.take(index, axis=1) | np.repeat(top, runs, axis=1)
+
+    def _bits(self, types: np.ndarray) -> np.ndarray:
+        """Bit f of each of ``types``, one line per field f, in ``dtype``."""
+        shifts = np.arange(len(self.fields), dtype=types.dtype)[:, None]
+        return (types >> shifts & types.dtype.type(1)).astype(self.dtype)
 
     def build_sorted(self, lo: int, hi: int) -> _Columns:
         """The rows ``lo .. hi-1`` over ``types`` as a block, in the narrowest
@@ -305,7 +300,7 @@ class _ConfigSpace:
         """Reconstruct a concrete witness from row ``row`` over ``types``:
         each demanded successor is the lowest element of its target."""
         masks = self.build_sorted(row, row + 1)
-        atom_ext = {a: _bits(int(masks[Atom(a)][0])) for a in self.atoms}
+        atom_ext = {c.name: _bits(int(masks[c][0])) for c in self.fields if isinstance(c, Atom)}
         role_ext: dict[str, set[tuple[int, int]]] = {r: set() for r in roles}
         for role, i, demanded, target in self._demands(masks):
             if demanded[0]:
@@ -317,25 +312,26 @@ class _ConfigSpace:
         return RankedInterpretation(base, heights)
 
 
-def _valid_types(
-    atoms: Sequence[str], quantified: Sequence[Concept], gcis: Sequence[Axiom]
-) -> np.ndarray:
-    """The element types, ascending, of the single elements that satisfy
-    every GCI.  A GCI holds in a row iff it holds at each element, as each
+def _valid_types(fields: list[Concept], gcis: Sequence[Axiom]) -> np.ndarray:
+    """The element types over ``fields``, ascending, of the single elements
+    that satisfy every GCI, in the narrowest unsigned dtype that holds them
+    all.  A GCI holds in a row iff it holds at each element, as each
     quantified subconcept is a field of the type, so only rows over these
     types can be witnesses."""
-    width, kept = len(atoms) + len(quantified), []
+    width, kept = len(fields), 0
+    types = np.arange(1 << width, dtype=np.min_scalar_type((1 << width) - 1))
     if not gcis:
-        return np.arange(1 << width, dtype=np.int64)
-    for lo in range(0, 1 << width, 1 << 16):  # a few MB at a time
-        types = np.arange(lo, min(lo + (1 << 16), 1 << width), dtype=np.int64)
-        one = _ConfigSpace(1, atoms, quantified, types)
+        return types
+    for lo in range(0, 1 << width, 1 << 16):  # a few MB at a time, kept in place
+        one = _ConfigSpace(1, fields, types[lo : lo + (1 << 16)])
         masks = one.build_sorted(0, one.rows)
         alive = np.ones(one.rows, dtype=bool)
         for g in gcis:
             alive &= ~one.violated(masks, g)
-        kept.append(one.types[alive])
-    return np.concatenate(kept)
+        passed = one.types[alive]
+        types[kept : kept + len(passed)] = passed
+        kept += len(passed)
+    return types[:kept]
 
 
 def _witness_words(space: _ConfigSpace, dcis, must_fail: Optional[Axiom]):
@@ -349,12 +345,14 @@ def _witness_words(space: _ConfigSpace, dcis, must_fail: Optional[Axiom]):
     next word overwrites it."""
     vectors = len(_min_height_tables(space.n))
     for batch, masks in space.batches():
-        keep = space.realizable(masks)
-        if isinstance(must_fail, GCI):
-            keep &= space.violated(masks, must_fail)
-        if not len(rows := np.flatnonzero(keep)):
-            continue
-        masks = masks.take(rows, space.fields)
+        rows = np.arange(len(batch))  # with no quantifier every row is realisable
+        if space.quantified or isinstance(must_fail, GCI):
+            keep = space.realizable(masks)
+            if isinstance(must_fail, GCI):
+                keep &= space.violated(masks, must_fail)
+            if not len(rows := np.flatnonzero(keep)):
+                continue
+            masks = masks.take(rows, space.fields)
         rows += batch.start
         holds = [space.dci_index(masks, d) for d in dcis]
         fails = space.dci_index(masks, must_fail) if isinstance(must_fail, DCI) else None
@@ -365,21 +363,17 @@ def _witness_words(space: _ConfigSpace, dcis, must_fail: Optional[Axiom]):
             table = _dci_hold_words(space.n, start)
             sat.fill((1 << min(_WORD, vectors - start)) - 1)
             for index in holds:
-                np.take(table, index, out=gathered, mode="clip")
+                table.take(index, out=gathered, mode="clip")
                 sat &= gathered
             if fails is not None:
-                np.take(table, fails, out=gathered, mode="clip")
+                table.take(fails, out=gathered, mode="clip")
                 sat &= np.invert(gathered, out=gathered)
             if hit := int(np.bitwise_or.reduce(sat)):
                 yield batch, start, hit, rows, sat
 
 
 def _search(
-    kb: KnowledgeBase,
-    must_fail: Optional[Axiom],
-    max_domain: int,
-    limit: int = 1,
-    max_rows: int = MAX_ROWS,
+    kb: KnowledgeBase, must_fail: Optional[Axiom], max_domain: int, limit: int = 1, max_rows: int = MAX_ROWS
 ) -> tuple[list[RankedInterpretation], int]:
     """Scan all ranked interpretations up to ``max_domain`` (via the abstract
     configuration space) for models of ``kb`` that, when requested, falsify
@@ -390,10 +384,9 @@ def _search(
     for name, value in (("max_domain", max_domain), ("limit", limit), ("max_rows", max_rows)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
-    extra = [must_fail] if must_fail is not None else []
-    atoms, roles = _vocabulary(kb, extra)
-    quantified = _quantified_subconcepts(list(kb.axioms) + extra)
-    width = len(atoms) + len(quantified)
+    atoms, roles, quantified = _vocabulary(kb, [must_fail] if must_fail is not None else [])
+    fields = quantified + [Atom(a) for a in atoms]
+    width = len(fields)
     scan = 0
     for size in itertools.islice(_scan_sizes(width), max_domain):
         scan += size
@@ -409,13 +402,13 @@ def _search(
             f"the oracle cannot filter the element types of {width} atoms and quantified "
             f"subconcepts (at most {_MAX_WIDTH})"
         )
-    types = _valid_types(atoms, quantified, [a for a in kb.axioms if isinstance(a, GCI)])
+    types = _valid_types(fields, [a for a in kb.axioms if isinstance(a, GCI)])
     dcis = [a for a in kb.axioms if isinstance(a, DCI)]
     found: list[RankedInterpretation] = []
     examined, space = 0, None
 
     for n in range(1, max_domain + 1):
-        space = _ConfigSpace(n, atoms, quantified, types, space)
+        space = _ConfigSpace(n, fields, types, space)
         hvs = convex_height_vectors(n)
         for batch, start, bits, rows, sat in _witness_words(space, dcis, must_fail):
             for j, hv in enumerate(hvs[start : start + _WORD]):
@@ -435,14 +428,21 @@ def _search(
     return found, examined
 
 
-def _vocabulary(kb: KnowledgeBase, extra: Sequence[Axiom] = ()) -> tuple[list[str], list[str]]:
-    items = list(kb.axioms) + list(extra)
-    return sorted(atom_names(items)), sorted(role_names(items))
+def _vocabulary(kb: KnowledgeBase, extra=()) -> tuple[list[str], list[str], list[Concept]]:
+    """The atoms, roles and quantified subconcepts of ``kb``'s axioms and
+    ``extra``, from one walk.  The last are sorted by repr, which is
+    structural: the type bits, and so the witness order, are stable."""
+    atoms, roles, quantified = set(), set(), set()
+    for c in subconcepts(itertools.chain(kb.axioms, extra)):
+        if isinstance(c, Atom):
+            atoms.add(c.name)
+        elif isinstance(c, (Exists, Forall)):
+            roles.add(c.role)
+            quantified.add(c)
+    return sorted(atoms), sorted(roles), sorted(quantified, key=repr)
 
 
-def search_model(
-    kb: KnowledgeBase, max_domain: int, max_rows: int = MAX_ROWS
-) -> SearchResult:
+def search_model(kb: KnowledgeBase, max_domain: int, max_rows: int = MAX_ROWS) -> SearchResult:
     """First ranked model of ``kb`` with at most ``max_domain`` elements, or
     absent.  Absence does not prove unsatisfiability (one-sided).  Raises
     ``ResourceLimitError`` if a full scan exceeds ``max_rows`` configurations."""

@@ -58,7 +58,7 @@ def convex_height_vectors_by_filter(n: int) -> tuple[tuple[int, ...], ...]:
 def _search_naive(
     kb: KnowledgeBase, query: Optional[Axiom], max_domain: int
 ) -> Optional[RankedInterpretation]:
-    atoms, roles = _vocabulary(kb, (query,) if query is not None else ())
+    atoms, roles, _ = _vocabulary(kb, (query,) if query is not None else ())
     for r in _iter_ranked_interpretations(atoms, roles, max_domain):
         if satisfies_all(r, kb.axioms) and (query is None or not satisfies(r, query)):
             return r

@@ -481,6 +481,21 @@ def test_console_script_entry_point():
     assert json.loads(out.stdout)["verdict"] is True
 
 
+def test_subcommand_help_survives_stripped_docstrings():
+    # ``python -OO`` drops docstrings; the help texts are plain strings
+    out = subprocess.run(
+        [sys.executable, "-OO", "-m", "dalc.cli", "--help"], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    for name, text in (
+        ("rank", "compute and display the DCI ranking"),
+        ("query", "answer a rational-closure query"),
+        ("check", "consistency report for the knowledge base"),
+        ("oracle", "bounded ranked-model search (one-sided)"),
+    ):
+        assert any(line.split() == [name, *text.split()] for line in out.stdout.splitlines()), name
+
+
 def test_rank_query_and_check_do_not_import_numpy():
     # Only the oracle's model search uses NumPy; it loads on the oracle's
     # first call, and the other commands start without it.

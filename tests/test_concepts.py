@@ -15,6 +15,7 @@ from dalc.concepts import (
     DCI,
     Exists,
     Forall,
+    KnowledgeBase,
     Not,
     Or,
     TOP,
@@ -28,7 +29,7 @@ from dalc.concepts import (
     subconcepts,
 )
 from dalc.parser import parse_concept
-from dalc.search import _quantified_subconcepts
+from dalc.search import _vocabulary
 from dalc.semantics import extension
 from dalc.tableau import entails, is_satisfiable
 from dalc.concepts import GCI
@@ -229,10 +230,10 @@ def test_vocabulary_helpers():
     kb = corpus.boss_kb()
     q = corpus.query("Worker ~[= exists hasSuperior.Responsible")
     superior = [Exists("hasSuperior", Atom(a)) for a in ("Boss", "Responsible", "Worker")]
-    assert _quantified_subconcepts(list(kb.axioms) + [q]) == superior
+    assert _vocabulary(kb, [q])[2] == superior
     inner = Forall("s", B)
     nested = Exists("r", And(A, inner))
-    assert _quantified_subconcepts([GCI(nested, inner), DCI(A, Or(nested, C))]) == [nested, inner]
+    assert _vocabulary(KnowledgeBase(), [GCI(nested, inner), DCI(A, Or(nested, C))])[2] == [nested, inner]
 
 
 def _rebuild(c):

@@ -546,12 +546,12 @@ def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
     reference for the bitset search in ``_search``.  Its rows are the sorted
     rows over all types in which every GCI holds, in colex order, cut into
     batches of 2**min(2n + 10, _CHUNK_BITS)."""
-    quantified = search._quantified_subconcepts(
-        list(must_hold) + ([must_fail] if must_fail is not None else [])
+    _, _, quantified = search._vocabulary(
+        KnowledgeBase(), list(must_hold) + ([must_fail] if must_fail is not None else [])
     )
     found, examined = [], 0
     for n in range(1, max_domain + 1):
-        space = search._ConfigSpace(n, atoms, quantified)
+        space = search._ConfigSpace(n, fields_of(atoms, quantified))
         every = space.build_sorted(0, space.rows)
         valid = np.ones(space.rows, dtype=bool)
         for a in must_hold:
@@ -573,7 +573,7 @@ def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
 
 
 def assert_matches_reference(kb, query, max_domain, limit=1):
-    atoms, roles = search._vocabulary(kb, (query,) if query is not None else ())
+    atoms, roles, _ = search._vocabulary(kb, (query,) if query is not None else ())
     found, examined = search._search(kb, query, max_domain, limit)
     ref_found, ref_examined = reference_search(
         kb.axioms, query, atoms, roles, max_domain, limit
@@ -637,8 +637,8 @@ def sorted_scan_finds(space, kb, query):
     witness at ``space``'s domain size."""
     gcis = [a for a in kb.axioms if isinstance(a, GCI)]
     dcis = [a for a in kb.axioms if isinstance(a, DCI)]
-    types = search._valid_types(space.atoms, space.quantified, gcis)
-    valid = search._ConfigSpace(space.n, space.atoms, space.quantified, types)
+    types = search._valid_types(space.fields, gcis)
+    valid = search._ConfigSpace(space.n, space.fields, types)
     return next(search._witness_words(valid, dcis, query), None) is not None
 
 
@@ -660,10 +660,9 @@ def test_existence_pass_matches_reference_at_each_domain_size(monkeypatch, chunk
     for kb, query in random_one_role_kbs():
         if query is None:
             continue
-        atoms, _ = search._vocabulary(kb, (query,))
-        quantified = search._quantified_subconcepts(list(kb.axioms) + [query])
+        fields = type_fields(kb, query)
         for n in (1, 2, 3):
-            space = search._ConfigSpace(n, atoms, quantified)
+            space = search._ConfigSpace(n, fields)
             found = all_rows_find(space, kb, query)
             with monkeypatch.context() as m:
                 m.setattr(search, "_CHUNK_BITS", chunk_bits)
@@ -727,8 +726,7 @@ def test_scan_size_is_the_rows_of_a_search_without_witness():
         q = corpus.query(text)
         res = search_countermodel(kb, q, bound)
         assert not res.found
-        atoms, _ = search._vocabulary(kb, (q,))
-        width = len(atoms) + len(search._quantified_subconcepts(list(kb.axioms) + [q]))
+        width = len(type_fields(kb, q))
         assert res.enumerated == sum(
             2 ** (d * width) * len(convex_height_vectors(d)) for d in range(1, bound + 1)
         )
@@ -739,11 +737,15 @@ def test_scan_size_is_the_rows_of_a_search_without_witness():
             search_countermodel(kb, q, bound, charge - 1)
 
 
+def fields_of(atoms, quantified):
+    """The fields of a ``_ConfigSpace``: the quantified concepts, then the atoms."""
+    return list(quantified) + [Atom(a) for a in atoms]
+
+
 def type_fields(kb, query):
     """The concepts of the search's type bits for ``kb`` and ``query``."""
-    extra = (query,) if query is not None else ()
-    atoms, _ = search._vocabulary(kb, extra)
-    return search._ConfigSpace(1, atoms, search._quantified_subconcepts(list(kb.axioms) + list(extra))).fields
+    atoms, _, quantified = search._vocabulary(kb, (query,) if query is not None else ())
+    return fields_of(atoms, quantified)
 
 
 def assert_types_non_decreasing(witness, fields):
@@ -820,7 +822,7 @@ def element_types(space, masks):
 )
 def test_build_sorted_yields_each_sorted_type_tuple_once(monkeypatch, vocabulary):
     for n in range(1, 6):
-        space = search._ConfigSpace(n, *vocabulary)
+        space = search._ConfigSpace(n, fields_of(*vocabulary))
         types = 2 ** len(space.fields)
         assert space.rows == math.comb(types + n - 1, n)
         masks = space.build_sorted(0, space.rows)
@@ -846,7 +848,7 @@ def test_block_columns_match_each_rows_interpretation():
     concepts += [random_concept(rng, atoms + ["Z"], [], 3) for _ in range(60)]
     checked = 0
     for n in (1, 2, 3):
-        space = search._ConfigSpace(n, atoms, [])
+        space = search._ConfigSpace(n, fields_of(atoms, []))
         block = space.build_sorted(0, space.rows)
         rows = [
             FiniteInterpretation(n, {a: sem._bits(int(block[Atom(a)][r])) for a in atoms}, {})
@@ -868,7 +870,7 @@ def test_block_columns_match_each_rows_interpretation():
 def test_a_dropped_block_is_freed_without_the_cycle_collector():
     """A block is its own ``_cache`` through a property; held in a field, it
     would make every block a reference cycle that only the collector frees."""
-    space = search._ConfigSpace(2, ["A"], [Exists("r", Atom("A"))])
+    space = search._ConfigSpace(2, fields_of(["A"], [Exists("r", Atom("A"))]))
     block = space.build_sorted(0, space.rows)
     sem._ext_mask(block, Not(Atom("A")))
     assert block._cache is block
@@ -964,9 +966,9 @@ def test_build_sorted_matches_the_rank_formula(monkeypatch, chunk_bits):
     if chunk_bits is not None:
         monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
     for n in range(1, 7):
-        spaces = [search._ConfigSpace(n, *VOCABULARY)]
+        spaces = [search._ConfigSpace(n, fields_of(*VOCABULARY))]
         if chunk_bits is None and n <= 3:
-            spaces.append(search._ConfigSpace(n, *wide_vocabulary(n)))
+            spaces.append(search._ConfigSpace(n, fields_of(*wide_vocabulary(n))))
         for space in spaces:
             size = 1 << min(2 * n + 10, search._CHUNK_BITS)
             batches = [rows for rows, _ in space.batches()]
@@ -978,10 +980,70 @@ def test_build_sorted_matches_the_rank_formula(monkeypatch, chunk_bits):
                 assert_build_sorted_matches_formula(space, types, rows.start, rows.stop)
 
 
+def run_length_rows(space, lo, hi):
+    """Rows ``lo .. hi-1`` of size 1 over ``space.types`` by the unranking of
+    the larger sizes: runs of length 1 (starts[u] = u) over the one all-zero
+    row of size 0, each bit of a type read through a Python int."""
+    starts = np.arange(len(space.types) + 1)
+    u0, u1 = np.searchsorted(starts, (lo, hi - 1), side="right") - 1
+    runs = np.minimum(starts[u0 + 1 : u1 + 2], hi) - np.maximum(starts[u0 : u1 + 1], lo)
+    index = np.arange(lo, hi) - np.repeat(starts[u0 : u1 + 1], runs)
+    top = np.array(
+        [[int(t) >> f & 1 for t in space.types[u0 : u1 + 1]] for f in range(len(space.fields))],
+        dtype=space.dtype,
+    ).reshape(len(space.fields), -1)
+    lower = np.zeros((len(space.fields), 1), space.dtype)
+    return lower.take(index, axis=1) | np.repeat(top, runs, axis=1)
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 4])
+def test_size_one_reads_filtered_types_as_the_run_length_unranking(monkeypatch, chunk_bits):
+    """Size 1 reads each type as a row.  Over the types that pass student's
+    and boss's GCIs, ascending with gaps, and in the narrowest unsigned
+    dtype, that gives the blocks, dtypes and batch bounds of the unranking
+    that sizes n > 1 use, and the same one-row blocks."""
+    if chunk_bits is not None:
+        monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+    cases = [
+        (corpus.student_kb(), "Student ~[= !exists pays.Tax", 24),
+        (corpus.boss_kb(), "Worker ~[= exists hasSuperior.Responsible", 40),
+    ]
+    for kb, text, valid in cases:
+        fields = type_fields(kb, corpus.query(text))
+        types = search._valid_types(fields, kb.tbox)
+        gaps = np.diff(types.astype(np.int64))
+        assert len(types) == valid and types.dtype == np.uint8 and gaps.min() > 0 and gaps.max() > 1
+        space = search._ConfigSpace(1, fields, types)
+        size = 1 << min(12, search._CHUNK_BITS)
+        batches = list(space.batches())
+        assert [rows for rows, _ in batches] == [range(lo, min(lo + size, valid)) for lo in range(0, valid, size)]
+        blocks = [(rows.start, rows.stop, block) for rows, block in batches]
+        blocks += [(r, r + 1, space.build_sorted(r, r + 1)) for r in range(valid)]
+        for lo, hi, block in blocks:
+            want = run_length_rows(space, lo, hi)
+            assert list(block) == fields
+            assert block.full_mask.dtype == np.uint8 and block.full_mask.tolist() == [1] * (hi - lo)
+            for f, c in enumerate(fields):
+                assert block[c].dtype == want.dtype == np.uint8
+                assert np.array_equal(block[c], want[f]), (text, lo, hi, c)
+
+
+def test_wide_types_are_held_in_the_narrowest_unsigned_dtype():
+    # 2**w - 1 fits uint8 up to w = 8, uint16 up to 16 and uint32 up to 24
+    for width, dtype in ((0, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)):
+        fields = [Atom(f"A{k}") for k in range(width)]
+        assert search._valid_types(fields, ()).dtype == dtype
+        gci = [GCI(Atom("A0"), Atom("A1"))] if width > 1 else [GCI(TOP, TOP)]
+        types = search._valid_types(fields, gci)
+        assert types.dtype == dtype and len(types) == (3 << width - 2 if width > 1 else 1 << width)
+        block = search._ConfigSpace(1, fields, types).build_sorted(len(types) - 1, len(types))
+        assert [int(block[c][0]) for c in fields] == [1] * width
+
+
 def test_build_sorted_on_one_row_blocks():
     # the blocks ``materialize`` builds are the rows of the full block
     for n in (1, 2, 3):
-        space = search._ConfigSpace(n, *VOCABULARY)
+        space = search._ConfigSpace(n, fields_of(*VOCABULARY))
         full = space.build_sorted(0, space.rows)
         for row in range(space.rows):
             one = space.build_sorted(row, row + 1)
@@ -999,11 +1061,10 @@ def test_compaction_matches_reference_where_blocks_empty(monkeypatch):
     monkeypatch.setattr(search, "_CHUNK_BITS", 4)
     kb = corpus.boss_kb()
     q = corpus.query("Worker ~[= exists hasSuperior.Responsible")
-    atoms, _ = search._vocabulary(kb, (q,))
-    quantified = search._quantified_subconcepts(list(kb.axioms) + [q])
-    types = search._valid_types(atoms, quantified, kb.tbox)
+    fields = type_fields(kb, q)
+    types = search._valid_types(fields, kb.tbox)
     assert len(types) == 40
-    space = search._ConfigSpace(2, atoms, quantified, types)
+    space = search._ConfigSpace(2, fields, types)
     batches = list(space.batches())
     assert [len(rows) for rows, _ in batches] == [16] * 51 + [4]
     assert sum(not space.realizable(block).any() for _, block in batches) == 23
@@ -1034,10 +1095,9 @@ def test_the_scan_builds_only_rows_over_the_types_that_pass_every_gci(monkeypatc
     ruling out a countermodel at domain 4 unranks the C(27, 4) rows over
     them, not all C(35, 4) sorted rows."""
     kb, q = corpus.student_kb(), corpus.query("Student ~[= !exists pays.Tax")
-    atoms, _ = search._vocabulary(kb, (q,))
-    quantified = search._quantified_subconcepts(list(kb.axioms) + [q])
-    assert len(search._valid_types(atoms, quantified, kb.tbox)) == 24
-    assert search._ConfigSpace(4, atoms, quantified).rows == 52_360
+    fields = type_fields(kb, q)
+    assert len(search._valid_types(fields, kb.tbox)) == 24
+    assert search._ConfigSpace(4, fields).rows == 52_360
     built = count_built_rows(monkeypatch)
     assert not search_countermodel(kb, q, 4).found
     assert built[4] == math.comb(24 + 4 - 1, 4) == 17_550
@@ -1060,9 +1120,7 @@ def test_a_kb_with_no_valid_type_builds_no_row(monkeypatch, query):
 def full_count(kb, query, max_domain):
     """``enumerated`` of a search up to ``max_domain`` that finds nothing:
     every configuration of each size."""
-    extra = [query] if query is not None else []
-    atoms, _ = search._vocabulary(kb, extra)
-    width = len(atoms) + len(search._quantified_subconcepts(list(kb.axioms) + extra))
+    width = len(type_fields(kb, query))
     return sum(2 ** (d * width) * len(convex_height_vectors(d)) for d in range(1, max_domain + 1))
 
 
