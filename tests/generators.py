@@ -1,24 +1,25 @@
 """Seeded random interpretations and concepts for the tests, the naive
 enumeration that the oracle's configuration-space search is checked against,
-the filter that its height vectors are checked against, and the recursive
-tableau and ``isinstance`` negation normal form that the stack-based tableau
-and ``dalc.concepts.nnf`` are checked against."""
+the filter that its height vectors are checked against, the ``isinstance``
+negation normal form that ``dalc.concepts.nnf`` is checked against, and
+``te_satisfiable``, the type elimination that the tableau's verdicts are
+checked against.  Type elimination reads the oracle's element types and
+shares no code with the tableau."""
 
 from __future__ import annotations
 
 import itertools
-import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from dalc.concepts import (
-    BOTTOM, GCI, TOP, And, Atom, Axiom, Bottom, Concept, Exists, Forall, KnowledgeBase, Not, Or,
-    ResourceLimitError, Top,
+    BOTTOM, GCI, TOP, And, Atom, Axiom, Bottom, Concept, Exists, Forall, KnowledgeBase, Not, Or, Top,
 )
-from dalc.search import _vocabulary
+from dalc.search import _ConfigSpace, _valid_types, _vocabulary
 from dalc.semantics import (
-    FiniteInterpretation, RankedInterpretation, convex_height_vectors, satisfies, satisfies_all,
+    FiniteInterpretation, RankedInterpretation, _ext_mask, convex_height_vectors, satisfies, satisfies_all,
 )
-from dalc.tableau import DEFAULT_CONFIG, EntailmentStats, TableauConfig
 
 
 def _iter_ranked_interpretations(
@@ -153,110 +154,48 @@ def reference_nnf(c: Concept) -> Concept:
     raise TypeError("not a concept: %r" % (c,))
 
 
-class _Tableau:
-    """Reference tableau: one Python frame per Or-branch as well as per role
-    successor.  With a label cache, ``dalc.tableau.is_satisfiable`` on a
-    freshly compiled TBox must reach the same verdict after expanding the
-    same number of nodes; without one it is the plain tableau, whose
-    verdicts a shared cache must not change."""
-
-    def __init__(self, universal: tuple[Concept, ...], cfg: TableauConfig, stats: EntailmentStats, cached: bool):
-        self.universal = universal
-        self.cfg = cfg
-        self.stats = stats
-        self.nodes = 0
-        self.verdicts: Optional[dict] = {} if cached else None
-
-    def satisfiable(self, label: tuple[Concept, ...]) -> bool:
-        return self._node(label, ()) is not None
-
-    def _node(self, label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> Optional[int]:
-        """A completion-tree node: its label's cached verdict, or expanded.
-        None if unsatisfiable; otherwise the depth of the shallowest
-        ancestor a blocked node below relied on (``sys.maxsize`` if none)."""
-        key = frozenset(label)
-        if self.verdicts is not None and key in self.verdicts:
-            return sys.maxsize if self.verdicts[key] else None
-        found = self._expand(label, ancestors)
-        # store what rests on no node outside this subtree, never the root's
-        if self.verdicts is not None and ancestors and (found is None or found >= len(ancestors)):
-            self.verdicts[key] = found is not None
-        return found
-
-    def _expand(self, label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> Optional[int]:
-        self.nodes += 1
-        self.stats.nodes_expanded += 1
-        if self.nodes > self.cfg.max_nodes:
-            raise ResourceLimitError(f"more than {self.cfg.max_nodes} tableau nodes")
-
-        items: list[Concept] = []
-        seen: set[Concept] = set()
-        neg: set[Concept] = set()
-
-        def add(c: Concept) -> bool:
-            if c in seen:
-                return True
-            if isinstance(c, Bottom):
-                return False
-            if isinstance(c, Atom) and c in neg:
-                return False
-            if isinstance(c, Not):
-                if c.operand in seen:
-                    return False
-                neg.add(c.operand)
-            seen.add(c)
-            items.append(c)
-            return True
-
-        for c in label:
-            if not add(c):
-                return None
-        idx = 0
-        while idx < len(items):
-            c = items[idx]
-            idx += 1
-            if isinstance(c, And):
-                if not add(c.left) or not add(c.right):
-                    return None
-
-        for c in items:
-            if isinstance(c, Or) and c.left not in seen and c.right not in seen:
-                extended = tuple(items)
-                left = self._expand(extended + (c.left,), ancestors)
-                return left if left is not None else self._expand(extended + (c.right,), ancestors)
-
-        label_set = frozenset(seen)
-        for i in reversed(range(len(ancestors))):
-            if label_set <= ancestors[i]:
-                return i  # blocked by the deepest ancestor that holds the label
-
-        found = sys.maxsize
-        for c in items:
-            if isinstance(c, Exists):
-                successor = (c.filler,) + tuple(
-                    f.filler
-                    for f in items
-                    if isinstance(f, Forall) and f.role == c.role
-                ) + self.universal
-                low = self._node(successor, ancestors + (label_set,))
-                if low is None:
-                    return None
-                found = min(found, low)
-        return found
-
-
-def reference_is_satisfiable(
-    c: Concept,
-    tbox: Sequence[GCI] = (),
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: Optional[EntailmentStats] = None,
-    cached: bool = True,
-) -> bool:
-    """``dalc.tableau.is_satisfiable`` before Or-branches moved onto an
-    explicit stack (without the role-depth budget it then had), with a label
-    cache of its own for this one call, or, with ``cached=False``, none.
-    Labels are built by ``reference_nnf``."""
-    if stats is None:
-        stats = EntailmentStats()
-    universal = tuple(u for g in tbox if (u := reference_nnf(Or(Not(g.lhs), g.rhs))) is not TOP)
-    return _Tableau(universal, cfg, stats, cached).satisfiable((reference_nnf(c),) + universal)
+def te_satisfiable(c: Concept, tbox: Sequence[GCI] = ()) -> bool:
+    """Whether some classical interpretation satisfies every GCI of ``tbox``
+    and gives ``c`` a non-empty extension, decided by type elimination
+    (Pratt 1979; Baader et al., *An Introduction to Description Logic*,
+    2017).  A type is one of the oracle's element types: a bit per
+    atom and quantified subconcept of ``c`` and ``tbox``, kept when a single
+    element of it satisfies every GCI.  Each round drops the types with a
+    demand (an existential that holds, a universal that fails) that no type
+    still alive meets within what the type's quantifiers on that role allow.  At the fixpoint the alive types, each joined to every successor
+    it may have, form a model, so ``c`` is satisfiable iff an alive type is
+    in it.  A round works per role: the types are grouped by the bits of
+    their quantifiers on it (the signature) and the successors by which of
+    those quantifiers' fillers they are in (the profile)."""
+    atoms, _, quantified = _vocabulary(KnowledgeBase(tbox=tuple(tbox)), [c])
+    fields = quantified + [Atom(a) for a in atoms]
+    one = _ConfigSpace(1, fields, _valid_types(fields, tuple(tbox)))
+    block = one.build_sorted(0, one.rows)  # one row per type, one bit per row
+    by_role: dict[str, list[Concept]] = {}
+    for q in quantified:
+        by_role.setdefault(q.role, []).append(q)
+    roles = []
+    for qs in by_role.values():
+        signature, profile = (
+            sum(_ext_mask(block, d).astype(np.int64) << j for j, d in enumerate(ds))
+            for ds in (qs, [q.filler for q in qs])
+        )
+        every = sum(1 << j for j, q in enumerate(qs) if isinstance(q, Forall))
+        some = sum(1 << j for j, q in enumerate(qs) if isinstance(q, Exists))
+        roles.append((signature, profile, every, some))
+    alive = np.ones(one.rows, dtype=bool)
+    while True:
+        before = int(alive.sum())
+        for signature, profile, every, some in roles:
+            sigs = np.unique(signature[alive])
+            profs = np.unique(profile[alive])[None, :]
+            s = sigs[:, None]
+            # a successor must be in each filler of a universal that holds,
+            # and outside each filler of an existential that fails
+            allowed = ((s & every & ~profs) | (~s & some & profs)) == 0
+            inside = np.bitwise_or.reduce(np.where(allowed, profs, 0), axis=1)
+            outside = np.bitwise_or.reduce(np.where(allowed, ~profs, 0), axis=1)
+            met = ((sigs & some & ~inside) | (~sigs & every & ~outside)) == 0
+            alive[alive] = met[np.searchsorted(sigs, signature[alive])]
+        if int(alive.sum()) == before:
+            return bool(_ext_mask(block, c)[alive].any())
