@@ -47,7 +47,6 @@ from .ranks import Rank
 from .tableau import (
     EntailmentStats,
     ResourceLimitError,
-    TableauConfig,
     entails,
     is_satisfiable,
 )
@@ -71,8 +70,7 @@ __all__ = [
     "render_axiom", "render_concept",
     "Rank",
     *_ORACLE,
-    "EntailmentStats", "ResourceLimitError", "TableauConfig", "entails",
-    "is_satisfiable",
+    "EntailmentStats", "ResourceLimitError", "entails", "is_satisfiable",
 ]
 
 

@@ -10,14 +10,14 @@ Every command is one function ``(ns, kb, q) -> Output`` in one table,
 ``COMMANDS``, beside its help text (a string, which ``python -OO`` keeps):
 ``main`` loads the KB, parses the query and calls it, and it runs only the
 work it prints and turns the result into JSON or text lines.  rank, query
-and check rank the KB once, with one per-check tableau budget
-(``--max-nodes``, which also bounds how deep a check's successors nest) and
-one stats object.  The ⊤ ⊑ ⊥ check runs only where T* has not yet been
-shown consistent: in ``check`` when the ranking has no level, and in
-``query`` when, besides, the verdict is true at infinity; that verdict holds
-either way, so if the check hits a resource limit ``query`` prints it with
-T*'s consistency unknown (``kb_inconsistent: null``).  The argument parser
-is built once per process.
+and check rank the KB once, in one session of classical checks: one
+``EntailmentStats`` counts them and carries the per-check tableau budget
+(``--max-nodes``, which also bounds how deep a check's successors nest).
+The ⊤ ⊑ ⊥ check runs only where T* has not yet been shown consistent: in
+``check`` when the ranking has no level, and in ``query`` when, besides, the
+verdict is true at infinity; that verdict holds either way, so if the check
+hits a resource limit ``query`` prints it with T*'s consistency unknown
+(``kb_inconsistent: null``).  The argument parser is built once per process.
 
 Verdicts go to stdout as data; the exit status only reports errors
 (1 = usage error, parse error, bad flag value or unreadable path, 2 = resource
@@ -36,9 +36,9 @@ from pathlib import Path
 from typing import Optional
 
 from .closure import Ranking, compute_ranking, rationally_deducible, tstar_inconsistent
-from .concepts import MAX_ROWS, Atom, Axiom, BOTTOM, GCI, KnowledgeBase, atom_names
+from .concepts import MAX_ROWS, Atom, Axiom, BOTTOM, GCI, KnowledgeBase, subconcepts
 from .parser import ParseError, axiom_to_json, parse_kb, parse_query, render_axiom
-from .tableau import DEFAULT_CONFIG, EntailmentStats, ResourceLimitError, TableauConfig, entails
+from .tableau import EntailmentStats, ResourceLimitError, entails
 
 Output = dict | list[str]  # a JSON document, or lines of text
 
@@ -52,18 +52,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _ranked(
-    ns: argparse.Namespace, kb: KnowledgeBase
-) -> tuple[Ranking, TableauConfig, EntailmentStats]:
-    """The ranking of ``kb`` under the command's per-check tableau budget,
-    the budget, and the one stats object the command's checks share."""
-    cfg = TableauConfig(ns.max_nodes)
-    stats = EntailmentStats()
-    return compute_ranking(kb, cfg, stats), cfg, stats
+def _ranked(ns: argparse.Namespace, kb: KnowledgeBase) -> tuple[Ranking, EntailmentStats]:
+    """The ranking of ``kb``, and the session its checks ran in, which the
+    command's further checks share: its counters and the per-check budget."""
+    stats = EntailmentStats(max_nodes=ns.max_nodes)
+    return compute_ranking(kb, stats), stats
 
 
 def _rank(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
-    ranking, _, stats = _ranked(ns, kb)
+    ranking, stats = _ranked(ns, kb)
     if ns.json_out:
         return {
             "tstar": [axiom_to_json(a) for a in ranking.tstar],
@@ -93,8 +90,8 @@ def _rank(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Outp
 
 
 def _query(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
-    ranking, cfg, stats = _ranked(ns, kb)
-    result = rationally_deducible(ranking, q, cfg, stats)
+    ranking, stats = _ranked(ns, kb)
+    result = rationally_deducible(ranking, q, stats)
     rank = result.decided_at
     # a compatible level, or a refuted subsumption, has shown T* consistent;
     # an inconsistent T* entails every query, so a true verdict stands even
@@ -102,7 +99,7 @@ def _query(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Out
     inconsistent: Optional[bool] = False
     if result.verdict and rank.is_infinite:
         try:
-            inconsistent = tstar_inconsistent(ranking, cfg, stats)
+            inconsistent = tstar_inconsistent(ranking, stats)
         except ResourceLimitError:
             inconsistent = None
     if ns.json_out:
@@ -124,13 +121,12 @@ def _query(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Out
 
 
 def _check(ns: argparse.Namespace, kb: KnowledgeBase, q: Optional[Axiom]) -> Output:
-    ranking, cfg, stats = _ranked(ns, kb)
-    inconsistent = tstar_inconsistent(ranking, cfg, stats)
-    unsat = [
-        a
-        for a in sorted(atom_names(kb.axioms))
-        if entails(ranking.tstar, GCI(Atom(a), BOTTOM), cfg, stats)
-    ]
+    ranking, stats = _ranked(ns, kb)
+    inconsistent = tstar_inconsistent(ranking, stats)
+    # the names alone: ``vocabulary`` also sorts the quantified subconcepts
+    # by repr, which recurses through their nesting
+    atoms = sorted({c.name for c in subconcepts(kb.axioms) if isinstance(c, Atom)})
+    unsat = [a for a in atoms if entails(ranking.tstar, GCI(Atom(a), BOTTOM), stats)]
     infinite = ranking.moved_to_tbox
     if ns.json_out:
         return {
@@ -212,7 +208,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-domain", type=int, default=4)
             p.add_argument("--max-rows", type=int, default=MAX_ROWS)
         else:
-            p.add_argument("--max-nodes", type=int, default=DEFAULT_CONFIG.max_nodes)
+            p.add_argument("--max-nodes", type=int, default=EntailmentStats.max_nodes)
     return ap
 
 

@@ -27,7 +27,7 @@ from .concepts import (
     materialise,
 )
 from .ranks import Rank
-from .tableau import CompiledTBox, DEFAULT_CONFIG, EntailmentStats, TableauConfig, entails
+from .tableau import CompiledTBox, EntailmentStats, entails
 
 
 class Ranking(_Value):
@@ -62,24 +62,15 @@ class QueryResult(_Value):
 
 
 def exceptional(
-    tstar: Sequence[GCI],
-    dprime: Sequence[DCI],
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: Optional[EntailmentStats] = None,
+    tstar: Sequence[GCI], dprime: Sequence[DCI], stats: Optional[EntailmentStats] = None
 ) -> tuple[DCI, ...]:
     """The DCIs of ``dprime`` whose antecedent is incompatible with the
     materialisation of ``dprime`` under ``tstar``; order preserved."""
     mat = conjoin(materialise(list(dprime)))
-    return tuple(
-        d for d in dprime if entails(tstar, GCI(mat, Not(d.lhs)), cfg, stats)
-    )
+    return tuple(d for d in dprime if entails(tstar, GCI(mat, Not(d.lhs)), stats))
 
 
-def compute_ranking(
-    kb: KnowledgeBase,
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: Optional[EntailmentStats] = None,
-) -> Ranking:
+def compute_ranking(kb: KnowledgeBase, stats: Optional[EntailmentStats] = None) -> Ranking:
     """Iterate exceptionality to a fixpoint, promote the fixpoint into the
     TBox, and repeat until the fixpoint is empty.  T* is compiled once per
     round; the promoted GCIs follow ``kb.tbox`` in it."""
@@ -87,7 +78,7 @@ def compute_ranking(
     moved: list[DCI] = []
     seq: list[tuple[DCI, ...]] = [kb.dtbox]  # this round's E0 ⊇ E1 ⊇ ...
     while True:
-        nxt = exceptional(tstar, seq[-1], cfg, stats)
+        nxt = exceptional(tstar, seq[-1], stats)
         if nxt != seq[-1]:
             seq.append(nxt)
         elif not nxt:
@@ -112,23 +103,18 @@ def compute_ranking(
 
 
 def _compatible_level(
-    r: Ranking, levels: Sequence[Concept], c: Concept, cfg: TableauConfig, stats: Optional[EntailmentStats]
+    r: Ranking, levels: Sequence[Concept], c: Concept, stats: Optional[EntailmentStats]
 ) -> Optional[int]:
     """The index of the first materialisation in ``levels`` compatible with
     ``c`` under the normalized TBox, or None when every one is incompatible;
     one classical check per level scanned."""
     for i, mat in enumerate(levels):
-        if not entails(r.tstar, GCI(mat, Not(c)), cfg, stats):
+        if not entails(r.tstar, GCI(mat, Not(c)), stats):
             return i
     return None
 
 
-def concept_rank(
-    r: Ranking,
-    c: Concept,
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: Optional[EntailmentStats] = None,
-) -> Rank:
+def concept_rank(r: Ranking, c: Concept, stats: Optional[EntailmentStats] = None) -> Rank:
     """The least level whose materialisation is compatible with ``c`` under
     the normalized TBox.
 
@@ -139,28 +125,19 @@ def concept_rank(
     makes the rank-comparison form of rational closure agree with the query
     procedure on every input.
     """
-    i = _compatible_level(r, r.materialisations + (TOP,), c, cfg, stats)
+    i = _compatible_level(r, r.materialisations + (TOP,), c, stats)
     return Rank.infinite() if i is None else Rank.finite(i)
 
 
-def axiom_rank(
-    r: Ranking,
-    a: Axiom,
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: Optional[EntailmentStats] = None,
-) -> Rank:
+def axiom_rank(r: Ranking, a: Axiom, stats: Optional[EntailmentStats] = None) -> Rank:
     """Rank of a DCI is the rank of its antecedent; rank of a GCI ``C ⊑ D``
     is the rank of ``C ⊓ ¬D``."""
     if isinstance(a, DCI):
-        return concept_rank(r, a.lhs, cfg, stats)
-    return concept_rank(r, And(a.lhs, Not(a.rhs)), cfg, stats)
+        return concept_rank(r, a.lhs, stats)
+    return concept_rank(r, And(a.lhs, Not(a.rhs)), stats)
 
 
-def tstar_inconsistent(
-    r: Ranking,
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: Optional[EntailmentStats] = None,
-) -> bool:
+def tstar_inconsistent(r: Ranking, stats: Optional[EntailmentStats] = None) -> bool:
     """Whether the normalized TBox entails ⊤ ⊑ ⊥ (no modular model exists).
 
     A ranking with a level has already shown T* consistent: the last pass of
@@ -168,15 +145,10 @@ def tstar_inconsistent(
     level under T*.  So this makes one classical check, and only when
     ``e_seq`` is empty.
     """
-    return not r.e_seq and entails(r.tstar, GCI(TOP, BOTTOM), cfg, stats)
+    return not r.e_seq and entails(r.tstar, GCI(TOP, BOTTOM), stats)
 
 
-def rationally_deducible(
-    r: Ranking,
-    q: Axiom,
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: Optional[EntailmentStats] = None,
-) -> QueryResult:
+def rationally_deducible(r: Ranking, q: Axiom, stats: Optional[EntailmentStats] = None) -> QueryResult:
     """Decide membership of ``q`` in the rational closure, in n + 2 checks at most.
 
     For a DCI ``C ⊑~ D``: find the first level whose materialisation is
@@ -187,8 +159,8 @@ def rationally_deducible(
     if stats is None:
         stats = EntailmentStats()
     start = stats.checks
-    i = None if isinstance(q, GCI) else _compatible_level(r, r.materialisations, q.lhs, cfg, stats)
+    i = None if isinstance(q, GCI) else _compatible_level(r, r.materialisations, q.lhs, stats)
     mat = TOP if i is None else r.materialisations[i]
-    verdict = entails(r.tstar, GCI(And(mat, q.lhs), q.rhs), cfg, stats)
+    verdict = entails(r.tstar, GCI(And(mat, q.lhs), q.rhs), stats)
     decided = Rank.infinite() if i is None else Rank.finite(i)
     return QueryResult(verdict, decided, stats.checks - start)

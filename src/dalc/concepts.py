@@ -278,9 +278,15 @@ def subconcepts(items: Iterable[Concept | Axiom]) -> Iterator[Concept]:
             stack.extend(direct_subconcepts(c))
 
 
-def atom_names(items: Iterable[Concept | Axiom]) -> frozenset[str]:
-    return frozenset(c.name for c in subconcepts(items) if isinstance(c, Atom))
-
-
-def role_names(items: Iterable[Concept | Axiom]) -> frozenset[str]:
-    return frozenset(c.role for c in subconcepts(items) if isinstance(c, (Exists, Forall)))
+def vocabulary(items: Iterable[Concept | Axiom]) -> tuple[list[str], list[str], list[Concept]]:
+    """The sorted atom and role names of ``items``, and their quantified
+    subconcepts, from one walk.  The last are sorted by repr, which is
+    structural: the oracle's type bits, and so its witness order, are stable."""
+    atoms, roles, quantified = set(), set(), set()
+    for c in subconcepts(items):
+        if isinstance(c, Atom):
+            atoms.add(c.name)
+        elif isinstance(c, (Exists, Forall)):
+            roles.add(c.role)
+            quantified.add(c)
+    return sorted(atoms), sorted(roles), sorted(quantified, key=repr)

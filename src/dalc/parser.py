@@ -47,6 +47,7 @@ from .concepts import (
     Or,
     Top,
     _Value,
+    conjoin,
 )
 
 RESERVED = {"top", "bot", "exists", "forall"}
@@ -134,10 +135,7 @@ class _Parser:
         while self.tokens[self.pos][0] == "&":
             self.pos += 1
             parts.append(self.unary())
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = And(p, out)
-        return out
+        return conjoin(parts)
 
     def unary(self) -> Concept:
         tok = kind, text, _ = self.advance()

@@ -71,7 +71,7 @@ import numpy as np
 
 from .concepts import (
     Atom, Axiom, Concept, DCI, Exists, Forall, GCI, KnowledgeBase, MAX_ROWS, ResourceLimitError,
-    _Value, subconcepts,
+    _Value, vocabulary,
 )
 from .semantics import (
     FiniteInterpretation, RankedInterpretation, _bits, _ext_mask, convex_height_vectors, satisfies,
@@ -384,7 +384,7 @@ def _search(
     for name, value in (("max_domain", max_domain), ("limit", limit), ("max_rows", max_rows)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
-    atoms, roles, quantified = _vocabulary(kb, [must_fail] if must_fail is not None else [])
+    atoms, roles, quantified = vocabulary(kb.axioms if must_fail is None else kb.axioms + (must_fail,))
     fields = quantified + [Atom(a) for a in atoms]
     width = len(fields)
     scan = 0
@@ -426,20 +426,6 @@ def _search(
                         return found, examined + scanned + row - batch.start + 1
         examined += space.total_rows * len(hvs)
     return found, examined
-
-
-def _vocabulary(kb: KnowledgeBase, extra=()) -> tuple[list[str], list[str], list[Concept]]:
-    """The atoms, roles and quantified subconcepts of ``kb``'s axioms and
-    ``extra``, from one walk.  The last are sorted by repr, which is
-    structural: the type bits, and so the witness order, are stable."""
-    atoms, roles, quantified = set(), set(), set()
-    for c in subconcepts(itertools.chain(kb.axioms, extra)):
-        if isinstance(c, Atom):
-            atoms.add(c.name)
-        elif isinstance(c, (Exists, Forall)):
-            roles.add(c.role)
-            quantified.add(c)
-    return sorted(atoms), sorted(roles), sorted(quantified, key=repr)
 
 
 def search_model(kb: KnowledgeBase, max_domain: int, max_rows: int = MAX_ROWS) -> SearchResult:

@@ -11,6 +11,10 @@ defeasible engine relies on.  A node classifies a concept by its exact class,
 which ``nnf`` guarantees; its remaining cost is re-reading the whole label
 that its branch inherited.
 
+Every check runs in a session, an ``EntailmentStats``: it counts the checks
+and nodes, and its ``max_nodes`` bounds each check on its own.  A call
+without one runs in a fresh default session.
+
 A TBox is compiled once into a ``CompiledTBox``: its constraints, and a cache
 of the successor labels its checks have decided (Horrocks & Patel-Schneider,
 *Optimizing Description Logic Subsumption*, 1999).  A successor whose label
@@ -42,32 +46,23 @@ from .concepts import (
 )
 
 
-class TableauConfig(_Value):
-    """The budget of each classical check: at most ``max_nodes`` tableau
-    nodes (the CLI's ``--max-nodes``), whether or not an ``EntailmentStats``
-    observes it.  Every role successor is a node, so this also bounds how
-    deep successors nest; a successor answered from a ``CompiledTBox``'s
-    cache is not a node.  An exhausted budget raises ``ResourceLimitError``."""
+class EntailmentStats(_Value, mutable=True):
+    """One session of classical checks: its counters, and the budget of each
+    check.  Pass one object through a batch of calls to observe how many
+    checks and tableau nodes a procedure spends.  ``max_nodes`` (the CLI's
+    ``--max-nodes``) bounds each check on its own, not the session.  Every
+    role successor is a node, so this also bounds how deep successors nest;
+    a successor answered from a ``CompiledTBox``'s cache is not a node, so a
+    check's nodes can depend on the checks run before it on the same
+    ``CompiledTBox``.  An exhausted budget raises ``ResourceLimitError``."""
 
+    checks: int = 0
+    nodes_expanded: int = 0
     max_nodes: int = 100_000
 
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be positive")
-
-
-DEFAULT_CONFIG = TableauConfig()
-
-
-class EntailmentStats(_Value, mutable=True):
-    """Per-session counters; pass one object through a batch of calls to
-    observe how many classical checks and tableau nodes a procedure spends.
-    They only count: ``TableauConfig`` bounds each check on its own.  A
-    cache hit is not a node, so a check's nodes can depend on the checks run
-    before it on the same ``CompiledTBox``."""
-
-    checks: int = 0
-    nodes_expanded: int = 0
 
 
 class CompiledTBox(tuple):
@@ -101,15 +96,12 @@ _MAX_VERDICTS = 4096
 
 
 def is_satisfiable(
-    c: Concept,
-    tbox: tuple[GCI, ...] | list[GCI] = (),
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: EntailmentStats | None = None,
+    c: Concept, tbox: tuple[GCI, ...] | list[GCI] = (), stats: EntailmentStats | None = None
 ) -> bool:
     """True iff some classical interpretation satisfies every GCI in ``tbox``
     and gives ``c`` a non-empty extension.  Raises ``ResourceLimitError``
-    past ``cfg.max_nodes`` nodes, or when the concepts or the role successors
-    nest past Python's recursion limit.
+    past ``stats.max_nodes`` nodes, or when the concepts or the role
+    successors nest past Python's recursion limit.
 
     A ``CompiledTBox`` lends the check its cached successor verdicts and
     keeps the ones the check decides; a plain tuple or list is compiled
@@ -121,7 +113,7 @@ def is_satisfiable(
     if not isinstance(tbox, CompiledTBox):
         tbox = CompiledTBox(tbox)
     verdicts = tbox.verdicts
-    limit = stats.nodes_expanded + cfg.max_nodes  # this check's own budget
+    limit = stats.nodes_expanded + stats.max_nodes  # this check's own budget
 
     def expand(label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> int | None:
         """None if ``label`` is unsatisfiable; otherwise the depth of the
@@ -152,7 +144,7 @@ def is_satisfiable(
         while branches:
             stats.nodes_expanded += 1
             if stats.nodes_expanded > limit:
-                raise ResourceLimitError(f"more than {cfg.max_nodes} tableau nodes")
+                raise ResourceLimitError(f"more than {stats.max_nodes} tableau nodes")
             items: list[Concept] = []
             seen: set[Concept] = set()
             neg: set[Concept] = set()  # operands of the negations in ``seen``
@@ -203,14 +195,9 @@ def is_satisfiable(
         raise ResourceLimitError(f"nesting too deep (recursion limit {limit})") from None
 
 
-def entails(
-    tbox: tuple[GCI, ...] | list[GCI],
-    g: GCI,
-    cfg: TableauConfig = DEFAULT_CONFIG,
-    stats: EntailmentStats | None = None,
-) -> bool:
+def entails(tbox: tuple[GCI, ...] | list[GCI], g: GCI, stats: EntailmentStats | None = None) -> bool:
     """Classical entailment: ``tbox ⊨ lhs ⊑ rhs``, decided by refutation."""
     if stats is None:
         stats = EntailmentStats()
     stats.checks += 1
-    return not is_satisfiable(And(g.lhs, Not(g.rhs)), tbox, cfg, stats)
+    return not is_satisfiable(And(g.lhs, Not(g.rhs)), tbox, stats)

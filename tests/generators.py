@@ -15,8 +15,9 @@ import numpy as np
 
 from dalc.concepts import (
     BOTTOM, GCI, TOP, And, Atom, Axiom, Bottom, Concept, Exists, Forall, KnowledgeBase, Not, Or, Top,
+    vocabulary,
 )
-from dalc.search import _ConfigSpace, _valid_types, _vocabulary
+from dalc.search import _ConfigSpace, _valid_types
 from dalc.semantics import (
     FiniteInterpretation, RankedInterpretation, _ext_mask, convex_height_vectors, satisfies, satisfies_all,
 )
@@ -59,7 +60,7 @@ def convex_height_vectors_by_filter(n: int) -> tuple[tuple[int, ...], ...]:
 def _search_naive(
     kb: KnowledgeBase, query: Optional[Axiom], max_domain: int
 ) -> Optional[RankedInterpretation]:
-    atoms, roles, _ = _vocabulary(kb, (query,) if query is not None else ())
+    atoms, roles, _ = vocabulary(kb.axioms + ((query,) if query is not None else ()))
     for r in _iter_ranked_interpretations(atoms, roles, max_domain):
         if satisfies_all(r, kb.axioms) and (query is None or not satisfies(r, query)):
             return r
@@ -167,7 +168,7 @@ def te_satisfiable(c: Concept, tbox: Sequence[GCI] = ()) -> bool:
     in it.  A round works per role: the types are grouped by the bits of
     their quantifiers on it (the signature) and the successors by which of
     those quantifiers' fillers they are in (the profile)."""
-    atoms, _, quantified = _vocabulary(KnowledgeBase(tbox=tuple(tbox)), [c])
+    atoms, _, quantified = vocabulary([*tbox, c])
     fields = quantified + [Atom(a) for a in atoms]
     one = _ConfigSpace(1, fields, _valid_types(fields, tuple(tbox)))
     block = one.build_sorted(0, one.rows)  # one row per type, one bit per row

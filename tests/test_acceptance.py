@@ -20,10 +20,9 @@ from dalc.concepts import (
     DCI,
     GCI,
     Not,
-    atom_names,
     conjoin,
     materialise,
-    role_names,
+    vocabulary,
 )
 from dalc.ranks import Rank
 from dalc.search import enumerate_models, search_countermodel
@@ -164,8 +163,8 @@ def test_criterion_07_ranking_structure():
                         ),
                     )
             # rank-comparison formulation agrees with the query procedure
-            atoms = sorted(atom_names(kb.axioms)) or ["A", "B"]
-            roles = sorted(role_names(kb.axioms)) or ["r"]
+            atoms, roles, _ = vocabulary(kb.axioms)
+            atoms, roles = atoms or ["A", "B"], roles or ["r"]
             for _ in range(200):
                 ctor = DCI if rng.random() < 0.8 else GCI
                 q = ctor(

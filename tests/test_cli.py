@@ -583,6 +583,17 @@ for nested in ("(" * 300 + "B" + ")" * 300, "!" * 950 + "B", "exists r." * 950 +
     assert out.returncode == 0, out.stderr
 
 
+def test_check_answers_on_quantifiers_nested_500_deep(capsys, tmp_path):
+    # check reads only the concept names: sorting the quantified subconcepts
+    # by repr, as the oracle does, recurses through their nesting and passes
+    # Python's default recursion limit here
+    kb = tmp_path / "exists500.dkb"
+    kb.write_text("B ~[= " + "exists r." * 500 + "A\nA [= C\n")
+    code, out, err = run(capsys, "check", str(kb), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"consistent": True, "infinite_rank": [], "unsatisfiable_atoms": []}
+
+
 def test_role_chain_answers(capsys, tmp_path):
     # Each of the 45 nested successors carries 45 internalised disjunctions;
     # the tableau takes one Python frame per successor, not per disjunction.

@@ -26,6 +26,7 @@ from dalc.concepts import (
     TOP,
     conjoin,
     materialise,
+    vocabulary,
 )
 from dalc.parser import parse_kb, render_axiom
 from dalc.ranks import Rank
@@ -364,12 +365,8 @@ def test_rank_comparison_agrees_with_query_procedure():
     for name, make in corpus.CORPUS.items():
         kb = make()
         r = compute_ranking(kb)
-        atoms = sorted(
-            {a for ax in kb.axioms for a in _names(ax)}
-        ) or ["A", "B"]
-        roles = sorted(
-            {ro for ax in kb.axioms for ro in _roles(ax)}
-        ) or ["r"]
+        atoms, roles, _ = vocabulary(kb.axioms)
+        atoms, roles = atoms or ["A", "B"], roles or ["r"]
         for _ in range(40):
             ctor = DCI if rng.random() < 0.8 else GCI
             q = ctor(
@@ -380,18 +377,6 @@ def test_rank_comparison_agrees_with_query_procedure():
                 name,
                 q,
             )
-
-
-def _names(ax):
-    from dalc.concepts import atom_names
-
-    return atom_names([ax])
-
-
-def _roles(ax):
-    from dalc.concepts import role_names
-
-    return role_names([ax])
 
 
 def test_supra_classicality():

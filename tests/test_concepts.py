@@ -15,21 +15,18 @@ from dalc.concepts import (
     DCI,
     Exists,
     Forall,
-    KnowledgeBase,
     Not,
     Or,
     TOP,
-    atom_names,
     conjoin,
     direct_subconcepts,
     materialise,
     nnf,
-    role_names,
     subconcept_closure,
     subconcepts,
+    vocabulary,
 )
 from dalc.parser import parse_concept
-from dalc.search import _vocabulary
 from dalc.semantics import extension
 from dalc.tableau import entails, is_satisfiable
 from dalc.concepts import GCI
@@ -219,8 +216,7 @@ def test_conjoin():
 
 def test_vocabulary_helpers():
     ax = GCI(And(A, Exists("r", B)), Forall("s", C))
-    assert atom_names([ax]) == {"A", "B", "C"}
-    assert role_names([ax]) == {"r", "s"}
+    assert vocabulary([ax]) == (["A", "B", "C"], ["r", "s"], [Exists("r", B), Forall("s", C)])
     # every occurrence, in concepts and on both sides of an axiom
     assert set(subconcepts([ax])) == {ax.lhs, A, Exists("r", B), B, ax.rhs, C}
     assert list(subconcepts([Not(A)])) == [Not(A), A]
@@ -230,10 +226,10 @@ def test_vocabulary_helpers():
     kb = corpus.boss_kb()
     q = corpus.query("Worker ~[= exists hasSuperior.Responsible")
     superior = [Exists("hasSuperior", Atom(a)) for a in ("Boss", "Responsible", "Worker")]
-    assert _vocabulary(kb, [q])[2] == superior
+    assert vocabulary([*kb.axioms, q])[2] == superior
     inner = Forall("s", B)
     nested = Exists("r", And(A, inner))
-    assert _vocabulary(KnowledgeBase(), [GCI(nested, inner), DCI(A, Or(nested, C))])[2] == [nested, inner]
+    assert vocabulary([GCI(nested, inner), DCI(A, Or(nested, C))])[2] == [nested, inner]
 
 
 def _rebuild(c):

@@ -22,6 +22,7 @@ from dalc.concepts import (
     ResourceLimitError,
     TOP,
     conjoin,
+    vocabulary,
 )
 import dalc.search as search
 import dalc.semantics as sem
@@ -546,9 +547,7 @@ def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
     reference for the bitset search in ``_search``.  Its rows are the sorted
     rows over all types in which every GCI holds, in colex order, cut into
     batches of 2**min(2n + 10, _CHUNK_BITS)."""
-    _, _, quantified = search._vocabulary(
-        KnowledgeBase(), list(must_hold) + ([must_fail] if must_fail is not None else [])
-    )
+    _, _, quantified = vocabulary(list(must_hold) + ([must_fail] if must_fail is not None else []))
     found, examined = [], 0
     for n in range(1, max_domain + 1):
         space = search._ConfigSpace(n, fields_of(atoms, quantified))
@@ -573,7 +572,7 @@ def reference_search(must_hold, must_fail, atoms, roles, max_domain, limit=1):
 
 
 def assert_matches_reference(kb, query, max_domain, limit=1):
-    atoms, roles, _ = search._vocabulary(kb, (query,) if query is not None else ())
+    atoms, roles, _ = vocabulary(kb.axioms + ((query,) if query is not None else ()))
     found, examined = search._search(kb, query, max_domain, limit)
     ref_found, ref_examined = reference_search(
         kb.axioms, query, atoms, roles, max_domain, limit
@@ -744,7 +743,7 @@ def fields_of(atoms, quantified):
 
 def type_fields(kb, query):
     """The concepts of the search's type bits for ``kb`` and ``query``."""
-    atoms, _, quantified = search._vocabulary(kb, (query,) if query is not None else ())
+    atoms, _, quantified = vocabulary(kb.axioms + ((query,) if query is not None else ()))
     return fields_of(atoms, quantified)
 
 

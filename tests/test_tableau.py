@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import dalc.tableau
 from dalc.cli import main
-from dalc.closure import compute_ranking
+from dalc.closure import compute_ranking, concept_rank, rationally_deducible, tstar_inconsistent
 from dalc.concepts import (
     And,
     Atom,
@@ -20,13 +20,13 @@ from dalc.concepts import (
     Exists,
     conjoin,
 )
-from dalc.parser import parse_kb, render_concept
+from dalc.parser import parse_kb, parse_query, render_concept
+from dalc.ranks import Rank
 from dalc.search import search_countermodel
 from dalc.tableau import (
     CompiledTBox,
     EntailmentStats,
     ResourceLimitError,
-    TableauConfig,
     entails,
     is_satisfiable,
 )
@@ -142,8 +142,8 @@ def test_monotonicity_of_entailment():
 
 
 def test_blocking_invariant_under_node_budgets():
-    small = TableauConfig(max_nodes=100_000)
-    large = TableauConfig(max_nodes=1_000_000)
+    small = EntailmentStats(max_nodes=100_000)
+    large = EntailmentStats(max_nodes=1_000_000)
     cases = [
         (EMP, classical_tbox()),
         (STUD, classical_tbox()),
@@ -169,7 +169,7 @@ def exists_chain(depth):
 
 def test_resource_limit_is_an_error_not_a_verdict():
     with pytest.raises(ResourceLimitError):
-        is_satisfiable(exists_chain(10), (), TableauConfig(max_nodes=2))
+        is_satisfiable(exists_chain(10), (), EntailmentStats(max_nodes=2))
     deep = exists_chain(400)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(300)
@@ -216,7 +216,7 @@ def test_stats_accumulate():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TableauConfig(max_nodes=0)
+        EntailmentStats(max_nodes=0)
 
 
 # The chain(6), flat(4) and roles(3) families of the benchmark, written out.
@@ -316,16 +316,16 @@ def test_roles6_ranks_within_the_default_budget():
     assert ranking.tstar == kb.tbox + tuple(GCI(d.lhs, d.rhs) for d in ranking.moved_to_tbox)
 
 
-def test_max_nodes_bounds_each_check_and_stats_only_count(tmp_path, capsys):
+def test_max_nodes_bounds_each_check_in_the_library_and_the_cli(tmp_path, capsys):
     # CHAIN6's largest single check expands 35 nodes, of 528 in its ranking.
-    # The budget bounds each check, so the library with and without a stats
-    # object and the CLI all rank it at 35 and all stop at 34.
+    # The budget bounds each check, so the library and the CLI both rank it
+    # at 35 and both stop at 34.
     kb = parse_kb(CHAIN6).kb
     partition = compute_ranking(kb).partition
-    for stats in (None, EntailmentStats()):
-        assert compute_ranking(kb, TableauConfig(max_nodes=35), stats).partition == partition
-        with pytest.raises(ResourceLimitError, match="more than 34 tableau nodes"):
-            compute_ranking(kb, TableauConfig(max_nodes=34), stats)
+    stats = EntailmentStats(max_nodes=35)
+    assert compute_ranking(kb, stats).partition == partition and stats.nodes_expanded == 528
+    with pytest.raises(ResourceLimitError, match="more than 34 tableau nodes"):
+        compute_ranking(kb, EntailmentStats(max_nodes=34))
     path = tmp_path / "chain6.dkb"
     path.write_text(CHAIN6)
     assert main(["rank", str(path), "--json", "--max-nodes", "35"]) == 0
@@ -335,6 +335,28 @@ def test_max_nodes_bounds_each_check_and_stats_only_count(tmp_path, capsys):
     ]
     assert main(["rank", str(path), "--max-nodes", "34"]) == 2
     assert capsys.readouterr().err == "resource limit: more than 34 tableau nodes\n"
+
+
+def test_the_session_budget_bounds_each_query_time_check():
+    # ROLES3 ranks with no level, as all its defaults are promoted, so each
+    # call makes one check on T*; its nodes are pinned as the least budget it
+    # answers in.  Each call gets a fresh ranking, so T*'s cache starts alike.
+    kb = parse_kb(ROLES3).kb
+    q = parse_query("exists r.exists r.A3 ~[= !A1")
+    calls = [
+        (lambda r, stats: rationally_deducible(r, q, stats).verdict, 70, True),
+        (lambda r, stats: concept_rank(r, q.lhs, stats), 16, Rank.finite(0)),
+        (lambda r, stats: tstar_inconsistent(r, stats), 5, False),
+    ]
+    for call, n, answer in calls:
+        assert call(compute_ranking(kb), EntailmentStats(max_nodes=n)) == answer
+        with pytest.raises(ResourceLimitError, match=f"more than {n - 1} tableau nodes"):
+            call(compute_ranking(kb), EntailmentStats(max_nodes=n - 1))
+    # the budget is each check's, not the session's: one session at the
+    # largest check answers all three while spending more than that in all
+    session = EntailmentStats(max_nodes=70)
+    assert [call(compute_ranking(kb), session) for call, _, _ in calls] == [a for _, _, a in calls]
+    assert (session.checks, session.nodes_expanded) == (3, 91)
 
 
 def test_ranking_checks_match_type_elimination(checks):
@@ -348,7 +370,7 @@ def test_ranking_checks_match_type_elimination(checks):
 def test_random_checks_match_type_elimination():
     # 300 seeded checks, with the nodes they expand pinned; none reaches the budget
     atoms, roles = ["A", "B", "C"], ["r"]
-    cfg, stats = TableauConfig(max_nodes=5000), EntailmentStats()
+    stats = EntailmentStats(max_nodes=5000)
     for seed in range(300):
         rng = random.Random(seed)
         tbox = tuple(
@@ -356,7 +378,7 @@ def test_random_checks_match_type_elimination():
             for _ in range(rng.randrange(4))
         )
         c = random_concept(rng, atoms, roles, 3)
-        assert is_satisfiable(c, tbox, cfg, stats) == te_satisfiable(c, tbox), (seed, c, tbox)
+        assert is_satisfiable(c, tbox, stats) == te_satisfiable(c, tbox), (seed, c, tbox)
     assert stats.nodes_expanded == 1325
 
 
@@ -371,15 +393,14 @@ def test_checks_sharing_a_compiled_tbox_keep_their_verdicts(rng):
         GCI(random_concept(rng, atoms, roles, 2), random_concept(rng, atoms, roles, 2))
         for _ in range(rng.randrange(5))
     )
-    cfg = TableauConfig(max_nodes=5000)
     for _ in range(6):
         c = random_concept(rng, atoms, roles, 3)
-        fresh, shared = EntailmentStats(), EntailmentStats()
+        fresh, shared = EntailmentStats(max_nodes=5000), EntailmentStats(max_nodes=5000)
         try:
-            verdict = is_satisfiable(c, tuple(tbox), cfg, fresh)
+            verdict = is_satisfiable(c, tuple(tbox), fresh)
         except ResourceLimitError:
             continue
-        assert is_satisfiable(c, tbox, cfg, shared) == verdict, (c, tbox)
+        assert is_satisfiable(c, tbox, shared) == verdict, (c, tbox)
         assert shared.nodes_expanded <= fresh.nodes_expanded
 
 
@@ -400,8 +421,7 @@ def test_the_label_cache_is_bounded(monkeypatch):
         GCI(random_concept(rng, atoms, roles, 2), random_concept(rng, atoms, roles, 2)) for _ in range(3)
     )
     tbox.verdicts = Recorded()
-    cfg = TableauConfig(max_nodes=5000)
     for _ in range(60):
         c = random_concept(rng, atoms, roles, 3)
-        assert is_satisfiable(c, tbox, cfg) == te_satisfiable(c, tbox), c
+        assert is_satisfiable(c, tbox, EntailmentStats(max_nodes=5000)) == te_satisfiable(c, tbox), c
     assert max(sizes) == 4 and len(sizes) > 4  # it filled up and was emptied

@@ -21,7 +21,7 @@ from dalc.parser import ParsedDocument, SourceSpan, parse_kb
 from dalc.ranks import Rank
 from dalc.search import SearchResult
 from dalc.semantics import FiniteInterpretation, PreferentialInterpretation, RankedInterpretation, Violation
-from dalc.tableau import EntailmentStats, TableauConfig
+from dalc.tableau import EntailmentStats
 
 A, B = Atom("A"), Atom("B")
 BASE = FiniteInterpretation(2, {"A": frozenset({0})}, {})
@@ -44,8 +44,7 @@ VALUES = [
      ((), (DCI(A, B),), ((DCI(A, B),),), ((DCI(A, B),),), (), (Or(Not(A), B),))),
     (QueryResult, ("verdict", "decided_at", "checks_spent"), (True, Rank(0), 2)),
     (Rank, ("value",), (4,)),
-    (TableauConfig, ("max_nodes",), (50,)),
-    (EntailmentStats, ("checks", "nodes_expanded"), (3, 40)),
+    (EntailmentStats, ("checks", "nodes_expanded", "max_nodes"), (3, 40, 50)),
     (FiniteInterpretation, ("domain_size", "atom_ext", "role_ext"), (2, {"A": frozenset({0})}, {})),
     (PreferentialInterpretation, ("base", "order"), (BASE, frozenset({(0, 1)}))),
     (RankedInterpretation, ("base", "heights"), (BASE, (0, 1))),
@@ -91,8 +90,7 @@ def test_values_differ_by_field_and_by_type():
 
 def test_defaults():
     assert KnowledgeBase() == KnowledgeBase((), ()) and KnowledgeBase(dtbox=(DCI(A, B),)).tbox == ()
-    assert TableauConfig().max_nodes == 100_000
-    assert EntailmentStats() == EntailmentStats(0, 0) and EntailmentStats(nodes_expanded=5).checks == 0
+    assert EntailmentStats() == EntailmentStats(0, 0, 100_000) and EntailmentStats(nodes_expanded=5).checks == 0
     with pytest.raises(TypeError):
         GCI(A)
 
@@ -109,7 +107,7 @@ def test_repr():
     assert repr(QueryResult(True, Rank(0), 2)) == (
         "QueryResult(verdict=True, decided_at=Rank(value=0), checks_spent=2)"
     )
-    assert repr(EntailmentStats()) == "EntailmentStats(checks=0, nodes_expanded=0)"
+    assert repr(EntailmentStats()) == "EntailmentStats(checks=0, nodes_expanded=0, max_nodes=100000)"
     assert repr(SourceSpan("f", 1, 2)) == "SourceSpan(file='f', line=1, column=2)"
     assert str(SourceSpan("f", 1, 2)) == "f:1:2"
     assert repr(RankedInterpretation(BASE, (0, 1))) == (
@@ -120,7 +118,7 @@ def test_repr():
 
 def test_post_init_validates_and_normalises():
     with pytest.raises(ValueError):
-        TableauConfig(0)
+        EntailmentStats(max_nodes=0)
     with pytest.raises(ValueError):
         RankedInterpretation(BASE, (0, 2))
     with pytest.raises(ValueError):
@@ -168,6 +166,7 @@ def test_a_stats_subclass_calling_super_init_still_counts():
     rationally_deducible(compute_ranking(KB, stats=stats), DCI(A, B), stats=stats)
     assert created == [stats] and stats.checks > 0 and stats.nodes_expanded > 0
     assert Recorded(2).checks == 2 and Recorded(2) != EntailmentStats(2)
+    assert Recorded(max_nodes=7).max_nodes == 7  # as the CLI builds its session
 
 
 MODULES = [f"dalc.{m.name}" for m in pkgutil.iter_modules(dalc.__path__)]
