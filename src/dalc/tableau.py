@@ -4,12 +4,23 @@ Standard NNF tableau: every node carries the internalised TBox constraints
 ``nnf(¬lhs ⊔ rhs)`` (``nnf`` simplifies ⊤ and ⊥ away, and a constraint that
 is ⊤ is dropped), conjunctions are expanded in place, existential
 restrictions spawn role successors, and ancestor subset-blocking guarantees
-termination.  A node's Or-branches are popped off an explicit stack, depth
-first and left branch first; only role successors recurse, so a check takes
-one Python frame per role level.  This is the only decision procedure the
-defeasible engine relies on.  A node classifies a concept by its exact class,
-which ``nnf`` guarantees; its remaining cost is re-reading the whole label
-that its branch inherited.
+termination.  A node's Or-branches are tried depth first and left branch
+first, the right ones kept on an explicit stack; only role successors
+recurse, so a check takes one Python frame per role level.  This is the only
+decision procedure the defeasible engine relies on.  A node classifies a
+concept by its exact class, which ``nnf`` guarantees; its remaining cost is
+re-reading the whole label that its branch inherited.
+
+A closed node backjumps (conflict-directed backjumping: Horrocks &
+Patel-Schneider 1999; Baader et al., *The Description Logic Handbook*,
+ch. 9).  Each Or-choice is a bit, and the items a choice adds (its disjunct
+and that disjunct's conjuncts) rest on it and on what the split disjunction
+rests on.  A node's items keep its parent's order, so an item's position
+says which choice added it.  A clash rests on its two items; a closed role
+successor on its ∃r.C and on every ∀r.D that built its label.  The right
+branch of an open choice that the conflict does not rest on would close the
+same way, so it is dropped unexplored; a right branch that is explored
+rests on the split and on what closed its left branch, minus that choice.
 
 Every check runs in a session, an ``EntailmentStats``: it counts the checks
 and nodes, and its ``max_nodes`` bounds each check on its own.  A call
@@ -26,6 +37,7 @@ full it is emptied, and a dropped verdict is only decided again.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from functools import cached_property
 from typing import Iterable
 
@@ -127,59 +139,83 @@ def is_satisfiable(
             return _UNBLOCKED if known else None
 
         def add(c: Concept) -> bool:
+            nonlocal partner
             if c in seen:
                 return True
             kind = c.__class__
             if kind is Not:
                 if c.operand in seen:
+                    partner = c.operand
                     return False
-                neg.add(c.operand)
+                neg[c.operand] = c
             elif kind is Bottom or kind is Atom and c in neg:
+                partner = neg.get(c)  # ⊥ clashes only in a label's first node
                 return False
             seen.add(c)
             items.append(c)
             return True
 
-        branches = [label]
-        while branches:
+        def dep(c: Concept) -> int:
+            """The choices that ``c`` rests on: those of the segment of
+            ``items`` that it was added in."""
+            k = bisect_right(lens, items.index(c))
+            return deps[k - 1] if k else 0
+
+        partner: Concept | None  # what the item being added clashed with
+        branches = []  # the right branch of each open choice, deepest last
+        lens: tuple[int, ...] = ()  # per choice above this node: len(items) at it
+        deps: tuple[int, ...] = ()  # per choice: the choices its items rest on, as bits
+        while True:
             stats.nodes_expanded += 1
             if stats.nodes_expanded > limit:
                 raise ResourceLimitError(f"more than {stats.max_nodes} tableau nodes")
             items: list[Concept] = []
             seen: set[Concept] = set()
-            neg: set[Concept] = set()  # operands of the negations in ``seen``
+            neg: dict[Concept, Concept] = {}  # the operand of each negation in ``seen``
             # The label closed under conjunction (``items`` grows as it is
-            # read); a clash closes the branch.
-            if not all(map(add, branches.pop())) or not all(
-                add(c.left) and add(c.right) for c in items if c.__class__ is And
-            ):
-                continue
-            split = next(
-                (c for c in items if c.__class__ is Or and c.left not in seen and c.right not in seen), None
-            )
-            if split is not None:
-                extended = tuple(items)  # the left branch is popped first
-                branches += (extended + (split.right,), extended + (split.left,))
-                continue
-            label_set = frozenset(seen)
-            # blocked by the deepest ancestor that holds the label
-            low = next((i for i in reversed(range(len(ancestors))) if label_set <= ancestors[i]), None)
-            if low is not None:
+            # read); a clash closes the node.
+            if all(map(add, label)) and all(add(c.left) and add(c.right) for c in items if c.__class__ is And):
+                split = next(
+                    (c for c in items if c.__class__ is Or and c.left not in seen and c.right not in seen), None
+                )
+                if split is not None:  # the left branch first, the right one kept
+                    d = dep(split)
+                    extended = tuple(items)
+                    lens += (len(extended),)
+                    branches.append((extended + (split.right,), lens, deps, d))
+                    deps += (d | 1 << len(deps),)
+                    label = extended + (split.left,)
+                    continue
+                label_set = frozenset(seen)
+                # blocked by the deepest ancestor that holds the label
+                low = next((i for i in reversed(range(len(ancestors))) if label_set <= ancestors[i]), None)
+                if low is not None:
+                    break
+                low = _UNBLOCKED
+                for e in items:
+                    if e.__class__ is Exists:
+                        foralls = [f for f in items if f.__class__ is Forall and f.role == e.role]
+                        sub = expand((e.filler, *[f.filler for f in foralls], *universal), ancestors + (label_set,))
+                        if sub is None:
+                            conflict = dep(e)
+                            for f in foralls:
+                                conflict |= dep(f)
+                            break
+                        low = min(low, sub)
+                else:
+                    break
+            else:  # the item being added rests on this node's own choice
+                conflict = deps[-1] | dep(partner) if deps else 0
+            # Backjump: a choice the conflict does not rest on would close its
+            # right branch the same way, so that branch is dropped.
+            while branches and not conflict >> len(branches[-1][2]) & 1:
+                branches.pop()
+            if not branches:
+                low = None
                 break
-            low = _UNBLOCKED
-            for e in items:
-                if e.__class__ is Exists:
-                    successor = (e.filler,) + tuple(
-                        f.filler for f in items if f.__class__ is Forall and f.role == e.role
-                    ) + universal
-                    sub = expand(successor, ancestors + (label_set,))
-                    if sub is None:
-                        break
-                    low = min(low, sub)
-            else:
-                break
-        else:
-            low = None
+            label, lens, deps, d = branches.pop()
+            # the right branch rests on the split and on what closed the left
+            deps += (d | conflict ^ 1 << len(deps),)
         # the root's verdict is never stored, so query labels do not pile up
         if ancestors and (low is None or low >= len(ancestors)):
             if len(verdicts) >= _MAX_VERDICTS:

@@ -165,8 +165,8 @@ def test_check_infinite_rank_dcis(capsys):
 
 def test_inconsistent_tstar_within_the_default_budget(capsys, tmp_path):
     # The ⊤ ⊑ ⊥ check of both KBs exhausts the default node budget unless nnf
-    # simplifies their ⊤/⊥ disjuncts; seed 209's still does (backjumping would
-    # close it), so of that KB only ``rank``, which runs no such check, is asked.
+    # simplifies their ⊤/⊥ disjuncts, and seed 209's unless the tableau
+    # backjumps over the disjunctions that its clashes do not rest on.
     seed12, seed209 = tmp_path / "seed12.dkb", tmp_path / "seed209.dkb"
     seed12.write_text(corpus.SEED12)
     seed209.write_text(corpus.SEED209)
@@ -187,20 +187,45 @@ def test_inconsistent_tstar_within_the_default_budget(capsys, tmp_path):
     }
 
 
-def test_a_known_verdict_survives_an_unfinished_consistency_check(capsys, tmp_path):
-    # Seed 209 has no level and its ⊤ ⊑ ⊥ check passes the default node
-    # budget.  ``C ⊑ C`` is true at infinity after 1 check, and it is true
-    # whether or not T* is consistent, so the query answers and leaves T*'s
-    # consistency unknown; a query whose own check passes the budget still
-    # exits 2.
+# Seed 209's T* is inconsistent (type elimination), so every atom is
+# unsatisfiable and every query is true at infinity.
+
+
+def test_seed209_check_answers_within_the_default_budget(capsys, tmp_path):
     kb = tmp_path / "seed209.dkb"
     kb.write_text(corpus.SEED209)
-    code, out, err = run(capsys, "query", str(kb), "-q", "C [= C", "--json")
+    code, out, err = run(capsys, "check", str(kb), "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["consistent"] is False
+    assert doc["unsatisfiable_atoms"] == ["A", "B", "C", "D"]
+
+
+def test_seed209_query_answers_within_the_default_budget(capsys, tmp_path):
+    kb = tmp_path / "seed209.dkb"
+    kb.write_text(corpus.SEED209)
+    code, out, err = run(capsys, "query", str(kb), "-q", "A ~[= forall r.D", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "verdict": True, "decided_at": "infinity", "checks": 1, "kb_inconsistent": True
+    }
+
+
+def test_a_known_verdict_survives_an_unfinished_consistency_check(capsys, tmp_path):
+    # Seed 209 has no level.  Its ranking takes at most 43 nodes a check and
+    # ``C ⊑ C`` 1, but its ⊤ ⊑ ⊥ check 154, so at 100 ``C ⊑ C`` is true at
+    # infinity after 1 check: it is true whether or not T* is consistent, so
+    # the query answers and leaves T*'s consistency unknown.  A query whose
+    # own check passes the budget still exits 2.
+    kb = tmp_path / "seed209.dkb"
+    kb.write_text(corpus.SEED209)
+    budget = ("--max-nodes", "100")
+    code, out, err = run(capsys, "query", str(kb), "-q", "C [= C", "--json", *budget)
     assert (code, err) == (0, "")
     assert json.loads(out) == {
         "verdict": True, "decided_at": "infinity", "checks": 1, "kb_inconsistent": None
     }
-    code, out, err = run(capsys, "query", str(kb), "-q", "C [= C")
+    code, out, err = run(capsys, "query", str(kb), "-q", "C [= C", *budget)
     assert (code, err) == (0, "")
     assert out.splitlines() == [
         "IN rational closure",
@@ -208,9 +233,9 @@ def test_a_known_verdict_survives_an_unfinished_consistency_check(capsys, tmp_pa
         "checks spent: 1",
         "normalized TBox consistency unknown: the top [= bot check hit a resource limit",
     ]
-    code, out, err = run(capsys, "query", str(kb), "-q", "A ~[= forall r.D", "--json")
+    code, out, err = run(capsys, "query", str(kb), "-q", "A ~[= forall r.D", "--json", *budget)
     assert (code, out) == (2, "")
-    assert err == "resource limit: more than 100000 tableau nodes\n"
+    assert err == "resource limit: more than 100 tableau nodes\n"
 
 
 def test_check_empty_kb(capsys):
