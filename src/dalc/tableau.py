@@ -13,14 +13,15 @@ re-reading the whole label that its branch inherited.
 
 A closed node backjumps (conflict-directed backjumping: Horrocks &
 Patel-Schneider 1999; Baader et al., *The Description Logic Handbook*,
-ch. 9).  Each Or-choice is a bit, and the items a choice adds (its disjunct
-and that disjunct's conjuncts) rest on it and on what the split disjunction
-rests on.  A node's items keep its parent's order, so an item's position
-says which choice added it.  A clash rests on its two items; a closed role
-successor on its ∃r.C and on every ∀r.D that built its label.  The right
-branch of an open choice that the conflict does not rest on would close the
-same way, so it is dropped unexplored; a right branch that is explored
-rests on the split and on what closed its left branch, minus that choice.
+ch. 9).  Each Or-choice is a bit, and each item of a node carries the
+choices it rests on, as a bitmask: a disjunct rests on its choice and on
+what the split disjunction rests on, a conjunct on its conjunction, and an
+item of a check's or a successor's first label on none.  A clash rests on
+what its two items rest on (⊥ on its own); a closed role successor on its
+∃r.C and on every ∀r.D that built its label.  The right branch of an open
+choice that the conflict does not rest on would close the same way, so it
+is dropped unexplored; a right branch that is explored rests on the split
+and on what closed its left branch, minus that choice.
 
 Every check runs in a session, an ``EntailmentStats``: it counts the checks
 and nodes, and its ``max_nodes`` bounds each check on its own.  A call
@@ -37,7 +38,6 @@ full it is emptied, and a dropped verdict is only decided again.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from functools import cached_property
 from typing import Iterable
 
@@ -138,53 +138,51 @@ def is_satisfiable(
         if known is not None:
             return _UNBLOCKED if known else None
 
-        def add(c: Concept) -> bool:
-            nonlocal partner
+        def add(c: Concept, d: int) -> bool:
+            """Add ``c`` to the node, resting on the choices ``d``.  False on
+            a clash, with ``conflict`` set to the choices that ``c`` and the
+            item it clashes with rest on; ⊥ clashes alone."""
+            nonlocal conflict
             if c in seen:
                 return True
             kind = c.__class__
             if kind is Not:
                 if c.operand in seen:
-                    partner = c.operand
+                    conflict = d | seen[c.operand]
                     return False
                 neg[c.operand] = c
             elif kind is Bottom or kind is Atom and c in neg:
-                partner = neg.get(c)  # ⊥ clashes only in a label's first node
+                conflict = d | seen.get(neg.get(c), 0)
                 return False
-            seen.add(c)
+            seen[c] = d
             items.append(c)
             return True
 
-        def dep(c: Concept) -> int:
-            """The choices that ``c`` rests on: those of the segment of
-            ``items`` that it was added in."""
-            k = bisect_right(lens, items.index(c))
-            return deps[k - 1] if k else 0
-
-        partner: Concept | None  # what the item being added clashed with
+        conflict: int  # the choices that the last closed node rests on
         branches = []  # the right branch of each open choice, deepest last
-        lens: tuple[int, ...] = ()  # per choice above this node: len(items) at it
-        deps: tuple[int, ...] = ()  # per choice: the choices its items rest on, as bits
+        depth = 0  # the choices above this node; the next one is bit ``depth``
+        masks = (0,) * len(label)  # what each item of ``label`` rests on
         while True:
             stats.nodes_expanded += 1
             if stats.nodes_expanded > limit:
                 raise ResourceLimitError(f"more than {stats.max_nodes} tableau nodes")
             items: list[Concept] = []
-            seen: set[Concept] = set()
+            seen: dict[Concept, int] = {}  # each item of ``items``: the choices it rests on
             neg: dict[Concept, Concept] = {}  # the operand of each negation in ``seen``
             # The label closed under conjunction (``items`` grows as it is
-            # read); a clash closes the node.
-            if all(map(add, label)) and all(add(c.left) and add(c.right) for c in items if c.__class__ is And):
+            # read; a conjunct rests on its conjunction); a clash closes the node.
+            if all(map(add, label, masks)) and all(
+                add(c.left, seen[c]) and add(c.right, seen[c]) for c in items if c.__class__ is And
+            ):
                 split = next(
                     (c for c in items if c.__class__ is Or and c.left not in seen and c.right not in seen), None
                 )
                 if split is not None:  # the left branch first, the right one kept
-                    d = dep(split)
-                    extended = tuple(items)
-                    lens += (len(extended),)
-                    branches.append((extended + (split.right,), lens, deps, d))
-                    deps += (d | 1 << len(deps),)
-                    label = extended + (split.left,)
+                    d = seen[split]
+                    label, masks = tuple(items), tuple(seen.values())
+                    branches.append((label, masks, split.right, depth, d))
+                    label, masks = label + (split.left,), masks + (d | 1 << depth,)
+                    depth += 1
                     continue
                 label_set = frozenset(seen)
                 # blocked by the deepest ancestor that holds the label
@@ -197,25 +195,24 @@ def is_satisfiable(
                         foralls = [f for f in items if f.__class__ is Forall and f.role == e.role]
                         sub = expand((e.filler, *[f.filler for f in foralls], *universal), ancestors + (label_set,))
                         if sub is None:
-                            conflict = dep(e)
+                            conflict = seen[e]
                             for f in foralls:
-                                conflict |= dep(f)
+                                conflict |= seen[f]
                             break
                         low = min(low, sub)
                 else:
                     break
-            else:  # the item being added rests on this node's own choice
-                conflict = deps[-1] | dep(partner) if deps else 0
             # Backjump: a choice the conflict does not rest on would close its
             # right branch the same way, so that branch is dropped.
-            while branches and not conflict >> len(branches[-1][2]) & 1:
+            while branches and not conflict >> branches[-1][3] & 1:
                 branches.pop()
             if not branches:
                 low = None
                 break
-            label, lens, deps, d = branches.pop()
+            label, masks, right, depth, d = branches.pop()
             # the right branch rests on the split and on what closed the left
-            deps += (d | conflict ^ 1 << len(deps),)
+            label, masks = label + (right,), masks + (d | conflict & ~(1 << depth),)
+            depth += 1
         # the root's verdict is never stored, so query labels do not pile up
         if ancestors and (low is None or low >= len(ancestors)):
             if len(verdicts) >= _MAX_VERDICTS:
@@ -227,8 +224,8 @@ def is_satisfiable(
         universal = tbox.universal
         return expand((nnf(c),) + universal, ()) is not None
     except RecursionError:
-        limit = sys.getrecursionlimit()
-        raise ResourceLimitError(f"nesting too deep (recursion limit {limit})") from None
+        recursion_limit = sys.getrecursionlimit()
+        raise ResourceLimitError(f"nesting too deep (recursion limit {recursion_limit})") from None
 
 
 def entails(tbox: tuple[GCI, ...] | list[GCI], g: GCI, stats: EntailmentStats | None = None) -> bool:

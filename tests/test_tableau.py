@@ -20,7 +20,7 @@ from dalc.concepts import (
     Exists,
     conjoin,
 )
-from dalc.parser import parse_kb, parse_query, render_concept
+from dalc.parser import parse_concept, parse_kb, parse_query, render_concept
 from dalc.ranks import Rank
 from dalc.search import search_countermodel
 from dalc.tableau import (
@@ -217,6 +217,28 @@ def test_stats_accumulate():
 def test_config_validation():
     with pytest.raises(ValueError):
         EntailmentStats(max_nodes=0)
+
+
+@pytest.mark.parametrize(
+    "concept, tbox, nodes, sat",
+    [
+        ("(A | B) & (C | D) & !C & !D", "", 4, False),  # A | B is never retried
+        ("(A | B) & (C | D) & (!A | !C) & !D", "", 9, True),  # D's clash rests on A, via !C's branch
+        ("(A | B) & exists r.C & forall r.!C", "", 3, False),  # a closed successor
+        ("(A | B) & (E | F) & exists r.(C | D) & forall r.(!C & !D)", "", 6, False),  # nor its choices
+        ("(A | B) & forall r.bot & exists r.C", "", 3, False),  # ⊥ in a successor's first node
+        ("(A | B) & (C | D) & !A & !D", "", 4, True),  # A's clash sends B's branch on
+        ("((A & B) | C) & !B", "", 3, True),  # B rests on the choice of A & B
+        ("X", "X [= (A | B) & (C | D)\nC [= bot\nD [= bot", 6, False),  # a clash through the TBox
+    ],
+)
+def test_backjumping_expands_pinned_nodes(concept, tbox, nodes, sat):
+    # A branch closes on the choices its clash rests on, and the right branch
+    # of each choice above it that the clash does not rest on is skipped.
+    c, tbox = parse_concept(concept), parse_kb(tbox).kb.tbox
+    stats = EntailmentStats()
+    assert is_satisfiable(c, tbox, stats) == te_satisfiable(c, tbox) == sat
+    assert stats.nodes_expanded == nodes
 
 
 # The chain(6), flat(4) and roles(3) families of the benchmark, written out.
