@@ -23,6 +23,14 @@ choice that the conflict does not rest on would close the same way, so it
 is dropped unexplored; a right branch that is explored rests on the split
 and on what closed its left branch, minus that choice.
 
+A choice whose bit never enters a conflict is no choice.  The left disjunct
+of the first undecided disjunction is added in place, on the disjunction's
+choices, when it is pure: a literal whose complement is not reachable
+through ⊓ and ⊔ from the node's first label.  It cannot clash and nothing
+is built from it, so backjumping would drop its right branch unexplored, and
+the search is the same less one node each.  A rule that adds other concepts
+to a label (an unfolding rule, say) must walk them into ``clashable`` too.
+
 Every check runs in a session, an ``EntailmentStats``: it counts the checks
 and nodes, and its ``max_nodes`` bounds each check on its own.  A call
 without one runs in a fresh default session.
@@ -97,6 +105,25 @@ class CompiledTBox(tuple):
         built by the first check."""
         return tuple(u for g in self if (u := nnf(Or(Not(g.lhs), g.rhs))) is not TOP)
 
+    @cached_property
+    def clashable(self) -> frozenset:
+        """What a left disjunct may clash with or build on at any node: see ``_clashable``."""
+        return frozenset(_clashable(self.universal, set()))
+
+
+def _clashable(cs: Iterable[Concept], found: set) -> set:
+    """``found`` plus what a left disjunct may clash with or build on at a node
+    whose first label holds ``cs``: each concept reachable through ⊓ and ⊔
+    that is not a literal, and each reachable literal's complement."""
+    stack = list(cs)
+    while stack:
+        if (kind := (c := stack.pop()).__class__) is Atom or kind is Not:
+            found.add(c.operand if kind is Not else Not(c))
+        elif c not in found:
+            found.add(c)
+            stack += (c.left, c.right) if kind is And or kind is Or else ()
+    return found
+
 
 # What ``expand`` returns for an open subtree none of whose blocked nodes
 # relied on an ancestor.
@@ -127,16 +154,18 @@ def is_satisfiable(
     verdicts = tbox.verdicts
     limit = stats.nodes_expanded + stats.max_nodes  # this check's own budget
 
-    def expand(label: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> int | None:
-        """None if ``label`` is unsatisfiable; otherwise the depth of the
-        shallowest ancestor that a blocked node of the open subtree relied
-        on, or ``_UNBLOCKED``.  A successor's verdict is stored when it does
-        not rest on a node outside its subtree: an unsatisfiable label
-        always, a satisfiable one when every blocker lies inside."""
+    def expand(head: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> int | None:
+        """None if ``head`` and the constraints are unsatisfiable; otherwise
+        the depth of the shallowest ancestor that a blocked node of the open
+        subtree relied on, or ``_UNBLOCKED``.  A successor's verdict is stored
+        when it does not rest on a node outside its subtree: an unsatisfiable
+        label always, a satisfiable one when every blocker lies inside."""
+        label = head + universal
         key = frozenset(label)
         known = verdicts.get(key)
         if known is not None:
             return _UNBLOCKED if known else None
+        clashable = _clashable(head, set(tbox.clashable))
 
         def add(c: Concept, d: int) -> bool:
             """Add ``c`` to the node, resting on the choices ``d``.  False on
@@ -169,14 +198,15 @@ def is_satisfiable(
             items: list[Concept] = []
             seen: dict[Concept, int] = {}  # each item of ``items``: the choices it rests on
             neg: dict[Concept, Concept] = {}  # the operand of each negation in ``seen``
-            # The label closed under conjunction (``items`` grows as it is
-            # read; a conjunct rests on its conjunction); a clash closes the node.
+            # The label closed under conjunction (``items`` grows as it is read;
+            # a conjunct rests on its conjunction), then the pure left disjuncts
+            # up to the split added in place; a clash closes the node.
             if all(map(add, label, masks)) and all(
                 add(c.left, seen[c]) and add(c.right, seen[c]) for c in items if c.__class__ is And
-            ):
-                split = next(
-                    (c for c in items if c.__class__ is Or and c.left not in seen and c.right not in seen), None
-                )
+            ) and ((split := next((
+                c for c in items if c.__class__ is Or and c.left not in seen and c.right not in seen
+                and (c.left in clashable or not add(c.left, seen[c]))
+            ), None)) is None or split.left in clashable):
                 if split is not None:  # the left branch first, the right one kept
                     d = seen[split]
                     label, masks = tuple(items), tuple(seen.values())
@@ -193,7 +223,7 @@ def is_satisfiable(
                 for e in items:
                     if e.__class__ is Exists:
                         foralls = [f for f in items if f.__class__ is Forall and f.role == e.role]
-                        sub = expand((e.filler, *[f.filler for f in foralls], *universal), ancestors + (label_set,))
+                        sub = expand((e.filler, *[f.filler for f in foralls]), ancestors + (label_set,))
                         if sub is None:
                             conflict = seen[e]
                             for f in foralls:
@@ -222,7 +252,7 @@ def is_satisfiable(
 
     try:
         universal = tbox.universal
-        return expand((nnf(c),) + universal, ()) is not None
+        return expand((nnf(c),), ()) is not None
     except RecursionError:
         recursion_limit = sys.getrecursionlimit()
         raise ResourceLimitError(f"nesting too deep (recursion limit {recursion_limit})") from None
