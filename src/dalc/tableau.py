@@ -16,12 +16,14 @@ Patel-Schneider 1999; Baader et al., *The Description Logic Handbook*,
 ch. 9).  Each Or-choice is a bit, and each item of a node carries the
 choices it rests on, as a bitmask: a disjunct rests on its choice and on
 what the split disjunction rests on, a conjunct on its conjunction, and an
-item of a check's or a successor's first label on none.  A clash rests on
-what its two items rest on (⊥ on its own); a closed role successor on its
-∃r.C and on every ∀r.D that built its label.  The right branch of an open
-choice that the conflict does not rest on would close the same way, so it
-is dropped unexplored; a right branch that is explored rests on the split
-and on what closed its left branch, minus that choice.
+item of a check's or a successor's first label on none.  A node's first
+label is its parent's items plus one disjunct; a pending right branch keeps
+its split node's items and masks uncopied, as that node is never read again.
+A clash rests on what its two items rest on (⊥ on its own); a closed role
+successor on its ∃r.C and on every ∀r.D that built its label.  The right
+branch of an open choice that the conflict does not rest on would close the
+same way, so it is dropped unexplored; a right branch that is explored rests
+on the split and on what closed its left branch, minus that choice.
 
 A choice whose bit never enters a conflict is no choice.  The left disjunct
 of the first undecided disjunction is added in place, on the disjunction's
@@ -125,10 +127,6 @@ def _clashable(cs: Iterable[Concept], found: set) -> set:
     return found
 
 
-# What ``expand`` returns for an open subtree none of whose blocked nodes
-# relied on an ancestor.
-_UNBLOCKED = sys.maxsize
-
 # The most successor verdicts a ``CompiledTBox`` keeps: a stream of distinct
 # role queries on one T* would otherwise grow its cache without end.
 _MAX_VERDICTS = 4096
@@ -155,16 +153,15 @@ def is_satisfiable(
     limit = stats.nodes_expanded + stats.max_nodes  # this check's own budget
 
     def expand(head: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> int | None:
-        """None if ``head`` and the constraints are unsatisfiable; otherwise
-        the depth of the shallowest ancestor that a blocked node of the open
-        subtree relied on, or ``_UNBLOCKED``.  A successor's verdict is stored
-        when it does not rest on a node outside its subtree: an unsatisfiable
-        label always, a satisfiable one when every blocker lies inside."""
-        label = head + universal
-        key = frozenset(label)
+        """None if ``head`` and the constraints are unsatisfiable; otherwise the depth of
+        the shallowest ancestor outside the open subtree that a blocked node of it
+        relied on, or its own depth ``len(ancestors)`` if none.  A successor's verdict
+        is stored when it does not rest on a node outside its subtree: an
+        unsatisfiable label always, a satisfiable one when every blocker lies inside."""
+        key = frozenset(label := head + universal)
         known = verdicts.get(key)
         if known is not None:
-            return _UNBLOCKED if known else None
+            return len(ancestors) if known else None
         clashable = _clashable(head, set(tbox.clashable))
 
         def add(c: Concept, d: int) -> bool:
@@ -188,9 +185,9 @@ def is_satisfiable(
             return True
 
         conflict: int  # the choices that the last closed node rests on
-        branches = []  # the right branch of each open choice, deepest last
+        branches = []  # each open choice, deepest last: its split node's ``seen``, the split, its bit
         depth = 0  # the choices above this node; the next one is bit ``depth``
-        masks = (0,) * len(label)  # what each item of ``label`` rests on
+        first = dict.fromkeys(label, 0)  # the node's first label: each item, the choices it rests on
         while True:
             stats.nodes_expanded += 1
             if stats.nodes_expanded > limit:
@@ -201,17 +198,15 @@ def is_satisfiable(
             # The label closed under conjunction (``items`` grows as it is read;
             # a conjunct rests on its conjunction), then the pure left disjuncts
             # up to the split added in place; a clash closes the node.
-            if all(map(add, label, masks)) and all(
+            if all(map(add, first, first.values())) and all(
                 add(c.left, seen[c]) and add(c.right, seen[c]) for c in items if c.__class__ is And
             ) and ((split := next((
                 c for c in items if c.__class__ is Or and c.left not in seen and c.right not in seen
                 and (c.left in clashable or not add(c.left, seen[c]))
             ), None)) is None or split.left in clashable):
                 if split is not None:  # the left branch first, the right one kept
-                    d = seen[split]
-                    label, masks = tuple(items), tuple(seen.values())
-                    branches.append((label, masks, split.right, depth, d))
-                    label, masks = label + (split.left,), masks + (d | 1 << depth,)
+                    branches.append((seen, split, depth))
+                    first = {**seen, split.left: seen[split] | 1 << depth}
                     depth += 1
                     continue
                 label_set = frozenset(seen)
@@ -219,7 +214,7 @@ def is_satisfiable(
                 low = next((i for i in reversed(range(len(ancestors))) if label_set <= ancestors[i]), None)
                 if low is not None:
                     break
-                low = _UNBLOCKED
+                low = len(ancestors)
                 for e in items:
                     if e.__class__ is Exists:
                         foralls = [f for f in items if f.__class__ is Forall and f.role == e.role]
@@ -234,14 +229,14 @@ def is_satisfiable(
                     break
             # Backjump: a choice the conflict does not rest on would close its
             # right branch the same way, so that branch is dropped.
-            while branches and not conflict >> branches[-1][3] & 1:
+            while branches and not conflict >> branches[-1][2] & 1:
                 branches.pop()
             if not branches:
                 low = None
                 break
-            label, masks, right, depth, d = branches.pop()
+            first, split, depth = branches.pop()
             # the right branch rests on the split and on what closed the left
-            label, masks = label + (right,), masks + (d | conflict & ~(1 << depth),)
+            first[split.right] = first[split] | conflict & ~(1 << depth)
             depth += 1
         # the root's verdict is never stored, so query labels do not pile up
         if ancestors and (low is None or low >= len(ancestors)):

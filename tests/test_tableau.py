@@ -199,6 +199,19 @@ def test_a_successor_blocked_from_outside_is_not_cached_as_satisfiable():
     assert set(tbox.verdicts.values()) == {False}
 
 
+def test_a_successor_blocked_from_inside_is_cached_as_satisfiable():
+    # Checking A, its r-successor {B} has an r-successor {B} that it blocks
+    # itself: the only blocker lies at the successor's own depth, inside its
+    # subtree, so {B} is stored as satisfiable and the next check reads it.
+    a, b = Atom("A"), Atom("B")
+    tbox = CompiledTBox((GCI(a, Exists("r", b)), GCI(b, Exists("r", b))))
+    stats = EntailmentStats()
+    assert is_satisfiable(a, tbox, stats) and stats.nodes_expanded == 9
+    assert tbox.verdicts == {frozenset((b, *tbox.universal)): True}
+    stats = EntailmentStats()
+    assert is_satisfiable(Exists("r", b), tbox, stats) and stats.nodes_expanded == 1
+
+
 def test_a_root_verdict_is_not_stored():
     tbox = CompiledTBox((GCI(Atom("A"), Exists("r", Atom("B"))),))
     assert is_satisfiable(Atom("B"), tbox) and tbox.verdicts == {}
