@@ -8,8 +8,9 @@ termination.  A node's Or-branches are tried depth first and left branch
 first, the right ones kept on an explicit stack; only role successors
 recurse, so a check takes one Python frame per role level.  This is the only
 decision procedure the defeasible engine relies on.  A node classifies a
-concept by its exact class, which ``nnf`` guarantees; its remaining cost is
-re-reading the whole label that its branch inherited.
+concept by its exact class, which ``nnf`` guarantees.  A node still re-adds
+the label that its branch inherited, but its closure starts at its new
+disjunct, and its split scan at its parent's split.
 
 A closed node backjumps (conflict-directed backjumping: Horrocks &
 Patel-Schneider 1999; Baader et al., *The Description Logic Handbook*,
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
+from itertools import islice
 from typing import Iterable
 
 from .concepts import (
@@ -188,6 +190,7 @@ def is_satisfiable(
         branches = []  # each open choice, deepest last: its split node's ``seen``, the split, its bit
         depth = 0  # the choices above this node; the next one is bit ``depth``
         first = dict.fromkeys(label, 0)  # the node's first label: each item, the choices it rests on
+        split = None  # the split this node descends from; None at the root
         while True:
             stats.nodes_expanded += 1
             if stats.nodes_expanded > limit:
@@ -197,11 +200,14 @@ def is_satisfiable(
             neg: dict[Concept, Concept] = {}  # the operand of each negation in ``seen``
             # The label closed under conjunction (``items`` grows as it is read;
             # a conjunct rests on its conjunction), then the pure left disjuncts
-            # up to the split added in place; a clash closes the node.
+            # up to the split added in place; a clash closes the node.  A child
+            # resumes both: its parent closed all but its new last item and decided each Or before its split.
             if all(map(add, first, first.values())) and all(
-                add(c.left, seen[c]) and add(c.right, seen[c]) for c in items if c.__class__ is And
+                add(c.left, seen[c]) and add(c.right, seen[c])
+                for c in islice(items, 0 if split is None else len(first) - 1, None) if c.__class__ is And
             ) and ((split := next((
-                c for c in items if c.__class__ is Or and c.left not in seen and c.right not in seen
+                c for c in islice(items, 0 if split is None else items.index(split), None)
+                if c.__class__ is Or and c.left not in seen and c.right not in seen
                 and (c.left in clashable or not add(c.left, seen[c]))
             ), None)) is None or split.left in clashable):
                 if split is not None:  # the left branch first, the right one kept
