@@ -40,7 +40,7 @@ class Ranking(_Value):
     ``tstar``.  ``materialisations`` holds the conjoined materialisation of
     each level of ``e_seq``, in the same order.  ``tstar`` is the last
     promotion round's ``CompiledTBox``, so the checks of the ranking and of
-    its queries share one cache of successor verdicts.
+    its queries share its root states and successor verdicts.
     """
 
     tstar: tuple[GCI, ...]
@@ -67,7 +67,7 @@ def exceptional(
     """The DCIs of ``dprime`` whose antecedent is incompatible with the
     materialisation of ``dprime`` under ``tstar``; order preserved."""
     mat = conjoin(materialise(list(dprime)))
-    return tuple(d for d in dprime if entails(tstar, GCI(mat, Not(d.lhs)), stats))
+    return tuple(d for d in dprime if entails(tstar, GCI(d.lhs, BOTTOM), stats, mat))
 
 
 def compute_ranking(kb: KnowledgeBase, stats: Optional[EntailmentStats] = None) -> Ranking:
@@ -107,9 +107,9 @@ def _compatible_level(
 ) -> Optional[int]:
     """The index of the first materialisation in ``levels`` compatible with
     ``c`` under the normalized TBox, or None when every one is incompatible;
-    one classical check per level scanned."""
+    one classical check per level scanned, in that level's context."""
     for i, mat in enumerate(levels):
-        if not entails(r.tstar, GCI(mat, Not(c)), stats):
+        if not entails(r.tstar, GCI(c, BOTTOM), stats, mat):
             return i
     return None
 
@@ -161,6 +161,6 @@ def rationally_deducible(r: Ranking, q: Axiom, stats: Optional[EntailmentStats] 
     start = stats.checks
     i = None if isinstance(q, GCI) else _compatible_level(r, r.materialisations, q.lhs, stats)
     mat = TOP if i is None else r.materialisations[i]
-    verdict = entails(r.tstar, GCI(And(mat, q.lhs), q.rhs), stats)
+    verdict = entails(r.tstar, GCI(q.lhs, q.rhs), stats, mat)
     decided = Rank.infinite() if i is None else Rank.finite(i)
     return QueryResult(verdict, decided, stats.checks - start)

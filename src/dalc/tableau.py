@@ -8,9 +8,17 @@ termination.  A node's Or-branches are tried depth first and left branch
 first, the right ones kept on an explicit stack; only role successors
 recurse, so a check takes one Python frame per role level.  This is the only
 decision procedure the defeasible engine relies on.  A node classifies a
-concept by its exact class, which ``nnf`` guarantees.  A node still re-adds
-the label that its branch inherited, but its closure starts at its new
-disjunct, and its split scan at its parent's split.
+concept by its exact class, which ``nnf`` guarantees.
+
+A check decides ``context ⊓ c`` (⊤ by default).  Its root starts from the
+context's state, built once per ``CompiledTBox``: the constraints and
+``nnf(context)`` closed under ⊓ on no choice, and walked into ``clashable``.
+⊤'s state, the constraints alone, also starts each role successor.  So a
+level's materialisation is normalised, closed and walked once per T*, not
+once per check (Horrocks & Patel-Schneider 1999).  A state decides no Or, as
+purity depends on the check's concept, and a root reads no successor verdict.
+A node below a split re-adds its branch's label, but closes from its new
+disjunct on and scans for its split from its parent's split.
 
 A closed node backjumps (conflict-directed backjumping: Horrocks &
 Patel-Schneider 1999; Baader et al., *The Description Logic Handbook*,
@@ -38,12 +46,13 @@ Every check runs in a session, an ``EntailmentStats``: it counts the checks
 and nodes, and its ``max_nodes`` bounds each check on its own.  A call
 without one runs in a fresh default session.
 
-A TBox is compiled once into a ``CompiledTBox``: its constraints, and a cache
-of the successor labels its checks have decided (Horrocks & Patel-Schneider,
-*Optimizing Description Logic Subsumption*, 1999).  A successor whose label
-is cached is not expanded again, in this check or a later one on the same
-compiled TBox.  The cache holds at most ``_MAX_VERDICTS`` labels: when it is
-full it is emptied, and a dropped verdict is only decided again.
+A TBox is compiled once into a ``CompiledTBox``: its constraints, its
+contexts' states, and a cache of the successor labels its checks decided
+(Horrocks & Patel-Schneider, *Optimizing Description Logic Subsumption*,
+1999).  A cached successor label is not expanded again, in this check or a
+later one on the same compiled TBox.  The cache holds at most
+``_MAX_VERDICTS`` labels and the states at most ``_MAX_STATES``: a full
+store is emptied, and what it dropped is only built again.
 """
 
 from __future__ import annotations
@@ -92,15 +101,18 @@ class EntailmentStats(_Value, mutable=True):
 class CompiledTBox(tuple):
     """A TBox compiled for the tableau: still the tuple of its GCIs, plus
     ``verdicts``, the satisfiability of each role-successor label that a
-    check on this TBox has decided, keyed by the set of its initial label.
+    check on this TBox has decided, keyed by the set of its initial label,
+    and ``states``, the root state of each context a check has run in.
     ``compute_ranking`` compiles T* once per promotion round, so the ranking
-    and every query on a ``Ranking`` share one cache."""
+    and every query on a ``Ranking`` share its states and cache."""
 
     verdicts: dict[frozenset, bool]
+    states: dict[Concept, tuple | None]
 
     def __new__(cls, gcis: Iterable[GCI] = ()) -> "CompiledTBox":
         self = super().__new__(cls, gcis)
         self.verdicts = {}
+        self.states = {}
         return self
 
     @cached_property
@@ -109,10 +121,63 @@ class CompiledTBox(tuple):
         built by the first check."""
         return tuple(u for g in self if (u := nnf(Or(Not(g.lhs), g.rhs))) is not TOP)
 
-    @cached_property
-    def clashable(self) -> frozenset:
-        """What a left disjunct may clash with or build on at any node: see ``_clashable``."""
-        return frozenset(_clashable(self.universal, set()))
+    def state(self, context: Concept) -> tuple | None:
+        """``context``'s state, built by its first check on top of ⊤'s, which
+        holds the constraints alone: the ``items``, ``seen`` and ``neg`` of a
+        ``_node`` with no split, plus their ``clashable``; None on a clash."""
+        if context not in self.states:
+            base = _EMPTY if context is TOP else self.state(TOP)
+            first = dict.fromkeys(self.universal if context is TOP else (nnf(context),), 0)
+            clash = base is None or (node := _node(base, first, None, None)).__class__ is int
+            if len(self.states) >= _MAX_STATES:
+                self.states.clear()
+            self.states[context] = None if clash else (*node[:3], frozenset(_clashable(first, set(base[3]))))
+        return self.states[context]
+
+
+def _node(base: tuple, first: dict, after: Concept | None, clashable: set | None) -> tuple | int:
+    """``(items, seen, neg, split)``: ``base``'s items, masks and negations plus
+    ``first``'s, closed under ⊓ (a conjunct rests on its conjunction) from the
+    first one added, or below the split ``after`` from ``first``'s last, as the
+    parent closed the rest.  Unless ``clashable`` is None, ``split`` is the
+    first Or from ``after`` on with neither disjunct in the node, each pure
+    left disjunct before it, a literal not in ``clashable``, added in place on
+    its Or's choices.  On a clash: the choices its two items rest on."""
+    items, seen, neg = [*base[0]], {**base[1]}, {**base[2]}
+    conflict = 0
+
+    def add(c: Concept, d: int) -> bool:
+        """Add ``c`` to the node, resting on the choices ``d``; False on a clash."""
+        nonlocal conflict
+        if c in seen:
+            return True
+        kind = c.__class__
+        if kind is Not:
+            if c.operand in seen:
+                conflict = d | seen[c.operand]
+                return False
+            neg[c.operand] = c
+        elif kind is Bottom or kind is Atom and c in neg:
+            conflict = d | seen.get(neg.get(c), 0)
+            return False
+        seen[c] = d
+        items.append(c)
+        return True
+
+    if all(map(add, first, first.values())) and all(
+        add(c.left, seen[c]) and add(c.right, seen[c])
+        for c in islice(items, len(base[0]) if after is None else len(first) - 1, None) if c.__class__ is And
+    ):
+        if clashable is None:
+            return items, seen, neg, None
+        split = next((
+            c for c in islice(items, 0 if after is None else items.index(after), None)
+            if c.__class__ is Or and c.left not in seen and c.right not in seen
+            and (c.left in clashable or not add(c.left, seen[c]))
+        ), None)
+        if split is None or split.left in clashable:
+            return items, seen, neg, split
+    return conflict
 
 
 def _clashable(cs: Iterable[Concept], found: set) -> set:
@@ -132,21 +197,23 @@ def _clashable(cs: Iterable[Concept], found: set) -> set:
 # The most successor verdicts a ``CompiledTBox`` keeps: a stream of distinct
 # role queries on one T* would otherwise grow its cache without end.
 _MAX_VERDICTS = 4096
+_MAX_STATES = 64  # and the most states: a ranking and its queries ask for one per level and ⊤
+_EMPTY = ((), {}, {}, frozenset())  # what a node below a split starts from, as its first label holds all
 
 
 def is_satisfiable(
-    c: Concept, tbox: tuple[GCI, ...] | list[GCI] = (), stats: EntailmentStats | None = None
+    c: Concept, tbox: tuple[GCI, ...] | list[GCI] = (), stats: EntailmentStats | None = None, context: Concept = TOP
 ) -> bool:
     """True iff some classical interpretation satisfies every GCI in ``tbox``
-    and gives ``c`` a non-empty extension.  Raises ``ResourceLimitError``
-    past ``stats.max_nodes`` nodes, or when the concepts or the role
-    successors nest past Python's recursion limit.
+    and gives ``context ⊓ c`` a non-empty extension.  Raises
+    ``ResourceLimitError`` past ``stats.max_nodes`` nodes, or when the
+    concepts or the role successors nest past Python's recursion limit.
 
-    A ``CompiledTBox`` lends the check its cached successor verdicts and
-    keeps the ones the check decides; a plain tuple or list is compiled
-    afresh for this one call.  A cache hit is not expanded and is not a node,
-    so a check's nodes can depend on the checks run before it on the same
-    compiled TBox."""
+    A ``CompiledTBox`` lends the check its root state for ``context`` and its
+    cached successor verdicts, and keeps what the check builds or decides; a
+    plain tuple or list is compiled afresh for this one call.  A cache hit is
+    not expanded and is not a node, so a check's nodes can depend on the
+    checks run before it on the same compiled TBox."""
     if stats is None:
         stats = EntailmentStats()
     if not isinstance(tbox, CompiledTBox):
@@ -155,64 +222,32 @@ def is_satisfiable(
     limit = stats.nodes_expanded + stats.max_nodes  # this check's own budget
 
     def expand(head: tuple[Concept, ...], ancestors: tuple[frozenset, ...]) -> int | None:
-        """None if ``head`` and the constraints are unsatisfiable; otherwise the depth of
-        the shallowest ancestor outside the open subtree that a blocked node of it
-        relied on, or its own depth ``len(ancestors)`` if none.  A successor's verdict
-        is stored when it does not rest on a node outside its subtree: an
-        unsatisfiable label always, a satisfiable one when every blocker lies inside."""
-        key = frozenset(label := head + universal)
-        known = verdicts.get(key)
-        if known is not None:
-            return len(ancestors) if known else None
-        clashable = _clashable(head, set(tbox.clashable))
-
-        def add(c: Concept, d: int) -> bool:
-            """Add ``c`` to the node, resting on the choices ``d``.  False on
-            a clash, with ``conflict`` set to the choices that ``c`` and the
-            item it clashes with rest on; ⊥ clashes alone."""
-            nonlocal conflict
-            if c in seen:
-                return True
-            kind = c.__class__
-            if kind is Not:
-                if c.operand in seen:
-                    conflict = d | seen[c.operand]
-                    return False
-                neg[c.operand] = c
-            elif kind is Bottom or kind is Atom and c in neg:
-                conflict = d | seen.get(neg.get(c), 0)
-                return False
-            seen[c] = d
-            items.append(c)
-            return True
-
+        """None if ``head`` and the constraints (at the root, the context too) are unsatisfiable;
+        otherwise the depth of the shallowest ancestor outside the open subtree that a blocked node
+        of it relied on, or its own depth ``len(ancestors)`` if none.  A successor's verdict is
+        stored when it does not rest on a node outside its subtree: an unsatisfiable label always,
+        a satisfiable one when every blocker lies inside; a root's is neither read nor stored."""
+        if ancestors:
+            key = frozenset(head + universal)
+            known = verdicts.get(key)
+            if known is not None:
+                return len(ancestors) if known else None
+        base = top if ancestors else root  # the state the first node starts from
+        clashable = _clashable(head, set(base[3]))
         conflict: int  # the choices that the last closed node rests on
         branches = []  # each open choice, deepest last: its split node's ``seen``, the split, its bit
         depth = 0  # the choices above this node; the next one is bit ``depth``
-        first = dict.fromkeys(label, 0)  # the node's first label: each item, the choices it rests on
-        split = None  # the split this node descends from; None at the root
+        first = dict.fromkeys(head, 0)  # what the node adds to ``base``: each item, the choices it rests on
+        split = None  # the split this node descends from; None at the first node
         while True:
             stats.nodes_expanded += 1
             if stats.nodes_expanded > limit:
                 raise ResourceLimitError(f"more than {stats.max_nodes} tableau nodes")
-            items: list[Concept] = []
-            seen: dict[Concept, int] = {}  # each item of ``items``: the choices it rests on
-            neg: dict[Concept, Concept] = {}  # the operand of each negation in ``seen``
-            # The label closed under conjunction (``items`` grows as it is read;
-            # a conjunct rests on its conjunction), then the pure left disjuncts
-            # up to the split added in place; a clash closes the node.  A child
-            # resumes both: its parent closed all but its new last item and decided each Or before its split.
-            if all(map(add, first, first.values())) and all(
-                add(c.left, seen[c]) and add(c.right, seen[c])
-                for c in islice(items, 0 if split is None else len(first) - 1, None) if c.__class__ is And
-            ) and ((split := next((
-                c for c in islice(items, 0 if split is None else items.index(split), None)
-                if c.__class__ is Or and c.left not in seen and c.right not in seen
-                and (c.left in clashable or not add(c.left, seen[c]))
-            ), None)) is None or split.left in clashable):
+            if (node := _node(base, first, split, clashable)).__class__ is not int:
+                items, seen, _, split = node
                 if split is not None:  # the left branch first, the right one kept
                     branches.append((seen, split, depth))
-                    first = {**seen, split.left: seen[split] | 1 << depth}
+                    base, first = _EMPTY, {**seen, split.left: seen[split] | 1 << depth}
                     depth += 1
                     continue
                 label_set = frozenset(seen)
@@ -233,6 +268,8 @@ def is_satisfiable(
                         low = min(low, sub)
                 else:
                     break
+            else:
+                conflict = node
             # Backjump: a choice the conflict does not rest on would close its
             # right branch the same way, so that branch is dropped.
             while branches and not conflict >> branches[-1][2] & 1:
@@ -244,7 +281,6 @@ def is_satisfiable(
             # the right branch rests on the split and on what closed the left
             first[split.right] = first[split] | conflict & ~(1 << depth)
             depth += 1
-        # the root's verdict is never stored, so query labels do not pile up
         if ancestors and (low is None or low >= len(ancestors)):
             if len(verdicts) >= _MAX_VERDICTS:
                 verdicts.clear()
@@ -252,16 +288,20 @@ def is_satisfiable(
         return low
 
     try:
+        top, root = tbox.state(TOP), tbox.state(context)
+        stats.nodes_expanded += root is None  # a context that clashes refutes the check in one node
         universal = tbox.universal
-        return expand((nnf(c),), ()) is not None
+        return root is not None and expand((nnf(c),), ()) is not None
     except RecursionError:
         recursion_limit = sys.getrecursionlimit()
         raise ResourceLimitError(f"nesting too deep (recursion limit {recursion_limit})") from None
 
 
-def entails(tbox: tuple[GCI, ...] | list[GCI], g: GCI, stats: EntailmentStats | None = None) -> bool:
-    """Classical entailment: ``tbox ⊨ lhs ⊑ rhs``, decided by refutation."""
+def entails(
+    tbox: tuple[GCI, ...] | list[GCI], g: GCI, stats: EntailmentStats | None = None, context: Concept = TOP
+) -> bool:
+    """Classical entailment: ``tbox ⊨ context ⊓ lhs ⊑ rhs``, decided by refutation."""
     if stats is None:
         stats = EntailmentStats()
     stats.checks += 1
-    return not is_satisfiable(And(g.lhs, Not(g.rhs)), tbox, stats)
+    return not is_satisfiable(And(g.lhs, Not(g.rhs)), tbox, stats, context)

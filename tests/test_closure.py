@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import dalc.closure
+import dalc.tableau
 from dalc.cli import main
 from dalc.closure import (
     QueryResult,
@@ -212,28 +214,35 @@ def test_exceptionality_claims_confirmed_by_oracle():
 def test_query_verdicts_consistent_with_bounded_oracle_on_random_kbs():
     # NOT IN: any bounded countermodel found must be genuine (checked inside
     # the search, re-checked here).  Axioms of the KB itself are satisfied in
-    # every model, so their searches must come up empty.
+    # every model, so their searches must come up empty.  A strict query is in
+    # the rational closure iff T* entails it, and every ranked model of the KB
+    # satisfies T*, so a strict query with a countermodel must be refused; a
+    # defeasible one may be in the closure without holding in every model.
+    from dalc.semantics import satisfies, satisfies_all
+
     rng = random.Random(37)
     atoms, roles = ["A", "B"], ["r"]
+    refuted = 0
     for _ in range(25):
+        tbox = (GCI(random_concept(rng, atoms, roles, 1), random_concept(rng, atoms, roles, 1)),)
         dtbox = tuple(
             DCI(random_concept(rng, atoms, roles, 1), random_concept(rng, atoms, roles, 1))
             for _ in range(rng.randrange(1, 4))
         )
-        kb = KnowledgeBase(dtbox=dtbox)
+        kb = KnowledgeBase(tbox, dtbox)
         r = compute_ranking(kb)
-        for d in dtbox:
-            assert not search_countermodel(kb, d, 2).found
-        q = DCI(
-            random_concept(rng, atoms, roles, 1), random_concept(rng, atoms, roles, 1)
-        )
-        res = rationally_deducible(r, q)
-        witness = search_countermodel(kb, q, 2)
-        if witness.found:
-            from dalc.semantics import satisfies, satisfies_all
-
-            assert satisfies_all(witness.interpretation, kb.axioms)
-            assert not satisfies(witness.interpretation, q)
+        for a in kb.axioms:
+            assert not search_countermodel(kb, a, 2).found
+        for ctor in (DCI, GCI):
+            q = ctor(random_concept(rng, atoms, roles, 1), random_concept(rng, atoms, roles, 1))
+            res = rationally_deducible(r, q)
+            witness = search_countermodel(kb, q, 2)
+            if witness.found:
+                assert satisfies_all(witness.interpretation, kb.axioms)
+                assert not satisfies(witness.interpretation, q)
+                assert ctor is DCI or not res.verdict, (kb, q)
+                refuted += ctor is GCI
+    assert refuted >= 5
 
 
 def test_partition_disjoint_union_is_dstar():
@@ -516,3 +525,47 @@ def test_exception_chain_exact_check_counts():
     res = rationally_deducible(r, GCI(Atom("A3"), Atom("A1")), stats=stats)
     assert (res.verdict, res.decided_at) == (True, Rank.infinite())
     assert res.checks_spent == stats.checks == 1
+
+
+def test_each_context_state_is_built_once_and_bounded(monkeypatch):
+    # T* keeps one root state per context its checks ran in: ⊤ and each
+    # level's materialisation.  A second round of queries starts from the
+    # stored states and answers as the first did, and as a run that builds
+    # every state afresh for each check; a full store is emptied, as the
+    # label cache is, and a dropped state is only built again.
+    n = 6
+    r = compute_ranking(_exception_chain(n))
+    b = Atom("B")
+    queries = [DCI(Atom(f"A{i}"), c) for i in range(n) for c in (b, Not(b))] + [GCI(Atom("A3"), Atom("A1"))]
+
+    def answers():
+        out = []
+        for q in queries:
+            stats = EntailmentStats()
+            res = rationally_deducible(r, q, stats)
+            out.append((res.verdict, res.decided_at, res.checks_spent, stats.nodes_expanded))
+        return out
+
+    first = answers()
+    assert set(r.tstar.states) <= {TOP, *r.materialisations} and len(r.materialisations) == n
+    assert answers() == first
+
+    def afresh(tbox, g, stats=None, context=TOP):
+        tbox.states.clear()
+        return entails(tbox, g, stats, context)
+
+    with monkeypatch.context() as m:
+        m.setattr(dalc.closure, "entails", afresh)
+        assert answers() == first
+
+    monkeypatch.setattr(dalc.tableau, "_MAX_STATES", 3)
+    sizes = []
+
+    class Recorded(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    r.tstar.states = Recorded()
+    assert answers() == first
+    assert max(sizes) == 3 and len(sizes) > 3 and sizes.count(1) > 1  # it filled up and was emptied

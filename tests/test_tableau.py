@@ -431,7 +431,7 @@ def test_random_checks_match_type_elimination():
         )
         c = random_concept(rng, atoms, roles, 3)
         assert is_satisfiable(c, tbox, stats) == te_satisfiable(c, tbox), (seed, c, tbox)
-    assert stats.nodes_expanded == 1179
+    assert stats.nodes_expanded == 1234
 
 
 @settings(max_examples=200, deadline=None)
