@@ -214,14 +214,21 @@ def nnf(c: Concept) -> Concept:
             c = (Forall if kind is Exists else Exists)(inner.role, Not(inner.filler))
         else:
             raise TypeError("not a concept: %r" % (inner,))
-    if kind is And or kind is Or:
-        zero, unit = (BOTTOM, TOP) if kind is And else (TOP, BOTTOM)
-        left, right = nnf(c.left), nnf(c.right)
-        if left is zero or right is zero:
-            return zero
-        if left is unit:
-            return right
-        return left if right is unit else kind(left, right)
+    if kind is And or kind is Or:  # a right-nested chain of one connective, in one frame
+        zero, unit, dual = (BOTTOM, TOP, Or) if kind is And else (TOP, BOTTOM, And)
+        lefts = []
+        while c.__class__ is kind:
+            lefts.append(nnf(c.left))
+            c = c.right
+            if c.__class__ is Not and c.operand.__class__ is dual:
+                c = kind(Not(c.operand.left), Not(c.operand.right))
+        out = nnf(c)
+        for left in reversed(lefts):
+            if left is zero or out is zero:
+                out = zero
+            elif left is not unit:
+                out = left if out is unit else kind(left, out)
+        return out
     if kind is Exists or kind is Forall:
         filler = nnf(c.filler)
         zero = BOTTOM if kind is Exists else TOP

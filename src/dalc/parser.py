@@ -247,10 +247,13 @@ def _render(c: Concept, min_prec: int) -> str:
         return f"exists {c.role}." + _render(c.filler, 2)
     if isinstance(c, Forall):
         return f"forall {c.role}." + _render(c.filler, 2)
-    if isinstance(c, And):
-        # Right-nested chains render flat; anything else re-parenthesizes.
-        return _render(c.left, 2) + " & " + _render(c.right, 1)
-    return _render(c.left, 1) + " | " + _render(c.right, 0)
+    # A right-nested chain of one connective renders flat, in one frame;
+    # anything else re-parenthesizes.
+    kind, prec, parts = c.__class__, _prec(c), []
+    while c.__class__ is kind:
+        parts.append(_render(c.left, prec + 1))
+        c = c.right
+    return (" & " if kind is And else " | ").join([*parts, _render(c, prec)])
 
 
 def render_concept(c: Concept) -> str:

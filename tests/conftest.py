@@ -15,7 +15,7 @@ from generators import te_satisfiable  # noqa: E402
 @pytest.fixture
 def checks(monkeypatch):
     """Every classical check of ``dalc.closure`` from here on, as ``(gci,
-    tableau, type elimination)``: the two engines' answers to whether T*
+    context, tableau, type elimination)``: the two engines' answers to whether T*
     entails the GCI in the check's context, that is whether ``context ⊓ lhs
     ⊓ ¬rhs`` is unsatisfiable; the tableau's is None if it gave up.  A check
     they answer differently fails at once; one the tableau gives up on is
@@ -29,7 +29,7 @@ def checks(monkeypatch):
         except ResourceLimitError:
             got = None
         assert got in (want, None), (tuple(tbox), g, context)
-        log.append((g, got, want))
+        log.append((g, context, got, want))
         return want
 
     monkeypatch.setattr(dalc.closure, "entails", both)

@@ -175,6 +175,9 @@ def test_inconsistent_tstar_within_the_default_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(seed12))
     assert code == 0
     assert "normalized TBox consistent: no" in out
+    code, out, _ = run(capsys, "check", str(seed12), "--json")
+    assert code == 0
+    assert json.loads(out)["consistent"] is False
     code, out, _ = run(capsys, "query", str(seed12), "-q", "A ~[= forall r.D")
     assert code == 0
     assert out.splitlines()[0] == "IN rational closure"

@@ -180,6 +180,27 @@ def test_resource_limit_is_an_error_not_a_verdict():
         sys.setrecursionlimit(limit)
 
 
+def test_a_flat_chain_costs_no_frame_per_link(tmp_path, capsys):
+    # A level's materialisation conjoins one ¬C ⊔ D per default, and a GCI
+    # may conjoin many atoms, on either side: nnf and rendering walk such a
+    # chain in a loop, so its length is bounded by nodes alone, not by the
+    # recursion limit.
+    wide_lhs = " & ".join(f"C{i}" for i in range(300)) + " [= D\n"
+    flat = parse_kb(wide_lhs + "".join(f"A{i} ~[= B{i}\n" for i in range(300))).kb
+    partition = compute_ranking(flat).partition
+    path = tmp_path / "wide.dkb"
+    path.write_text("top [= " + " & ".join(f"A{i}" for i in range(300)) + "\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        assert compute_ranking(flat).partition == partition
+        assert main(["rank", str(path), "--json"]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    tstar = json.loads(capsys.readouterr().out)["tstar"]
+    assert tstar == [{"kind": "gci", "lhs": "top", "rhs": " & ".join(f"A{i}" for i in range(300))}]
+
+
 def test_role_depth_is_bounded_by_nodes_alone():
     # No budget of its own bounds role depth: 600 levels are 601 nodes, and
     # the tableau spends one Python frame on each.
@@ -329,6 +350,9 @@ A6 [= B
 
 FAMILIES = {"chain6": CHAIN6, "flat4": FLAT4, "roles3": ROLES3}
 
+# The checks and nodes that ranking each of them spends.
+PINS = {"corpus": (15, 104), "chain6": (21, 457), "flat4": (12, 108), "roles3": (16, 107)}
+
 
 def _ranked(name):
     """The KBs a pin ranks: the corpus's, or one family's."""
@@ -337,26 +361,21 @@ def _ranked(name):
     return [parse_kb(FAMILIES[name]).kb]
 
 
-@pytest.mark.parametrize(
-    "name, checks, nodes",
-    [("corpus", 15, 104), ("chain6", 21, 457), ("flat4", 12, 108), ("roles3", 16, 107)],
-    ids=["corpus", "chain6", "flat4", "roles3"],
-)
-def test_ranking_search_is_pinned(name, checks, nodes):
+@pytest.mark.parametrize("name", PINS)
+def test_ranking_search_is_pinned(name):
     stats = EntailmentStats()
     for kb in _ranked(name):
         compute_ranking(kb, stats=stats)
-    assert (stats.checks, stats.nodes_expanded) == (checks, nodes)
+    assert (stats.checks, stats.nodes_expanded) == PINS[name]
 
 
 def test_roles6_ranks_within_the_default_budget():
-    # T*'s label cache answers repeated successor labels: its 52 checks
-    # expand 368 nodes, where without the cache they expand 606.
+    # T*'s label cache answers repeated successor labels: without it, the
+    # same checks expand 606 nodes.
     kb = parse_kb(ROLES6).kb
     stats = EntailmentStats()
     ranking = compute_ranking(kb, stats=stats)
-    assert stats.checks == 52
-    assert stats.nodes_expanded == 368
+    assert (stats.checks, stats.nodes_expanded) == (52, 368)
     assert ranking.partition == ()
     pairs = [kb.dtbox[i : i + 2] for i in range(0, 12, 2)]
     assert ranking.moved_to_tbox == tuple(d for pair in reversed(pairs) for d in pair)
@@ -366,13 +385,16 @@ def test_roles6_ranks_within_the_default_budget():
 
 
 def test_max_nodes_bounds_each_check_in_the_library_and_the_cli(tmp_path, capsys):
-    # CHAIN6's largest single check expands 35 nodes, of 457 in its ranking.
-    # The budget bounds each check, so the library and the CLI both rank it
-    # at 35 and both stop at 34.
+    # CHAIN6's largest single check expands 35 nodes.  The budget bounds each
+    # check, not the ranking, so the library and the CLI both rank it at 35,
+    # spending what an unbudgeted ranking does, and both stop at 34.
     kb = parse_kb(CHAIN6).kb
-    partition = compute_ranking(kb).partition
+    unbudgeted = EntailmentStats()
+    partition = compute_ranking(kb, unbudgeted).partition
+    assert len(partition) == 6
     stats = EntailmentStats(max_nodes=35)
-    assert compute_ranking(kb, stats).partition == partition and stats.nodes_expanded == 457
+    assert compute_ranking(kb, stats).partition == partition
+    assert (stats.checks, stats.nodes_expanded) == (unbudgeted.checks, unbudgeted.nodes_expanded)
     with pytest.raises(ResourceLimitError, match="more than 34 tableau nodes"):
         compute_ranking(kb, EntailmentStats(max_nodes=34))
     path = tmp_path / "chain6.dkb"
@@ -415,8 +437,8 @@ def test_ranking_checks_match_type_elimination(checks):
     for name in ("corpus", *FAMILIES):
         for kb in _ranked(name):
             compute_ranking(kb)
-    assert len(checks) == 64  # 15 on the corpus, then 21, 12 and 16 as pinned above
-    assert [got for _, got, _ in checks] == [want for _, _, want in checks]
+    assert len(checks) == sum(n for n, _ in PINS.values())
+    assert [got for _, _, got, _ in checks] == [want for _, _, _, want in checks]
 
 
 def test_random_checks_match_type_elimination():

@@ -10,7 +10,7 @@ import pytest
 
 from dalc.closure import compute_ranking, concept_rank, rationally_deducible, tstar_inconsistent
 from dalc.concepts import DCI, GCI, And, KnowledgeBase, Not
-from dalc.parser import render_axiom
+from dalc.parser import render_axiom, render_concept
 from dalc.tableau import EntailmentStats
 
 import corpus
@@ -60,7 +60,7 @@ def test_the_tableau_agrees_with_type_elimination(name, checks):
     assert checks
     # seed 209's T* is inconsistent, and its tableau closes by backjumping
     # over the disjunctions that its clashes do not rest on
-    assert [(g, want) for g, got, want in checks if got is None] == []
+    assert [(g, want) for g, _, got, want in checks if got is None] == []
 
 
 @pytest.mark.slow
@@ -68,11 +68,14 @@ def test_the_tableau_agrees_with_type_elimination_on_1000_random_kbs(checks):
     gave_up, compared, nodes = [], 0, 0
     for seed in range(1000):
         nodes += _replay(*draw(seed))
-        gave_up += [(seed, g, want) for g, got, want in checks if got is None]
+        gave_up += [(seed, g, context, want) for g, context, got, want in checks if got is None]
         compared += len(checks)
         checks.clear()
-    for seed, g, want in gave_up:
-        print(f"seed {seed}: the tableau gave up on {render_axiom(g)}; type elimination: entailed={want}")
+    for seed, g, context, want in gave_up:
+        print(
+            f"seed {seed}: the tableau gave up on {render_axiom(g)} in context {render_concept(context)};"
+            f" type elimination: entailed={want}"
+        )
     # every check's nodes, not only the 300 random ones tier-1 pins
     assert (compared, nodes) == (34_433, 312_825)
     assert gave_up == []
